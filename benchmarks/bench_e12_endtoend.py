@@ -29,11 +29,8 @@ def test_loan_property_batch(benchmark):
     ]
 
     def run():
-        return [
-            verify(composition, p, databases, domain=domain,
-                   valuation_candidates=loan.STANDARD_CANDIDATES)
-            for p in props
-        ]
+        return verify_all(composition, props, databases, domain=domain,
+                          valuation_candidates=loan.STANDARD_CANDIDATES)
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     assert all(r.satisfied for r in results)
@@ -56,11 +53,8 @@ def test_ecommerce_property_batch(benchmark):
     ]
 
     def run():
-        return [
-            verify(composition, p, databases, domain=domain,
-                   valuation_candidates=candidates)
-            for p in props
-        ]
+        return verify_all(composition, props, databases, domain=domain,
+                          valuation_candidates=candidates)
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     assert all(r.satisfied for r in results)
@@ -82,11 +76,8 @@ def test_travel_property_batch(benchmark):
     ]
 
     def run():
-        return [
-            verify(composition, p, databases, domain=domain,
-                   valuation_candidates=candidates)
-            for p in props
-        ]
+        return verify_all(composition, props, databases, domain=domain,
+                          valuation_candidates=candidates)
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     assert all(r.satisfied for r in results)

@@ -54,9 +54,11 @@ FILE`` (a metrics snapshot plus per-result statistics), and
 ``REPRO_RUN_ID`` environment variable does the same and is the
 idiomatic way to correlate ``--shard`` slices launched on different
 machines).  ``profile`` runs a verification and prints a per-phase
-wall-time breakdown, with per-worker rows when ``--workers > 1``; its
-target is either a ``.dws`` file or one of the built-in library
-examples (``loan``, ``ecommerce``, ``travel``).
+wall-time breakdown, with per-worker rows when ``--workers > 1`` and
+the expansions per distinct state (a ``warning:`` when a state was
+expanded twice); its target is either a ``.dws`` file or one of the
+built-in library examples (``loan``, ``ecommerce``, ``travel``,
+``payments``, ``dispatch``).
 
 The observability surface (see :mod:`repro.obs`): every run command
 opens a **run-ledger** context, so trace events carry ``run`` /
@@ -75,11 +77,13 @@ shared-memory segments (``--clean`` unlinks them).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import re
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from .errors import ReproError
@@ -91,14 +95,27 @@ from .obs import (
 )
 from .obs.metrics import SCHEMA as METRICS_SCHEMA
 from .runtime import simulate
-from .spec import ChannelSemantics
+from .spec import DECIDABLE_DEFAULT, ChannelSemantics
 from .spec.dsl import load_document
-from .verifier import verification_domain, verify
+from .verifier import property_engines, verification_domain, verify
 
-#: Library examples profilable without a .dws file: name -> loader
-#: returning (composition, databases, properties, valuation_candidates).
-PROFILE_LIBRARIES = ("loan", "ecommerce", "travel", "payments",
-                     "dispatch")
+#: Library examples profilable without a .dws file, set up as the E12
+#: end-to-end benchmark sets them up: module name -> (arguments of its
+#: ``standard_database``, property names -- ``p`` is the module's
+#: ``PROPERTY_P`` -- and valuation candidates, None for the module's
+#: ``STANDARD_CANDIDATES``).
+_LIBRARIES = {
+    "loan": (("fair",), ("bank_policy_pointwise",
+                         "letter_needs_application"), None),
+    "ecommerce": (("good",), ("ship_requires_auth", "no_ship_on_decline",
+                              "auth_honest"),
+                  {"p": ("widget",), "card": ("visa", "amex")}),
+    "travel": ((), ("itinerary_confirmed", "offers_from_catalog"),
+               {"f": ("fl1",), "d": ("rome",)}),
+    "payments": ((), ("capture_cleared", "dispute_honest"), None),
+    "dispatch": ((), ("offers_from_fleet", "take_needs_offer"), None),
+}
+PROFILE_LIBRARIES = tuple(_LIBRARIES)
 
 
 def _parse_shard(text: str | None) -> tuple[int, int] | None:
@@ -186,6 +203,58 @@ def _select_properties(args: argparse.Namespace, properties: dict
     return properties
 
 
+def _sentences(composition, properties: dict) -> dict:
+    """Parse every textual property of *properties* (name -> sentence)."""
+    from .ltlfo.parser import parse_ltlfo
+    return {
+        name: (parse_ltlfo(prop, composition.schema)
+               if isinstance(prop, str) else prop)
+        for name, prop in properties.items()
+    }
+
+
+def _verify_each(args: argparse.Namespace, composition, sentences: dict,
+                 databases, semantics: ChannelSemantics, fresh=None,
+                 candidates=None):
+    """Verify every property once, in name order: ``(name, domain, result)``.
+
+    ``--fresh N`` (else *fresh*) fixes one domain for every property;
+    without either each property gets its own.  In process (one worker,
+    no ``--shard``, the shared engine) properties with equal domains
+    walk one shared graph (:func:`repro.verifier.property_engines`).
+    """
+    fresh = args.fresh if args.fresh is not None else fresh
+    domain = (None if fresh is None else verification_domain(
+        composition, [], databases, fresh_count=fresh))
+    shard = _parse_shard(args.shard)
+    set_shard(shard)
+    names = sorted(sentences)
+    plan = property_engines(
+        composition, [sentences[name] for name in names], databases,
+        semantics, domain, workers=args.workers, engine=args.engine,
+        shard=shard,
+    )
+    for name, (own_domain, engine) in zip(names, plan):
+        yield name, own_domain, verify(
+            composition, sentences[name], databases, semantics=semantics,
+            domain=own_domain, fair_scheduling=args.fair,
+            workers=args.workers, engine=engine, shard=shard,
+            valuation_candidates=candidates,
+        )
+
+
+def _finish(args: argparse.Namespace, command: str, composition,
+            runs: list) -> int:
+    """Write the shard fragment and ``--metrics-json``; the exit status."""
+    results = [result for _name, _domain, result in runs]
+    shard = _parse_shard(args.shard)
+    if shard is not None:
+        _write_shard_fragment(args, shard, results, composition)
+    _write_metrics_json(args.metrics_json, command, [
+        _result_entry(name, result) for name, _domain, result in runs])
+    return 0 if all(r.satisfied for r in results) else 1
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     text = Path(args.spec).read_text()
     composition, databases, properties = load_document(text)
@@ -197,11 +266,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
               "(add 'property <name>: <LTL-FO>')", file=sys.stderr)
         return 2
 
-    from .ltlfo.parser import parse_ltlfo
-    sentences = {
-        name: parse_ltlfo(prop_text, composition.schema)
-        for name, prop_text in properties.items()
-    }
+    sentences = _sentences(composition, properties)
 
     # pre-flight: warn (never refuse) when the configuration falls on an
     # undecidable row of the paper's map -- the search stays sound for
@@ -237,24 +302,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
               "warning: exhaustive search is not a proof here; "
               "run `repro lint` for details", file=sys.stderr)
 
-    domain = None
-    if args.fresh is not None:
-        domain = verification_domain(composition, [], databases,
-                                     fresh_count=args.fresh)
-    shard = _parse_shard(args.shard)
-    set_shard(shard)
-    all_ok = True
-    entries: list[dict] = []
-    results: list = []
-    for name, sentence in sorted(sentences.items()):
-        result = verify(
-            composition, sentence, databases,
-            semantics=_semantics(args), domain=domain,
-            fair_scheduling=args.fair, workers=args.workers,
-            engine=args.engine, shard=shard,
-        )
-        results.append(result)
-        entries.append(_result_entry(name, result))
+    runs = []
+    for run in _verify_each(args, composition, sentences, databases,
+                            _semantics(args)):
+        runs.append(run)
+        name, _domain, result = run
         if args.stats:
             print(f"{name}:")
             for line in result.summary().splitlines():
@@ -263,14 +315,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"{name}: {result.verdict}  "
                   f"(states={result.stats.system_states}, "
                   f"{result.stats.wall_seconds:.2f}s)")
-        if not result.satisfied:
-            all_ok = False
-            if args.counterexample and result.counterexample:
-                print(result.counterexample.describe(composition))
-    if shard is not None:
-        _write_shard_fragment(args, shard, results, composition)
-    _write_metrics_json(args.metrics_json, "verify", entries)
-    return 0 if all_ok else 1
+        if args.counterexample and result.counterexample:
+            print(result.counterexample.describe(composition))
+    return _finish(args, "verify", composition, runs)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -293,7 +340,6 @@ def _lint_one(target: str, semantics, cache):
     from .analysis import (
         lint_cached, lint_cached_composition, lint_composition, lint_text,
     )
-    from .ltlfo.parser import parse_ltlfo
 
     if target in PROFILE_LIBRARIES:
         composition, _databases, properties, _candidates = (
@@ -302,12 +348,9 @@ def _lint_one(target: str, semantics, cache):
         if cache is not None:
             return (lint_cached_composition(
                 composition, properties, semantics, cache=cache), None)
-        sentences = {
-            name: (parse_ltlfo(prop, composition.schema)
-                   if isinstance(prop, str) else prop)
-            for name, prop in properties.items()
-        }
-        return lint_composition(composition, sentences, semantics), None
+        return (lint_composition(composition,
+                                 _sentences(composition, properties),
+                                 semantics), None)
     if not Path(target).is_file():
         raise ReproError(
             f"lint target {target!r} is neither a spec file nor a "
@@ -443,68 +486,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _library_target(name: str):
-    """(composition, databases, properties, candidates) for a library.
-
-    Mirrors the E12 end-to-end benchmark setups, so profiling a library
-    measures the same workload the perf history tracks.
-    """
-    if name == "loan":
-        from .library import loan
-        return (
-            loan.loan_composition(), loan.standard_database("fair"),
-            {
-                "bank_policy_pointwise": loan.PROPERTY_BANK_POLICY_POINTWISE,
-                "letter_needs_application":
-                    loan.PROPERTY_LETTER_NEEDS_APPLICATION,
-            },
-            loan.STANDARD_CANDIDATES,
-        )
-    if name == "ecommerce":
-        from .library import ecommerce
-        return (
-            ecommerce.ecommerce_composition(),
-            ecommerce.standard_database("good"),
-            {
-                "ship_requires_auth": ecommerce.PROPERTY_SHIP_REQUIRES_AUTH,
-                "no_ship_on_decline": ecommerce.PROPERTY_NO_SHIP_ON_DECLINE,
-                "auth_honest": ecommerce.PROPERTY_AUTH_HONEST,
-            },
-            {"p": ("widget",), "card": ("visa", "amex")},
-        )
-    if name == "travel":
-        from .library import travel
-        return (
-            travel.travel_composition(), travel.standard_database(),
-            {
-                "itinerary_confirmed": travel.PROPERTY_ITINERARY_CONFIRMED,
-                "offers_from_catalog": travel.PROPERTY_OFFERS_FROM_CATALOG,
-            },
-            {"f": ("fl1",), "d": ("rome",)},
-        )
-    if name == "payments":
-        from .library import payments
-        return (
-            payments.payments_composition(),
-            payments.standard_database(),
-            {
-                "capture_cleared": payments.PROPERTY_CAPTURE_CLEARED,
-                "dispute_honest": payments.PROPERTY_DISPUTE_HONEST,
-            },
-            payments.STANDARD_CANDIDATES,
-        )
-    if name == "dispatch":
-        from .library import dispatch
-        return (
-            dispatch.dispatch_composition(),
-            dispatch.standard_database(),
-            {
-                "offers_from_fleet": dispatch.PROPERTY_OFFERS_FROM_FLEET,
-                "take_needs_offer": dispatch.PROPERTY_TAKE_NEEDS_OFFER,
-            },
-            dispatch.STANDARD_CANDIDATES,
-        )
-    raise ReproError(f"unknown profile library {name!r}; "
-                     f"available: {', '.join(PROFILE_LIBRARIES)}")
+    """(composition, databases, properties, candidates) for a library."""
+    if name not in _LIBRARIES:
+        raise ReproError(f"unknown profile library {name!r}; "
+                         f"available: {', '.join(PROFILE_LIBRARIES)}")
+    module = importlib.import_module(f"{__package__}.library.{name}")
+    db_args, names, candidates = _LIBRARIES[name]
+    return (
+        getattr(module, f"{name}_composition")(),
+        module.standard_database(*db_args),
+        {prop: getattr(module, f"PROPERTY_{prop.upper()}")
+         for prop in names},
+        module.STANDARD_CANDIDATES if candidates is None else candidates,
+    )
 
 
 #: Row order of the profile breakdown table (pipeline order).
@@ -571,18 +565,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
         composition, databases, properties, candidates = (
             _library_target(target)
         )
-        domain = verification_domain(composition, [], databases,
-                                     fresh_count=args.fresh
-                                     if args.fresh is not None else 1)
-        semantics = None  # library defaults (decidable semantics)
+        semantics, fresh = DECIDABLE_DEFAULT, 1  # library defaults
     else:
         composition, databases, properties = _load(target)
-        candidates = None
-        domain = None
-        if args.fresh is not None:
-            domain = verification_domain(composition, [], databases,
-                                         fresh_count=args.fresh)
-        semantics = _semantics(args)
+        semantics, fresh, candidates = _semantics(args), None, None
     properties = _select_properties(args, properties)
     if properties is None:
         return 2
@@ -591,26 +577,15 @@ def cmd_profile(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    shard = _parse_shard(args.shard)
-    set_shard(shard)
     seconds_before = phase_seconds()
     counts_before = phase_counts()
     t0 = time.perf_counter()
-    results = []
-    all_ok = True
-    entries: list[dict] = []
-    for name, prop in sorted(properties.items()):
-        kwargs = dict(domain=domain, workers=args.workers,
-                      fair_scheduling=args.fair, engine=args.engine,
-                      shard=shard)
-        if semantics is not None:
-            kwargs["semantics"] = semantics
-        if candidates:
-            kwargs["valuation_candidates"] = candidates
-        result = verify(composition, prop, databases, **kwargs)
-        results.append(result)
-        entries.append(_result_entry(name, result))
-        all_ok = all_ok and result.satisfied
+    runs = []
+    for run in _verify_each(args, composition,
+                            _sentences(composition, properties),
+                            databases, semantics, fresh, candidates):
+        runs.append(run)
+        name, _domain, result = run
         print(f"{name}: {result.verdict}  "
               f"(valuations={result.stats.valuations_checked}, "
               f"states={result.stats.system_states}, "
@@ -620,6 +595,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     driver_seconds = diff_numeric(phase_seconds(), seconds_before)
     driver_counts = diff_numeric(phase_counts(), counts_before)
 
+    results = [result for _name, _domain, result in runs]
     workers = max(r.stats.workers for r in results)
     print(f"\nprofile: {target} ({len(results)} properties, "
           f"workers={workers})")
@@ -634,16 +610,30 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print(f"  sweep compute: {compute:.3f}s across tasks "
               f"(parallelism {compute / wall:.2f}x)")
 
-    cache = {}
+    cache = Counter()
     for r in results:
-        for key, val in r.stats.rule_cache.items():
-            cache[key] = cache.get(key, 0) + val
-    if cache.get("hits", 0) + cache.get("misses", 0):
-        total_lookups = cache.get("hits", 0) + cache.get("misses", 0)
-        print(f"  rule cache: {cache.get('hits', 0)} hits / "
-              f"{cache.get('misses', 0)} misses "
-              f"({100.0 * cache.get('hits', 0) / total_lookups:.1f}% "
-              "hit rate)")
+        cache.update(r.stats.rule_cache)
+    lookups = cache["hits"] + cache["misses"]
+    if lookups:
+        print(f"  rule cache: {cache['hits']} hits / {cache['misses']} "
+              f"misses ({100.0 * cache['hits'] / lookups:.1f}% hit rate)")
+
+    # distinct states: the largest exploration of each domain
+    distinct: dict = {}
+    for _name, own_domain, result in runs:
+        distinct[own_domain] = max(distinct.get(own_domain, 0),
+                                   result.stats.system_states)
+    expansions, states = driver_counts.get("expand", 0), sum(
+        distinct.values())
+    if states:
+        print(f"  expansions: {expansions} of {states} distinct states "
+              f"({expansions / states:.2f} per state)")
+        if expansions > states:
+            print(f"warning: states were expanded "
+                  f"{expansions / states:.2f} times each; only an "
+                  "in-process run (one worker, no --shard, the shared "
+                  "engine) shares one exploration across properties",
+                  file=sys.stderr)
 
     per_worker = _merge_worker_tables(results)
     if workers > 1 and per_worker:
@@ -665,10 +655,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             print(f"    {worker}: tasks={slot['tasks']} "
                   f"compute={slot['task_seconds']:.3f}s {phases}{rate}")
 
-    if shard is not None:
-        _write_shard_fragment(args, shard, results, composition)
-    _write_metrics_json(args.metrics_json, "profile", entries)
-    return 0 if all_ok else 1
+    return _finish(args, "profile", composition, runs)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ from .search import (
     LassoNodes, SearchCancelled, SearchStats, find_accepting_lasso,
 )
 from .ltlfo_verifier import (
-    preflight, verify, verify_all, verify_over_databases,
+    preflight, property_engines, verify, verify_all,
+    verify_over_databases,
 )
 from .modular import (
     environment_schema, observer_translate, parse_env_spec,
@@ -61,6 +62,7 @@ __all__ = [
     "environment_schema", "find_accepting_lasso", "fresh_values",
     "leaked_segments", "merge_fragments", "merge_metrics_snapshots",
     "observer_translate", "parse_env_spec", "preflight",
+    "property_engines",
     "resolve_engine", "resolve_shard", "resolve_workers",
     "result_from_merged",
     "run_sweep", "shard_filter", "shard_fragment", "shm_available",

@@ -114,7 +114,12 @@ class SharedSnapshotContext:
     the whole sweep (the seed engine recomputes them once per state
     *per valuation*), FO truths are shared across valuations whose APs
     coincide (occurs-atoms and closure-variable-free subformulas), and
-    whole letters are memoized per (AP set, state).
+    whole letters are memoized per (AP set, state) until
+    :meth:`drop_letters` (``verify`` calls it as it returns, since the
+    next property's AP sets differ).
+
+    FO truths are keyed without the domain, so one context serves one
+    verification domain only.
     """
 
     def __init__(self, composition: Composition, interner) -> None:
@@ -124,6 +129,10 @@ class SharedSnapshotContext:
         self._domains: dict[int, frozenset] = {}
         self._truths: dict = {}
         self._letters: dict = {}
+
+    def drop_letters(self) -> None:
+        """Forget the per-(AP set, state) letter memo."""
+        self._letters.clear()
 
     def view(self, sid: int) -> Instance:
         cached = self._views.get(sid)

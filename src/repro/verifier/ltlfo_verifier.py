@@ -57,6 +57,21 @@ def _as_sentence(prop: LTLFOSentence | str,
     return prop
 
 
+def _candidate_valuations(sentence: LTLFOSentence,
+                          domain: VerificationDomain,
+                          candidates: Mapping[str, Sequence[Value]] | None
+                          ) -> list[dict]:
+    """The sentence's canonical valuations, restricted to *candidates*."""
+    valuations = canonical_valuations(sentence.variables, domain)
+    if not candidates:
+        return valuations
+    return [
+        v for v in valuations
+        if all(var.name not in candidates or v[var] in candidates[var.name]
+               for var in sentence.variables)
+    ]
+
+
 def _check_restrictions(composition: Composition,
                         sentence: LTLFOSentence,
                         enforce: bool) -> None:
@@ -151,8 +166,9 @@ def verify(composition: Composition,
         1; ``0``: all cores).  Verdicts and counterexamples are
         identical to the sequential sweep (see
         :mod:`repro.verifier.parallel`).  Ignored when a shared
-        ``transition_cache`` is supplied, since worker processes cannot
-        populate the caller's in-process cache.
+        ``transition_cache`` or a :class:`SharedExploration` engine is
+        supplied, since worker processes cannot populate the caller's
+        in-process cache or exploration.
     engine:
         ``"shared"`` (default; overridable via ``REPRO_ENGINE``) runs
         the search over a hash-consed exploration shared across
@@ -160,10 +176,15 @@ def verify(composition: Composition,
         the first valuation and later valuations are pure graph walks
         (see :mod:`repro.verifier.graph`).  ``"seed"`` is the original
         per-valuation engine.  A :class:`SharedExploration` instance
-        reuses that exploration directly (``verify_all`` does this to
-        share one frozen graph across a property batch).  Verdicts,
-        counterexamples, and search node counts are identical either
-        way (Theorem 3.4's graph is valuation-independent).
+        reuses that exploration directly (``verify_all`` and the CLI do
+        this to share one frozen graph across a property batch, see
+        :func:`property_engines`); it must have been built over
+        ``domain``.  Verdicts, counterexamples, and search node counts
+        are identical either way (Theorem 3.4's graph is
+        valuation-independent).  The exploration's letter memo is
+        per-AP-set, so it is dropped when this call returns; views,
+        active domains, FO truths and the graph stay for the next
+        property.
     shard:
         ``(index, count)`` restricts the sweep to the valuations whose
         global order falls in this shard's residue class
@@ -172,7 +193,8 @@ def verify(composition: Composition,
         reassembles the global verdict (see
         :mod:`repro.verifier.shards`).  Sharding always routes through
         the task-grid engine -- it cannot combine with a caller-supplied
-        ``transition_cache`` or :class:`SharedExploration` instance.
+        ``transition_cache`` or :class:`SharedExploration` instance
+        (``ValueError``).
     """
     sentence = _as_sentence(prop, composition)
     _check_restrictions(composition, sentence, check_input_bounded)
@@ -182,16 +204,8 @@ def verify(composition: Composition,
             composition, [sentence], databases
         )
 
-    valuations = canonical_valuations(sentence.variables, domain)
-    if valuation_candidates:
-        valuations = [
-            v for v in valuations
-            if all(
-                var.name not in valuation_candidates
-                or v[var] in valuation_candidates[var.name]
-                for var in sentence.variables
-            )
-        ]
+    valuations = _candidate_valuations(sentence, domain,
+                                       valuation_candidates)
 
     n_workers = resolve_workers(workers)
     shard = resolve_shard(shard)
@@ -263,6 +277,8 @@ def verify(composition: Composition,
             cache.states_expanded if cache is not None
             else len(shared_engine.interner)
         )
+        if shared_engine is not None:
+            shared_engine.shared.drop_letters()
 
     stats.merge_phases(diff_numeric(phase_seconds(), seconds_before),
                        diff_numeric(phase_counts(), counts_before))
@@ -356,6 +372,51 @@ def verify_over_databases(composition: Composition,
     return last
 
 
+def property_engines(composition: Composition,
+                     sentences: Sequence[LTLFOSentence],
+                     databases: Mapping[str, Instance],
+                     semantics: ChannelSemantics = DECIDABLE_DEFAULT,
+                     domain: VerificationDomain | None = None,
+                     budget: SearchBudget | None = None,
+                     workers: int | None = None,
+                     engine: str | None = None,
+                     shard: tuple[int, int] | None = None,
+                     ) -> list[tuple[VerificationDomain,
+                                     str | SharedExploration]]:
+    """Each sentence's verification domain and ``verify(engine=...)``.
+
+    A sentence's domain is *domain* when given, else its own
+    ``verification_domain(composition, [sentence], databases)``.  In
+    process -- one worker, no shard, the ``shared`` engine -- sentences
+    with equal domains get one :class:`SharedExploration`, so a batch
+    expands each distinct snapshot once instead of once per property
+    (Theorem 3.4's graph depends on the composition, databases, domain
+    and semantics, not on the property).  Domains must match exactly:
+    the exploration memoises FO truths without the domain.  Otherwise
+    every sentence gets the resolved engine name and ``verify``
+    explores per property: a worker pool pre-expands in its driver,
+    shards run apart, and the ``seed`` engine is the per-valuation
+    reference.
+    """
+    engine_mode = resolve_engine(engine)
+    in_process = (engine_mode == "shared" and resolve_workers(workers) == 1
+                  and resolve_shard(shard) is None)
+    explorations: dict[VerificationDomain, SharedExploration] = {}
+    plan: list[tuple[VerificationDomain, str | SharedExploration]] = []
+    for sentence in sentences:
+        own = domain if domain is not None else verification_domain(
+            composition, [sentence], databases)
+        chosen: str | SharedExploration = engine_mode
+        if in_process:
+            chosen = explorations.get(own)
+            if chosen is None:
+                chosen = explorations[own] = SharedExploration(
+                    TransitionCache(composition, databases, own.values,
+                                    semantics, budget=budget))
+        plan.append((own, chosen))
+    return plan
+
+
 def verify_all(composition: Composition,
                props: Sequence[LTLFOSentence | str],
                databases: Mapping[str, Instance],
@@ -366,44 +427,48 @@ def verify_all(composition: Composition,
                workers: int | None = None,
                engine: str | None = None,
                shard: tuple[int, int] | None = None,
+               valuation_candidates: Mapping[str, Sequence[Value]]
+               | None = None,
                ) -> list[VerificationResult]:
     """Verify several properties sharing one transition-system exploration.
 
-    With ``workers > 1`` every (property, valuation) pair becomes one
-    task of the parallel sweep; under the shared engine the driver
-    pre-expands the reachable graph once and ships it to every worker.
-    Sequentially, one :class:`SharedExploration` (interner, frozen
-    graph, snapshot/letter caches) serves the whole batch.  Verdicts
-    and counterexamples are identical to the sequential seed batch.
+    Every property ranges over one domain (*domain*, else the one
+    computed for the whole batch).  With ``workers > 1`` every
+    (property, valuation) pair becomes one task of the parallel sweep;
+    under the shared engine the driver pre-expands the reachable graph
+    once and ships it to every worker.  Sequentially, one
+    :class:`SharedExploration` (interner, frozen graph, snapshot
+    caches) serves the whole batch (:func:`property_engines`); the
+    ``seed`` engine explores per property.
+    ``valuation_candidates`` restricts every property's valuations as
+    in :func:`verify`.  Verdicts and counterexamples are identical to
+    verifying each property on its own over the same domain.
     """
     sentences = [_as_sentence(p, composition) for p in props]
     if domain is None:
         domain = verification_domain(composition, sentences, databases)
 
-    engine_mode = resolve_engine(engine)
     n_workers = resolve_workers(workers)
     shard = resolve_shard(shard)
     if (n_workers > 1 or shard is not None) and sentences:
         for sentence in sentences:
             _check_restrictions(composition, sentence, check_input_bounded)
         valuations_per_sentence = [
-            canonical_valuations(s.variables, domain) for s in sentences
+            _candidate_valuations(s, domain, valuation_candidates)
+            for s in sentences
         ]
         return parallel_verify_all(
             composition, sentences, databases, semantics, domain,
             valuations_per_sentence, n_workers, budget=budget,
-            engine=engine_mode, shard=shard,
+            engine=resolve_engine(engine), shard=shard,
         )
 
-    cache = TransitionCache(
-        composition, databases, domain.values, semantics, budget=budget,
-    )
-    shared: str | SharedExploration = engine_mode
-    if engine_mode == "shared":
-        shared = SharedExploration(cache)
+    plan = property_engines(composition, sentences, databases, semantics,
+                            domain, budget=budget, workers=1, engine=engine)
     return [
         verify(composition, s, databases, semantics=semantics,
                domain=domain, check_input_bounded=check_input_bounded,
-               budget=budget, transition_cache=cache, engine=shared)
-        for s in sentences
+               budget=budget, workers=1, engine=chosen,
+               valuation_candidates=valuation_candidates)
+        for s, (_domain, chosen) in zip(sentences, plan)
     ]

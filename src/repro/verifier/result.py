@@ -43,6 +43,13 @@ class VerifierStats:
     rule-firing memo deltas (hits/misses/evictions), aggregated across
     worker processes for parallel runs; ``per_worker`` breaks both down
     by worker id for the ``repro profile`` per-worker rows.
+
+    ``system_states`` counts the snapshots the run expanded.  When a run
+    shares one exploration across properties (``verify_all``, or the
+    CLI's in-process batches, see
+    :func:`repro.verifier.property_engines`), it is that shared
+    exploration's size when the property finished, so it can exceed
+    what the property alone would have explored.
     """
 
     valuations_checked: int = 0

@@ -1,0 +1,256 @@
+"""One exploration per run: CLI property batches against solo runs.
+
+In process (one worker, no ``--shard``, the ``shared`` engine),
+``repro verify`` and ``repro profile`` give every distinct verification
+domain one :class:`SharedExploration` and pass it to each property's
+``verify()`` call.  Sharing must not show in any result: for every
+property the verdict, the decisive valuation, the lasso,
+``valuations_checked`` and ``product_nodes_visited`` equal a solo
+``verify()`` over the same domain.  ``system_states`` is not compared
+(a shared exploration reports its own size, and a solo lazy search may
+stop early), as in ``tests/test_engine_differential.py``.
+
+Two further properties are pinned: each distinct state of each domain
+is expanded exactly once per run (the ``expand`` phase count equals the
+states of the completed graphs), and ``verify()`` drops the letter memo
+of a caller-supplied exploration when it returns.
+
+The inputs are ``examples/specs/auction.dws`` (two properties, one
+domain), ``repro profile loan`` (a library batch over a fixed domain
+with valuation candidates), and ``tests/fixtures/batch.dws``: a VIOLATED
+property sorted before SATISFIED ones, a VIOLATED one found on the
+graph an earlier property froze, and one property whose extra constant
+gives it a domain and an exploration of its own.
+"""
+
+from pathlib import Path
+
+import pytest
+
+import repro.cli as cli
+from repro.library import loan
+from repro.ltlfo.parser import parse_ltlfo
+from repro.obs import phase_counts
+from repro.runtime import validate_lasso
+from repro.spec import DECIDABLE_DEFAULT
+from repro.spec.dsl import load_document
+from repro.verifier import (
+    SharedExploration, TransitionCache, canonical_valuations,
+    property_engines, verification_domain, verify, verify_all,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+AUCTION = ROOT / "examples" / "specs" / "auction.dws"
+BATCH = Path(__file__).resolve().parent / "fixtures" / "batch.dws"
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Every ``verify`` call the CLI makes: (args, kwargs, result, letters).
+
+    ``letters`` is the exploration's letter memo as the call returned.
+    """
+    recorded = []
+    inner = cli.verify
+
+    def spy(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        engine = kwargs["engine"]
+        letters = (dict(engine.shared._letters)
+                   if isinstance(engine, SharedExploration) else None)
+        recorded.append((args, kwargs, result, letters))
+        return result
+
+    monkeypatch.setattr(cli, "verify", spy)
+    return recorded
+
+
+def run_cli(argv):
+    """``repro`` *argv* in process: (exit code, states expanded)."""
+    before = phase_counts().get("expand", 0)
+    code = cli.main(argv)
+    return code, phase_counts().get("expand", 0) - before
+
+
+def distinct_states(composition, databases, domain, semantics) -> int:
+    """States of the full reachable graph, from a fresh exploration."""
+    cache = TransitionCache(composition, databases, domain.values,
+                            semantics)
+    return SharedExploration(cache).complete().num_states
+
+
+def check_batch(calls, expansions, *, own_domains: bool) -> dict:
+    """Compare every captured call with a solo run; the explorations.
+
+    Returns ``{domain: exploration}``.  With *own_domains* each
+    property's domain must be its own ``verification_domain``.
+    """
+    explorations = {}
+    for args, kwargs, result, letters in calls:
+        composition, sentence, databases = args
+        domain, engine = kwargs["domain"], kwargs["engine"]
+        semantics = kwargs["semantics"]
+        assert isinstance(engine, SharedExploration)
+        assert letters == {}, "letter memo kept after verify() returned"
+        if own_domains:
+            assert domain == verification_domain(composition, [sentence],
+                                                 databases)
+        # one exploration per distinct domain, never across domains
+        assert explorations.setdefault(domain, engine) is engine
+
+        solo = verify(composition, sentence, databases, semantics=semantics,
+                      domain=domain, fair_scheduling=kwargs["fair_scheduling"],
+                      valuation_candidates=kwargs["valuation_candidates"],
+                      workers=1, engine="shared")
+        label = str(sentence)
+        assert result.satisfied == solo.satisfied, label
+        assert result.stats.valuations_checked == \
+            solo.stats.valuations_checked, label
+        assert result.stats.product_nodes_visited == \
+            solo.stats.product_nodes_visited, label
+        if solo.counterexample is None:
+            assert result.counterexample is None, label
+            continue
+        assert result.counterexample.valuation == \
+            solo.counterexample.valuation, label
+        assert result.counterexample.lasso == solo.counterexample.lasso, \
+            label
+        assert validate_lasso(composition, databases, domain.values,
+                              result.counterexample.lasso,
+                              semantics=semantics) == [], label
+
+    assert len(set(map(id, explorations.values()))) == len(explorations)
+    composition, _sentence, databases = calls[0][0]
+    semantics = calls[0][1]["semantics"]
+    per_domain = {
+        domain: distinct_states(composition, databases, domain, semantics)
+        for domain in explorations
+    }
+    for domain, engine in explorations.items():
+        assert engine.states_expanded == per_domain[domain]
+    assert expansions == sum(per_domain.values())
+    return explorations
+
+
+def test_auction_shares_one_exploration(calls, capsys):
+    code, expansions = run_cli(["verify", "--workers", "1", str(AUCTION)])
+    assert code == 0
+    assert [r.satisfied for _a, _k, r, _l in calls] == [True, True]
+    explorations = check_batch(calls, expansions, own_domains=True)
+    assert len(explorations) == 1
+
+
+def test_batch_fixture_splits_on_the_extra_constant(calls, capsys):
+    code, expansions = run_cli(["verify", "--workers", "1", str(BATCH)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "delivered", "got_from_items", "never_got_z", "nothing_arrives"]
+    assert [r.satisfied for _a, _k, r, _l in calls] == [
+        False, True, True, False]
+    explorations = check_batch(calls, expansions, own_domains=True)
+    assert len(explorations) == 2
+    z_domain = calls[2][1]["domain"]
+    assert "z" in z_domain.constants
+    assert all("z" not in d.constants for d in explorations
+               if d != z_domain)
+
+
+def test_profile_loan_matches_solo_runs(calls, capsys):
+    code, expansions = run_cli(["profile", "loan", "--workers", "1"])
+    assert code == 0
+    assert all(kwargs["valuation_candidates"] == loan.STANDARD_CANDIDATES
+               for _a, kwargs, _r, _l in calls)
+    explorations = check_batch(calls, expansions, own_domains=False)
+    assert len(explorations) == 1
+    out = capsys.readouterr()
+    assert "expansions: 205 of 205 distinct states (1.00 per state)" \
+        in out.out
+    assert "warning:" not in out.err
+
+
+@pytest.mark.parametrize("extra", [["--engine", "seed"],
+                                   ["--workers", "2"]])
+def test_profile_flags_per_property_exploration(extra, capsys):
+    """Seed engine and worker pool explore per property: ratio 2.00."""
+    assert cli.main(["profile", "loan", *extra]) == 0
+    out = capsys.readouterr()
+    assert "expansions: 410 of 205 distinct states (2.00 per state)" \
+        in out.out
+    assert "warning: states were expanded 2.00 times each" in out.err
+
+
+def batch_sentences():
+    composition, databases, properties = load_document(BATCH.read_text())
+    return composition, databases, {
+        name: parse_ltlfo(text, composition.schema)
+        for name, text in sorted(properties.items())
+    }
+
+
+def test_letter_memo_dropped_for_supplied_exploration():
+    composition, databases, sentences = batch_sentences()
+    sentence = sentences["got_from_items"]
+    [(domain, engine)] = property_engines(composition, [sentence],
+                                          databases)
+    result = verify(composition, sentence, databases, domain=domain,
+                    engine=engine)
+    assert result.satisfied
+    assert engine.shared._letters == {}
+    # the graph and the per-state caches stay for the next property
+    assert engine.frozen is not None and engine.shared._views
+
+
+def test_property_engines_share_only_in_process():
+    composition, databases, by_name = batch_sentences()
+    sentences = list(by_name.values())
+    shared = property_engines(composition, sentences, databases,
+                              workers=1, engine="shared")
+    engines = [engine for _domain, engine in shared]
+    assert engines[0] is engines[1] is engines[3]
+    assert engines[2] is not engines[0]
+    for kwargs, name in (({"workers": 2}, "shared"),
+                         ({"shard": (0, 2)}, "shared"),
+                         ({"engine": "seed"}, "seed")):
+        plan = property_engines(composition, sentences, databases,
+                                **{"workers": 1, "engine": "shared",
+                                   **kwargs})
+        assert [engine for _d, engine in plan] == [name] * len(sentences)
+        assert [d for d, _e in plan] == [d for d, _e in shared]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_all_valuation_candidates(workers):
+    composition = loan.loan_composition()
+    databases = loan.standard_database("fair")
+    domain = verification_domain(composition, [], databases, fresh_count=1)
+    props = [loan.PROPERTY_BANK_POLICY_POINTWISE,
+             loan.PROPERTY_LETTER_NEEDS_APPLICATION]
+    batch = verify_all(composition, props, databases, domain=domain,
+                       valuation_candidates=loan.STANDARD_CANDIDATES,
+                       workers=workers)
+    for prop, result in zip(props, batch):
+        solo = verify(composition, prop, databases, domain=domain,
+                      valuation_candidates=loan.STANDARD_CANDIDATES,
+                      workers=1)
+        sentence = parse_ltlfo(prop, composition.schema)
+        assert result.satisfied and solo.satisfied
+        assert result.stats.valuations_checked == \
+            solo.stats.valuations_checked < \
+            len(canonical_valuations(sentence.variables, domain))
+        assert result.stats.product_nodes_visited == \
+            solo.stats.product_nodes_visited
+
+
+def test_verify_all_expands_each_state_once():
+    composition = loan.loan_composition()
+    databases = loan.standard_database("fair")
+    domain = verification_domain(composition, [], databases, fresh_count=1)
+    before = phase_counts().get("expand", 0)
+    verify_all(composition, [loan.PROPERTY_BANK_POLICY_POINTWISE,
+                             loan.PROPERTY_LETTER_NEEDS_APPLICATION],
+               databases, domain=domain,
+               valuation_candidates=loan.STANDARD_CANDIDATES, workers=1)
+    expansions = phase_counts().get("expand", 0) - before
+    assert expansions == distinct_states(composition, databases, domain,
+                                         DECIDABLE_DEFAULT)
