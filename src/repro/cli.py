@@ -508,6 +508,26 @@ _PHASE_ORDER = (
 )
 
 
+def _layer_rates(results: list) -> list[str]:
+    """The per-layer rates: ``expand`` time per expansion, ``search`` time
+    per product node, over every result's phases (workers included)."""
+    seconds: Counter = Counter()
+    counts: Counter = Counter()
+    for r in results:
+        seconds.update(r.stats.phase_seconds)
+        counts.update(r.stats.phase_counts)
+    nodes = sum(r.stats.product_nodes_visited for r in results)
+    rates = []
+    if counts["expand"]:
+        rates.append(f"  expand rate: "
+                     f"{1e6 * seconds['expand'] / counts['expand']:.1f} us "
+                     f"per expansion ({counts['expand']} expansions)")
+    if nodes:
+        rates.append(f"  search rate: {1e9 * seconds['search'] / nodes:.0f}"
+                     f" ns per product node ({nodes} nodes)")
+    return rates
+
+
 def _phase_rows(seconds: dict, counts: dict, total: float) -> list[str]:
     """Render per-phase rows plus an ``(other)`` remainder row.
 
@@ -603,6 +623,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     for row in _phase_rows(driver_seconds, driver_counts, wall):
         print(row)
     print(f"  {'total (wall)':12s} {'':>8s} {wall:>10.3f}s {100.0:>6.1f}%")
+
+    for line in _layer_rates(results):
+        print(line)
 
     compute = sum(r.stats.task_seconds + r.stats.cancelled_task_seconds
                   for r in results)

@@ -144,11 +144,11 @@ class Instance:
 
     def truth(self, name: str) -> bool:
         """Truth value of a propositional (arity-0) relation."""
-        return bool(self._data.get(name, FALSE_ROWS))
+        return bool(self[name])
 
     def is_empty(self, name: str) -> bool:
         """True iff relation *name* has no rows."""
-        return not self._data.get(name, FALSE_ROWS)
+        return not self[name]
 
     def rows_matching(self, name: str, positions: tuple[int, ...],
                       key: tuple[Value, ...]) -> tuple[Row, ...]:
@@ -167,7 +167,7 @@ class Instance:
         index = self._indexes.get((name, positions))
         if index is None:
             buckets: dict = {}
-            for row in self._data.get(name, FALSE_ROWS):
+            for row in self[name]:
                 k = tuple(row[p] for p in positions)
                 bucket = buckets.get(k)
                 if bucket is None:

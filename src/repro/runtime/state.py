@@ -16,15 +16,19 @@ formulas are evaluated over (Section 3): in-queue symbols denote the first
 queued message ``f(Q)``, out-queue symbols the last enqueued message
 ``l(Q)``, plus the ``empty_Q``, ``received_Q`` and ``move_W`` propositions
 and, for open compositions, the environment's channel views ``ENV.q``.
+The view is lazy (:class:`SnapshotView`): reading one relation costs a
+table lookup, and the full mapping is only built for whole-instance
+operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
+from weakref import WeakKeyDictionary
 
 from ..errors import SemanticsError
-from ..fo.instance import Instance
+from ..fo.instance import FALSE_ROWS, TRUE_ROWS, Instance, Rows
 from ..fo.schema import (
     ENVIRONMENT_NAME, empty_name, move_name, received_name,
 )
@@ -136,10 +140,53 @@ def last_message(contents: QueueContents) -> frozenset:
     return contents[-1] if contents else frozenset()
 
 
-def snapshot_view(state: GlobalState, composition: Composition) -> Instance:
-    """The relational structure a property/rules see at this snapshot.
+def _queue(state: GlobalState, queue: tuple[int, str]) -> QueueContents:
+    """Contents of channel ``queue = (index, name)`` of *state*.
 
-    Adds to ``state.data``:
+    Every snapshot the runtime builds lists all channels in name order,
+    the order of ``Composition.channels``.
+    """
+    index, channel = queue
+    try:
+        name, contents = state.queues[index]
+    except IndexError:
+        name = None
+    if name != channel:
+        raise SemanticsError(f"snapshot has no queue {channel!r} at "
+                             f"position {index}")
+    return contents
+
+
+def _first(state: GlobalState, queue: tuple[int, str]) -> Rows:
+    return first_message(_queue(state, queue))
+
+
+def _last(state: GlobalState, queue: tuple[int, str]) -> Rows:
+    return last_message(_queue(state, queue))
+
+
+def _empty(state: GlobalState, queue: tuple[int, str]) -> Rows:
+    return FALSE_ROWS if _queue(state, queue) else TRUE_ROWS
+
+
+def _received(state: GlobalState, channel: str) -> Rows:
+    return TRUE_ROWS if channel in state.enqueued else FALSE_ROWS
+
+
+def _moved(state: GlobalState, mover: str) -> Rows:
+    return TRUE_ROWS if state.mover == mover else FALSE_ROWS
+
+
+#: composition -> its view table; weakly keyed, so a table lives as long
+#: as its composition in this process and is never pickled with it.
+_VIEW_TABLES: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _view_table(composition: Composition) -> dict[str, tuple]:
+    """The relations a snapshot view adds to ``state.data``.
+
+    Maps each name to ``(derive, argument)``; ``derive(state, argument)``
+    is the relation's extension at ``state``:
 
     * ``Receiver.q`` = first message of channel ``q`` (in-queue reading);
     * ``Sender.q``   = last enqueued message of ``q`` (out-queue reading);
@@ -148,39 +195,84 @@ def snapshot_view(state: GlobalState, composition: Composition) -> Instance:
       the environment consumes, last message for channels it feeds);
     * ``move_W`` for every peer, and ``move_ENV`` when open.
     """
-    extra: dict[str, frozenset] = {}
-    queue_map = state.queue_map()
-    for channel in composition.channels:
-        contents = queue_map[channel.name]
+    table = _VIEW_TABLES.get(composition)
+    if table is not None:
+        return table
+    table = {}
+    for index, channel in enumerate(composition.channels):
+        queue = (index, channel.name)
         if channel.receiver is not None:
-            base = f"{channel.receiver}.{channel.name}"
-            extra[base] = first_message(contents)
-            extra[f"{channel.receiver}.{empty_name(channel.name)}"] = (
-                frozenset() if contents else frozenset({()})
-            )
-            extra[f"{channel.receiver}.{received_name(channel.name)}"] = (
-                frozenset({()}) if channel.name in state.enqueued
-                else frozenset()
-            )
+            table[f"{channel.receiver}.{channel.name}"] = (_first, queue)
+            table[f"{channel.receiver}.{empty_name(channel.name)}"] = (
+                _empty, queue)
+            table[f"{channel.receiver}.{received_name(channel.name)}"] = (
+                _received, channel.name)
         else:
-            extra[f"{ENVIRONMENT_NAME}.{channel.name}"] = (
-                first_message(contents)
-            )
+            table[f"{ENVIRONMENT_NAME}.{channel.name}"] = (_first, queue)
         if channel.sender is not None:
-            extra[f"{channel.sender}.{channel.name}"] = (
-                last_message(contents)
-            )
+            table[f"{channel.sender}.{channel.name}"] = (_last, queue)
         else:
-            extra[f"{ENVIRONMENT_NAME}.{channel.name}"] = (
-                last_message(contents)
-            )
+            table[f"{ENVIRONMENT_NAME}.{channel.name}"] = (_last, queue)
     for peer in composition.peers:
-        extra[move_name(peer.name)] = (
-            frozenset({()}) if state.mover == peer.name else frozenset()
-        )
+        table[move_name(peer.name)] = (_moved, peer.name)
     if not composition.is_closed:
-        extra[move_name(ENVIRONMENT_NAME)] = (
-            frozenset({()}) if state.mover == ENVIRONMENT_NAME
-            else frozenset()
-        )
-    return state.data.merged(Instance._from_frozen(extra))
+        table[move_name(ENVIRONMENT_NAME)] = (_moved, ENVIRONMENT_NAME)
+    _VIEW_TABLES[composition] = table
+    return table
+
+
+class SnapshotView(Instance):
+    """The Section 3 view of one snapshot, derived relation by relation.
+
+    ``view[name]`` reads ``state.data`` or derives a queue or move
+    relation through the composition's :func:`_view_table`; so do
+    ``truth``, ``is_empty`` and ``rows_matching``, which is all FO
+    evaluation uses.  Operations on the whole instance -- iteration,
+    ``relations()``, ``items()``, ``==``, ``hash``, ``repr``,
+    ``active_domain()``, ``merged()`` and the other copies, pickling --
+    first build the full sorted mapping, once per view, equal to
+    ``state.data`` merged with every derived relation.
+    """
+
+    __slots__ = ("_state", "_table", "_full")
+
+    def __init__(self, state: GlobalState, table: dict[str, tuple]) -> None:
+        self._state = state
+        self._table = table
+        self._full = None
+        self._hash = None
+        self._indexes = None
+
+    def __getitem__(self, name: str) -> Rows:
+        derived = self._table.get(name)
+        if derived is None:
+            return self._state.data[name]
+        derive, argument = derived
+        return derive(self._state, argument)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._table or name in self._state.data
+
+    @property
+    def _data(self) -> dict:
+        """The full sorted mapping, built on first use."""
+        full = self._full
+        if full is None:
+            state = self._state
+            merged = dict(state.data.items())
+            for name, (derive, argument) in self._table.items():
+                merged[name] = derive(state, argument)
+            full = self._full = dict(sorted(merged.items()))
+        return full
+
+    def __reduce__(self):
+        return (Instance._from_frozen, (self._data,))
+
+
+def snapshot_view(state: GlobalState, composition: Composition
+                  ) -> SnapshotView:
+    """The relational structure properties and rules see at *state*.
+
+    ``state.data`` plus the relations of :func:`_view_table`.
+    """
+    return SnapshotView(state, _view_table(composition))

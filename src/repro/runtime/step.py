@@ -27,10 +27,12 @@ from __future__ import annotations
 import itertools
 import os
 from collections import OrderedDict
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
+from weakref import WeakKeyDictionary
 
 from ..errors import SpecificationError
 from ..fo.evaluator import answers
+from ..fo.formulas import relations
 from ..fo.instance import Instance, Rows
 from ..obs import PHASE_RULE_FIRE, phase
 from ..fo.schema import error_name, prev_name
@@ -51,33 +53,40 @@ def _row_key(row: tuple) -> tuple:
     return tuple(value_sort_key(v) for v in row)
 
 
+class _CompiledRule:
+    """One qualified rule and the relations its body reads.
+
+    Hashed by identity: it is the rule's part of a rule-cache key (hashing
+    a :class:`Rule` walks its whole body formula), and a cache entry
+    holding it keeps its identity from being reused.
+    """
+
+    __slots__ = ("rule", "relations")
+
+    def __init__(self, rule: Rule) -> None:
+        self.rule = rule
+        self.relations: tuple[str, ...] = tuple(sorted(relations(rule.body)))
+
+
 class _RuleCache:
     """Process-local, bounded (LRU) rule-firing memo.
 
     A rule body's answers depend only on the extensions of the relations
     it mentions and the quantification domain, both of which repeat
-    heavily across snapshots during model checking.  The cache is keyed
-    by the owning process id so that worker processes created by
-    ``fork`` never serve (or mutate) entries inherited from the parent:
-    the first access in a new process starts from an empty, private
-    cache.  Entries are evicted least-recently-used once ``maxsize`` is
-    reached, bounding memory in long-running services.
+    heavily across snapshots during model checking, so an entry is keyed
+    by the compiled rule, the domain and those extensions (frozensets
+    cache their hash).  The cache is keyed by the owning process id so
+    that worker processes created by ``fork`` never serve (or mutate)
+    entries inherited from the parent: the first access in a new process
+    starts from an empty, private cache.  Entries are evicted
+    least-recently-used once ``maxsize`` is reached, and the entries are
+    all the cache holds, bounding memory in long-running services.
     """
 
     def __init__(self, maxsize: int) -> None:
         self.maxsize = maxsize
         self._pid = os.getpid()
         self._answers: OrderedDict = OrderedDict()
-        # rules are interned by identity: a composition hands out the
-        # same Rule objects for every snapshot, and hashing a Rule walks
-        # its whole body formula -- far too expensive per lookup.  The
-        # rule object is kept as the value so its id cannot be recycled.
-        self._relevant: dict[int, tuple[Rule, tuple[str, ...]]] = {}
-        # relation extensions and domains are interned by value into
-        # dense ids, so memo keys are flat int tuples instead of nested
-        # frozenset tuples (cheap to hash and compare on every lookup).
-        self._extension_ids: dict = {}
-        self._domain_ids: dict = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -90,38 +99,14 @@ class _RuleCache:
 
     def clear(self) -> None:
         self._answers.clear()
-        self._relevant.clear()
-        self._extension_ids.clear()
-        self._domain_ids.clear()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def relevant_relations(self, rule: Rule) -> tuple[str, ...]:
-        entry = self._relevant.get(id(rule))
-        if entry is None:
-            from ..fo.formulas import relations
-            entry = (rule, tuple(sorted(relations(rule.body))))
-            self._relevant[id(rule)] = entry
-        return entry[1]
-
-    def _intern(self, table: dict, obj) -> int:
-        interned = table.get(obj)
-        if interned is None:
-            interned = len(table)
-            table[obj] = interned
-        return interned
-
-    def answers_for(self, rule: Rule, view: Instance, domain: Domain
-                    ) -> Rows:
+    def answers_for(self, rule: _CompiledRule, view: Instance,
+                    domain: tuple[Value, ...]) -> Rows:
         self._check_owner()
-        ext_ids = self._extension_ids
-        key = (
-            id(rule),
-            self._intern(self._domain_ids, tuple(domain)),
-            *(self._intern(ext_ids, view[rel])
-              for rel in self.relevant_relations(rule)),
-        )
+        key = (rule, domain, *[view[rel] for rel in rule.relations])
         cached = self._answers.get(key)
         if cached is not None:
             self.hits += 1
@@ -129,7 +114,7 @@ class _RuleCache:
             return cached
         self.misses += 1
         with phase(PHASE_RULE_FIRE):
-            result = answers(rule.body, rule.head, view, domain)
+            result = answers(rule.rule.body, rule.rule.head, view, domain)
         self._answers[key] = result
         if len(self._answers) > self.maxsize:
             self._answers.popitem(last=False)
@@ -191,38 +176,94 @@ def rule_cache_delta(before: Mapping[str, int]) -> dict[str, int]:
     return out
 
 
-def _rule_answers(rule: Rule | None, view: Instance, domain: Domain
-                  ) -> Rows:
+def _rule_answers(rule: _CompiledRule | None, view: Instance,
+                  domain: tuple[Value, ...]) -> Rows:
     if rule is None:
         return frozenset()
     return _RULE_CACHE.answers_for(rule, view, domain)
 
 
-def _find_rule(rules: Iterable[Rule], kind: RuleKind, target: str
-               ) -> Rule | None:
-    for rule in rules:
-        if rule.kind == kind and rule.target == target:
-            return rule
-    return None
+class _MovePlan(NamedTuple):
+    """What a move of peer ``mover`` reads and writes, from its rules.
 
-
-def input_choices(composition: Composition, state: GlobalState,
-                  peer: Peer, domain: Domain
-                  ) -> list[dict[str, Rows]]:
-    """All legal input assignments for *peer* in snapshot *state*.
-
-    Each assignment maps the peer's qualified input-relation names to at
-    most one tuple (Definition 2.3: the user picks at most one option;
-    propositional inputs may be set only when their option rule holds).
+    Relation names are composition-qualified.  ``inputs`` lists
+    ``(input, arity, option rule)``; ``updates`` the state relations with
+    an insert or delete rule; ``actions`` every action with its rule;
+    ``prev_inputs`` ``(input, prev_input)`` pairs; ``sends`` every
+    out-queue as ``(channel, send rule, error flag)``, the flag None for
+    nested channels; ``consumed`` the in-queues dequeued on every move
+    (those the peer's rules mention, Definition 2.4).
     """
-    view = snapshot_view(state, composition)
-    rules = composition.qualified_rules(peer.name)
+
+    mover: str
+    inputs: tuple[tuple[str, int, _CompiledRule | None], ...]
+    updates: tuple[tuple[str, _CompiledRule | None,
+                         _CompiledRule | None], ...]
+    actions: tuple[tuple[str, _CompiledRule | None], ...]
+    prev_inputs: tuple[tuple[str, str], ...]
+    sends: tuple[tuple[Channel, _CompiledRule | None, str | None], ...]
+    consumed: tuple[str, ...]
+
+
+def _plan_move(composition: Composition, peer: Peer) -> _MovePlan:
+    def q(name: str) -> str:
+        return f"{peer.name}.{name}"
+
+    rules: dict[tuple[RuleKind, str], _CompiledRule] = {}
+    for rule in composition.qualified_rules(peer.name):
+        rules.setdefault((rule.kind, rule.target), _CompiledRule(rule))
+
+    def rule_for(kind: RuleKind, name: str) -> _CompiledRule | None:
+        return rules.get((kind, q(name)))
+
+    updates = []
+    for sym in peer.states:
+        insert = rule_for(RuleKind.INSERT, sym.name)
+        delete = rule_for(RuleKind.DELETE, sym.name)
+        if insert is not None or delete is not None:
+            updates.append((q(sym.name), insert, delete))
+    consumed = peer.consumed_in_queues()
+    return _MovePlan(
+        mover=peer.name,
+        inputs=tuple((q(inp.name), inp.arity,
+                      rule_for(RuleKind.INPUT, inp.name))
+                     for inp in peer.inputs),
+        updates=tuple(updates),
+        actions=tuple((q(sym.name), rule_for(RuleKind.ACTION, sym.name))
+                      for sym in peer.actions),
+        prev_inputs=tuple((q(sym.name), q(prev_name(sym.name)))
+                          for sym in peer.inputs),
+        sends=tuple((composition.channel(sym.name),
+                     rule_for(RuleKind.SEND, sym.name),
+                     None if sym.nested else q(error_name(sym.name)))
+                    for sym in peer.out_queues),
+        consumed=tuple(c.name for c in composition.channels
+                       if c.receiver == peer.name and c.name in consumed),
+    )
+
+
+#: composition -> {peer name: move plan}; weakly keyed, so plans live as
+#: long as their composition in this process and are never pickled.
+_MOVE_PLANS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _move_plans(composition: Composition) -> dict[str, _MovePlan]:
+    """Every peer's move plan, in peer order (built once per process)."""
+    plans = _MOVE_PLANS.get(composition)
+    if plans is None:
+        plans = _MOVE_PLANS[composition] = {
+            peer.name: _plan_move(composition, peer)
+            for peer in composition.peers
+        }
+    return plans
+
+
+def _input_choices(plan: _MovePlan, view: Instance,
+                   domain: tuple[Value, ...]) -> list[dict[str, Rows]]:
     per_input: list[list[tuple[str, Rows]]] = []
-    for inp in peer.inputs:
-        qname = f"{peer.name}.{inp.name}"
-        rule = _find_rule(rules, RuleKind.INPUT, qname)
+    for qname, arity, rule in plan.inputs:
         options = _rule_answers(rule, view, domain)
-        if inp.arity == 0:
+        if arity == 0:
             # propositional: may be True only if the option rule holds
             # (an omitted rule means the option is never available)
             choices: list[tuple[str, Rows]] = [(qname, frozenset())]
@@ -238,6 +279,19 @@ def input_choices(composition: Composition, state: GlobalState,
     if not per_input:
         return [{}]
     return [dict(combo) for combo in itertools.product(*per_input)]
+
+
+def input_choices(composition: Composition, state: GlobalState,
+                  peer: Peer, domain: Domain
+                  ) -> list[dict[str, Rows]]:
+    """All legal input assignments for *peer* in snapshot *state*.
+
+    Each assignment maps the peer's qualified input-relation names to at
+    most one tuple (Definition 2.3: the user picks at most one option;
+    propositional inputs may be set only when their option rule holds).
+    """
+    return _input_choices(_move_plans(composition)[peer.name],
+                          snapshot_view(state, composition), tuple(domain))
 
 
 def initial_states(composition: Composition,
@@ -325,70 +379,58 @@ def _delivery_branches(
     return [list(combo) for combo in itertools.product(*per_message)]
 
 
-def peer_successors(composition: Composition, state: GlobalState,
-                    mover: str, domain: Domain,
-                    semantics: ChannelSemantics) -> list[GlobalState]:
-    """All legal successors of *state* when peer *mover* moves."""
-    peer = composition.peer(mover)
-    rules = composition.qualified_rules(mover)
-    view = snapshot_view(state, composition)
-
-    def q(name: str) -> str:
-        return f"{mover}.{name}"
-
+def _move_successors(composition: Composition, plan: _MovePlan,
+                     state: GlobalState, view: Instance,
+                     domain: tuple[Value, ...],
+                     semantics: ChannelSemantics) -> list[GlobalState]:
+    """All legal successors of *state* (seen as *view*) when
+    ``plan.mover`` moves."""
+    mover = plan.mover
+    data = state.data
     updates: dict[str, Rows] = {}
 
     # state relations: insert/delete with no-op conflict semantics
-    for sym in peer.states:
-        insert = _find_rule(rules, RuleKind.INSERT, q(sym.name))
-        delete = _find_rule(rules, RuleKind.DELETE, q(sym.name))
-        if insert is None and delete is None:
-            continue
+    for name, insert, delete in plan.updates:
         ins = _rule_answers(insert, view, domain)
         dele = _rule_answers(delete, view, domain)
-        old = state.data[q(sym.name)]
-        updates[q(sym.name)] = frozenset(
+        old = data[name]
+        updates[name] = frozenset(
             (ins - dele) | (old & ins & dele) | (old - ins - dele)
         )
 
     # actions are recomputed on every move
-    for sym in peer.actions:
-        rule = _find_rule(rules, RuleKind.ACTION, q(sym.name))
-        updates[q(sym.name)] = _rule_answers(rule, view, domain)
+    for name, rule in plan.actions:
+        updates[name] = _rule_answers(rule, view, domain)
 
     # previous inputs: replaced by the current input when non-empty
-    for sym in peer.inputs:
-        current = state.data[q(sym.name)]
+    for name, prev in plan.prev_inputs:
+        current = data[name]
         if current:
-            updates[q(prev_name(sym.name))] = current
+            updates[prev] = current
 
     # send rules
-    flat_outcomes: list[list[tuple[Channel, frozenset | None, bool]]] = []
+    flat_outcomes: list[list[tuple[Channel, str, frozenset | None, bool]]] = []
     nested_messages: list[tuple[Channel, frozenset]] = []
-    for sym in peer.out_queues:
-        channel = composition.channel(sym.name)
-        rule = _find_rule(rules, RuleKind.SEND, q(sym.name))
+    for channel, rule, error_flag in plan.sends:
         produced = _rule_answers(rule, view, domain)
-        if sym.nested:
+        if error_flag is None:
             if produced or (
                 rule is not None
                 and semantics.nested_empty_send is NestedEmptySend.ENQUEUE
             ):
                 nested_messages.append((channel, frozenset(produced)))
         else:
-            outcomes = _resolve_flat_sends(produced, semantics)
             flat_outcomes.append([
-                (channel, message, error) for message, error in outcomes
+                (channel, error_flag, message, error)
+                for message, error in _resolve_flat_sends(produced, semantics)
             ])
 
     # queue mechanics: dequeue consumed in-queues first
     base_queues = state.queue_map()
-    consumed = peer.consumed_in_queues()
-    for channel in composition.channels:
-        if channel.receiver == mover and channel.name in consumed:
-            contents = base_queues[channel.name]
-            if contents:
-                base_queues[channel.name] = contents[1:]
+    for name in plan.consumed:
+        contents = base_queues[name]
+        if contents:
+            base_queues[name] = contents[1:]
 
     successors: list[GlobalState] = []
     flat_combos = (
@@ -396,17 +438,16 @@ def peer_successors(composition: Composition, state: GlobalState,
         if flat_outcomes else [[]]
     )
     for flat_combo in flat_combos:
-        error_updates: dict[str, Rows] = {}
+        moved = dict(updates)
         messages: list[tuple[Channel, frozenset]] = []
-        for channel, message, error in flat_combo:
-            error_updates[q(error_name(channel.name))] = (
-                frozenset({()}) if error else frozenset()
-            )
+        for channel, error_flag, message, error in flat_combo:
+            moved[error_flag] = frozenset({()}) if error else frozenset()
             if message is not None:
                 messages.append((channel, message))
         messages.extend(nested_messages)
         messages.sort(key=lambda cm: cm[0].name)
         sent = frozenset(channel.name for channel, _m in messages)
+        data0 = data.merged(Instance._from_frozen(moved))
 
         for branch in _delivery_branches(messages, semantics):
             queues = dict(base_queues)
@@ -421,9 +462,6 @@ def peer_successors(composition: Composition, state: GlobalState,
                 queues[channel.name] = contents + (message,)
                 enqueued.add(channel.name)
 
-            data0 = state.data.merged(
-                Instance({**updates, **error_updates})
-            )
             candidate = GlobalState(
                 data=data0,
                 queues=freeze_queues(queues),
@@ -433,11 +471,11 @@ def peer_successors(composition: Composition, state: GlobalState,
             )
             # the successor's input is chosen against the successor's
             # own options (Definition 2.3)
-            for choice in input_choices(composition, candidate, peer,
-                                        domain):
+            for choice in _input_choices(
+                    plan, snapshot_view(candidate, composition), domain):
                 successors.append(
                     GlobalState(
-                        data=data0.merged(Instance(choice)),
+                        data=data0.merged(Instance._from_frozen(choice)),
                         queues=candidate.queues,
                         mover=mover,
                         enqueued=candidate.enqueued,
@@ -445,6 +483,16 @@ def peer_successors(composition: Composition, state: GlobalState,
                     )
                 )
     return successors
+
+
+def peer_successors(composition: Composition, state: GlobalState,
+                    mover: str, domain: Domain,
+                    semantics: ChannelSemantics) -> list[GlobalState]:
+    """All legal successors of *state* when peer *mover* moves."""
+    composition.peer(mover)  # unknown peers raise SpecificationError
+    return _move_successors(
+        composition, _move_plans(composition)[mover], state,
+        snapshot_view(state, composition), tuple(domain), semantics)
 
 
 def successors(composition: Composition, state: GlobalState,
@@ -455,17 +503,18 @@ def successors(composition: Composition, state: GlobalState,
                env_value_domain: Domain | None = None) -> list[GlobalState]:
     """All legal successors of *state* (any peer may move).
 
+    Every peer's move reads the same view of *state*, rendered once.
     For open compositions, environment moves are included unless
     *include_environment* is False; the ``env_*`` knobs bound the
     environment's nondeterminism (see
     :func:`~repro.runtime.environment.environment_successors`).
     """
+    view = snapshot_view(state, composition)
+    domain = tuple(domain)
     out: list[GlobalState] = []
-    for peer in composition.peers:
-        out.extend(
-            peer_successors(composition, state, peer.name, domain,
-                            semantics)
-        )
+    for plan in _move_plans(composition).values():
+        out.extend(_move_successors(composition, plan, state, view, domain,
+                                    semantics))
     if include_environment and not composition.is_closed:
         from .environment import environment_successors
         out.extend(

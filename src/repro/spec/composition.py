@@ -80,6 +80,11 @@ class Composition:
         self._channel_by_name: Mapping[str, Channel] = {
             c.name: c for c in self.channels
         }
+        #: Closed iff every channel has both endpoints (Definition 2.5).
+        self.is_closed: bool = all(
+            c.sender is not None and c.receiver is not None
+            for c in self.channels
+        )
         self.schema: Schema = self._build_schema()
         self._qualified_rules: Mapping[str, tuple[Rule, ...]] = {
             p.name: self._qualify_rules(p) for p in peer_list
@@ -133,14 +138,6 @@ class Composition:
             return self._channel_by_name[name]
         except KeyError:
             raise SpecificationError(f"unknown channel {name!r}") from None
-
-    @property
-    def is_closed(self) -> bool:
-        """Closed iff every channel has both endpoints (Definition 2.5)."""
-        return all(
-            c.sender is not None and c.receiver is not None
-            for c in self.channels
-        )
 
     def environment_channels(self) -> tuple[Channel, ...]:
         """Channels with an environment endpoint (``C.Qin delta C.Qout``)."""
