@@ -15,29 +15,21 @@ log-space keeps the numbers additive and finite::
 
 These are *hints*, not admissible bounds -- the propositional
 abstraction ignores rule guards entirely -- but they are monotone in
-what actually drives sweep cost (arity, domain size, queue bounds), so
-:func:`sweep_cost_hints` uses them to weight the work-stealing batch
-sizes in :func:`repro.verifier.parallel.plan_batches`: expensive
-``(group, ctx)`` cells get smaller batches (finer-grained stealing),
-cheap ones bigger batches (less queue traffic).
+what actually drives sweep cost (arity, domain size, queue bounds).
 
-The lint-facing :func:`cost_pass` publishes the same numbers on the
-report (``cost_hints``) for a nominal domain, and never emits
-diagnostics -- cost is advisory, not a defect.
+The lint-facing :func:`cost_pass` publishes them on the report
+(``cost_hints``) for a nominal domain, and never emits diagnostics --
+cost is advisory, not a defect.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from ..spec.composition import Composition
 from ..spec.peer import Peer
 from .diagnostics import Diagnostic
 from .passes import AnalysisContext, AnalysisPass
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..verifier.parallel import SweepPayload
 
 
 def peer_state_bits(peer: Peer, domain_size: int,
@@ -71,31 +63,6 @@ def composition_cost(composition: Composition, domain_size: int,
     }
 
 
-def sweep_cost_hints(payload: "SweepPayload",
-                     ) -> dict[tuple[int, int], float]:
-    """Relative cost weights per ``(group, ctx)`` cell of a sweep grid.
-
-    ``group`` indexes the property, ``ctx`` the database context; the
-    weight is the composition's state bits over that context's domain,
-    scaled by the property's FO payload count (more payloads mean more
-    letter evaluations per product step).
-    """
-    bound = max(1, payload.semantics.queue_bound)
-    base = {
-        ctx_idx: sum(
-            peer_state_bits(peer, len(ctx.domain.values), bound)
-            for peer in payload.composition.peers
-        )
-        for ctx_idx, ctx in enumerate(payload.contexts)
-    }
-    hints: dict[tuple[int, int], float] = {}
-    for group, sentence in enumerate(payload.sentences):
-        factor = 1.0 + float(len(list(sentence.fo_payloads())))
-        for ctx_idx, bits in base.items():
-            hints[(group, ctx_idx)] = bits * factor
-    return hints
-
-
 def cost_pass(ctx: AnalysisContext) -> list[Diagnostic]:
     """Publish nominal cost hints on the context; emits no diagnostics."""
     composition = ctx.composition
@@ -108,11 +75,10 @@ def cost_pass(ctx: AnalysisContext) -> list[Diagnostic]:
 #: The pass object registered in :data:`repro.analysis.passes.ALL_PASSES`.
 CostPass = AnalysisPass(
     "cost", cost_pass,
-    "static reachable-state cost model (batch-sizing hints)",
+    "static reachable-state cost model (advisory hints)",
 )
 
 
 __all__ = [
     "CostPass", "composition_cost", "cost_pass", "peer_state_bits",
-    "sweep_cost_hints",
 ]

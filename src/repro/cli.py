@@ -5,8 +5,8 @@ Usage::
     python -m repro verify SPEC.dws [--property NAME] [--perfect]
                            [--queue-bound K] [--fair] [--fresh N]
                            [--counterexample] [--workers N] [--stats]
-                           [--engine shared|seed] [--lint-first]
-                           [--shard i/N] [--shard-output FILE]
+                           [--lint-first] [--shard i/N]
+                           [--shard-output FILE]
                            [--trace FILE.jsonl] [--metrics-json FILE]
     python -m repro check SPEC.dws            # input-boundedness only
     python -m repro lint SPEC.dws|LIBRARY [--format text|json|sarif]
@@ -15,27 +15,29 @@ Usage::
     python -m repro profile SPEC.dws|LIBRARY [--workers N] ...
     python -m repro merge-shards shard_*.json [--output FILE]
     python -m repro top [--run RUN_ID] [--once]
-    python -m repro doctor [--clean]
     python -m repro trace convert TRACE.jsonl... [--output FILE]
     python -m repro metrics export METRICS.json [--output FILE]
     python -m repro bench check [--metrics-dir DIR] [--json]
 
 ``verify`` runs every ``property`` statement in the document (or just
 ``--property NAME``) and reports verdicts; the exit status is 0 iff all
-checked properties are satisfied.  ``--workers N`` fans the valuation
-sweep out across N processes (``--workers 0``: all cores; default: the
-``REPRO_WORKERS`` environment variable, else sequential); ``--stats``
-prints the full per-property statistics including task counts, compute
-time, and rule-cache hit rates of the parallel sweep.
+checked properties are satisfied.  Properties with equal verification
+domains walk one shared exploration.  ``--stats`` prints the full
+per-property statistics (valuations, states, product nodes, rule-cache
+hit rate).
 
 ``--shard i/N`` (on ``verify`` and ``profile``) runs only the i-th of
 N deterministic slices of the valuation sweep and writes a mergeable
-fragment (verdicts, per-task stats, metrics snapshot, pickled
+fragment (verdicts, per-valuation rows, metrics snapshot, pickled
 counterexamples); run every shard on its own machine, collect the
 fragments, and ``merge-shards`` reassembles the exact unsharded
 verdict, decisive counterexample, and fleet-wide metrics (see
 :mod:`repro.verifier.shards`).  A shard's own exit status reflects
 only its slice; the merged exit status is the global verdict.
+``--workers N`` (default 1; 0: every CPU this process may use) runs
+the property batch as N such shards in forked children on this
+machine and merges them the same way, so the output matches a
+one-process run; each child explores the graph once.
 
 ``lint`` runs the full static analyzer (input-boundedness, dead and
 shadowed rules, reachability, channel discipline, and the decidability
@@ -54,24 +56,23 @@ FILE`` (a metrics snapshot plus per-result statistics), and
 ``REPRO_RUN_ID`` environment variable does the same and is the
 idiomatic way to correlate ``--shard`` slices launched on different
 machines).  ``profile`` runs a verification and prints a per-phase
-wall-time breakdown, with per-worker rows when ``--workers > 1`` and
-the expansions per distinct state (a ``warning:`` when a state was
-expanded twice); its target is either a ``.dws`` file or one of the
-built-in library examples (``loan``, ``ecommerce``, ``travel``,
-``payments``, ``dispatch``).
+wall-time breakdown (with ``--workers N`` the children's phases are
+added in), per-layer rates, and the expansions per distinct state (a
+``warning:`` when a state was expanded more than once); its target is
+either a ``.dws`` file or one of the built-in library examples
+(``loan``, ``ecommerce``, ``travel``, ``payments``, ``dispatch``).
 
 The observability surface (see :mod:`repro.obs`): every run command
 opens a **run-ledger** context, so trace events carry ``run`` /
-``worker`` / ``shard`` stamps and long sweeps write heartbeat records
-under the runs directory.  ``repro top`` renders those heartbeats as a
-refreshing terminal view of every active run.  ``repro trace convert``
-stitches one run's JSONL trace files (driver + workers + remote
-shards) into a Chrome trace-event JSON loadable in Perfetto.
-``repro metrics export`` renders any metrics JSON (snapshot, fragment,
-or merged document) in Prometheus text exposition format.
-``repro bench check`` is the regression sentinel over
-``benchmarks/metrics/BENCH_*.json``; ``repro doctor`` audits leaked
-shared-memory segments (``--clean`` unlinks them).
+``worker`` / ``shard`` stamps, and ``--workers`` runs write heartbeat
+records under the runs directory.  ``repro top`` renders those
+heartbeats as a refreshing terminal view of every active run.
+``repro trace convert`` stitches one run's JSONL trace files (parent +
+children + remote shards) into a Chrome trace-event JSON loadable in
+Perfetto.  ``repro metrics export`` renders any metrics JSON
+(snapshot, fragment, or merged document) in Prometheus text exposition
+format.  ``repro bench check`` is the regression sentinel over
+``benchmarks/metrics/BENCH_*.json``.
 """
 
 from __future__ import annotations
@@ -97,7 +98,10 @@ from .obs.metrics import SCHEMA as METRICS_SCHEMA
 from .runtime import simulate
 from .spec import DECIDABLE_DEFAULT, ChannelSemantics
 from .spec.dsl import load_document
-from .verifier import property_engines, verification_domain, verify
+from .verifier import (
+    property_engines, resolve_workers, run_local_shards,
+    verification_domain, verify,
+)
 
 #: Library examples profilable without a .dws file, set up as the E12
 #: end-to-end benchmark sets them up: module name -> (arguments of its
@@ -166,10 +170,10 @@ def _write_metrics_json(path: str | None, command: str,
     """Write the metrics snapshot file for ``--metrics-json``.
 
     Schema (``repro.metrics/2``): the process registry snapshot
-    (counters/gauges/histograms/phases -- driver side only; worker
-    numbers are folded into each result's ``stats``) plus one entry per
-    verification result.  The registry snapshot inside carries the
-    run-ledger id, correlating this file with the run's trace.
+    (counters/gauges/histograms/phases, with every ``--workers`` child's
+    snapshot folded in) plus one entry per verification result.  The
+    registry snapshot inside carries the run-ledger id, correlating
+    this file with the run's trace.
     """
     if not path:
         return
@@ -219,9 +223,11 @@ def _verify_each(args: argparse.Namespace, composition, sentences: dict,
     """Verify every property once, in name order: ``(name, domain, result)``.
 
     ``--fresh N`` (else *fresh*) fixes one domain for every property;
-    without either each property gets its own.  In process (one worker,
-    no ``--shard``, the shared engine) properties with equal domains
-    walk one shared graph (:func:`repro.verifier.property_engines`).
+    without either each property gets its own.  Properties with equal
+    domains walk one shared graph (:func:`repro.verifier.
+    property_engines`), with one ``verify()`` call per property.
+    ``--workers N`` runs that batch as N local shards
+    (:func:`repro.verifier.run_local_shards`).
     """
     fresh = args.fresh if args.fresh is not None else fresh
     domain = (None if fresh is None else verification_domain(
@@ -231,16 +237,23 @@ def _verify_each(args: argparse.Namespace, composition, sentences: dict,
     names = sorted(sentences)
     plan = property_engines(
         composition, [sentences[name] for name in names], databases,
-        semantics, domain, workers=args.workers, engine=args.engine,
-        shard=shard,
+        semantics, domain,
     )
-    for name, (own_domain, engine) in zip(names, plan):
-        yield name, own_domain, verify(
-            composition, sentences[name], databases, semantics=semantics,
-            domain=own_domain, fair_scheduling=args.fair,
-            workers=args.workers, engine=engine, shard=shard,
-            valuation_candidates=candidates,
-        )
+
+    def run(own_shard):
+        for name, (own_domain, engine) in zip(names, plan):
+            yield verify(
+                composition, sentences[name], databases,
+                semantics=semantics, domain=own_domain,
+                fair_scheduling=args.fair, engine=engine, shard=own_shard,
+                valuation_candidates=candidates,
+            )
+
+    workers = resolve_workers(args.workers)
+    results = (run(shard) if workers == 1 else run_local_shards(
+        lambda own_shard: list(run(own_shard)), workers, shard))
+    for name, (own_domain, _engine), result in zip(names, plan, results):
+        yield name, own_domain, result
 
 
 def _finish(args: argparse.Namespace, command: str, composition,
@@ -552,28 +565,6 @@ def _phase_rows(seconds: dict, counts: dict, total: float) -> list[str]:
     return rows
 
 
-def _merge_worker_tables(results: list) -> dict[str, dict]:
-    """Fold every result's per-worker stats into one table."""
-    merged: dict[str, dict] = {}
-    for result in results:
-        for worker, slot in result.stats.per_worker.items():
-            into = merged.setdefault(worker, {
-                "tasks": 0, "task_seconds": 0.0,
-                "phase_seconds": {}, "rule_cache": {},
-            })
-            into["tasks"] += slot["tasks"]
-            into["task_seconds"] += slot["task_seconds"]
-            for name, sec in slot["phase_seconds"].items():
-                into["phase_seconds"][name] = (
-                    into["phase_seconds"].get(name, 0.0) + sec
-                )
-            for key, val in slot["rule_cache"].items():
-                into["rule_cache"][key] = (
-                    into["rule_cache"].get(key, 0) + val
-                )
-    return merged
-
-
 def cmd_profile(args: argparse.Namespace) -> int:
     target = args.spec
     if target not in PROFILE_LIBRARIES and not Path(target).is_file():
@@ -653,30 +644,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
               f"({expansions / states:.2f} per state)")
         if expansions > states:
             print(f"warning: states were expanded "
-                  f"{expansions / states:.2f} times each; only an "
-                  "in-process run (one worker, no --shard, the shared "
-                  "engine) shares one exploration across properties",
-                  file=sys.stderr)
-
-    per_worker = _merge_worker_tables(results)
-    if workers > 1 and per_worker:
-        print("\n  per-worker breakdown (compute seconds by phase):")
-        for worker in sorted(per_worker):
-            slot = per_worker[worker]
-            phases = " ".join(
-                f"{name}={slot['phase_seconds'][name]:.3f}s"
-                for name in _PHASE_ORDER
-                if name in slot["phase_seconds"]
-            )
-            wcache = slot["rule_cache"]
-            lookups = wcache.get("hits", 0) + wcache.get("misses", 0)
-            if lookups:
-                pct = 100.0 * wcache.get("hits", 0) / lookups
-                rate = f" cache-hit={pct:.0f}%"
-            else:
-                rate = ""
-            print(f"    {worker}: tasks={slot['tasks']} "
-                  f"compute={slot['task_seconds']:.3f}s {phases}{rate}")
+                  f"{expansions / states:.2f} times each; each of the "
+                  f"{workers} local shards (--workers) explores the "
+                  "graph on its own", file=sys.stderr)
 
     return _finish(args, "profile", composition, runs)
 
@@ -786,8 +756,8 @@ def cmd_merge_shards(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# observability surface: top / doctor / trace convert / metrics export
-# / bench check
+# observability surface: top / trace convert / metrics export / bench
+# check
 
 
 def cmd_top(args: argparse.Namespace) -> int:
@@ -817,33 +787,6 @@ def cmd_top(args: argparse.Namespace) -> int:
             time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
-
-
-def cmd_doctor(args: argparse.Namespace) -> int:
-    """Audit the host for observability/shm hygiene problems."""
-    from .verifier.shm import clean_segments, leaked_segments, shm_available
-    from .obs import runs_root
-
-    print(f"shared memory available: {shm_available()}")
-    print(f"runs directory: {runs_root()}")
-    leaks = leaked_segments()
-    if not leaks:
-        print("leaked graph segments: none")
-        return 0
-    print(f"leaked graph segments ({len(leaks)}):")
-    for name in leaks:
-        print(f"  /dev/shm/{name}")
-    if not args.clean:
-        print("stale segments hold shared memory until unlinked; "
-              "re-run with --clean to remove them", file=sys.stderr)
-        return 1
-    removed = clean_segments(leaks)
-    print(f"cleaned {len(removed)} segment(s)")
-    remaining = leaked_segments()
-    if remaining:
-        print(f"could not remove: {remaining}", file=sys.stderr)
-        return 1
-    return 0
 
 
 def cmd_trace_convert(args: argparse.Namespace) -> int:
@@ -979,17 +922,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--counterexample", action="store_true",
                           help="print counterexample runs")
     p_verify.add_argument("--workers", type=int, default=None,
-                          help="parallel sweep worker processes "
-                               "(0: all cores; default: $REPRO_WORKERS "
-                               "or sequential)")
+                          help="run the sweep as N local shards in "
+                               "forked children (0: every usable CPU; "
+                               "default: 1, in process)")
     p_verify.add_argument("--stats", action="store_true",
                           help="print full per-property statistics")
-    p_verify.add_argument("--engine", choices=("shared", "seed"),
-                          default=None,
-                          help="search engine: 'shared' reuses one "
-                               "hash-consed exploration across "
-                               "valuations (default; $REPRO_ENGINE), "
-                               "'seed' is the per-valuation engine")
     p_verify.add_argument("--lint-first", action="store_true",
                           dest="lint_first",
                           help="run the full static analyzer before "
@@ -1054,11 +991,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--fair", action="store_true",
                         help="restrict to fair scheduling")
     p_prof.add_argument("--workers", type=int, default=None,
-                        help="parallel sweep worker processes "
-                             "(0: all cores)")
-    p_prof.add_argument("--engine", choices=("shared", "seed"),
-                        default=None,
-                        help="search engine (see `repro verify`)")
+                        help="run the sweep as N local shards "
+                             "(see `repro verify`)")
     _add_shard_options(p_prof)
     p_prof.set_defaults(func=cmd_profile)
 
@@ -1115,15 +1049,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_top.add_argument("--interval", type=float, default=1.0,
                        help="refresh interval in seconds (default 1.0)")
     p_top.set_defaults(func=cmd_top)
-
-    p_doctor = sub.add_parser(
-        "doctor",
-        help="audit shm/observability hygiene (exit 1 on leaked "
-             "segments)",
-    )
-    p_doctor.add_argument("--clean", action="store_true",
-                          help="unlink stale graph segments")
-    p_doctor.set_defaults(func=cmd_doctor)
 
     p_trace = sub.add_parser(
         "trace",
@@ -1195,8 +1120,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Run-ledger role per command; commands absent here (top, doctor,
-#: trace, metrics, bench) are read-only observers and open no run.
+#: Run-ledger role per command; commands absent here (top, trace,
+#: metrics, bench) are read-only observers and open no run.
 _RUN_ROLES = {
     "verify": "driver", "check": "driver", "lint": "driver",
     "simulate": "driver", "profile": "driver",

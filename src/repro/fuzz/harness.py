@@ -13,9 +13,9 @@ of its verdict:
 3. **Engine differential** -- ``engine="seed"`` and ``engine="shared"``
    agree bit-for-bit: verdict, decisive order, valuation/node counts,
    decisive valuation, and counterexample lasso.
-4. **Distribution** -- a 2-worker sweep and a 2-way ``--shard`` split
-   merged back through :func:`merge_fragments` both reproduce the
-   sequential result exactly.
+4. **Distribution** -- a 2-worker sweep (two local shards) and a 2-way
+   ``--shard`` split merged back through :func:`merge_fragments` both
+   reproduce the sequential result exactly.
 5. **Replay** -- every counterexample lasso replays as a genuine run
    through :func:`repro.runtime.validate_lasso`.
 6. **Verdict** -- rows with certain expected verdicts (the decidable
@@ -245,7 +245,7 @@ def _verify_oracles(spec: GeneratedSpec,
                        for p in _compare_results(
                            reference, seeded, f"{name} seed-vs-shared"))
 
-        # distribution: a worker pool and a merged shard split
+        # distribution: two local shards and a merged shard split
         try:
             pooled = verify_hook(comp, text, dbs, workers=2, **kwargs)
         except Exception as err:

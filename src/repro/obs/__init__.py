@@ -14,7 +14,7 @@ A zero-dependency measurement substrate for the verifier pipeline:
   *not* double-counted in the parent, so per-phase seconds sum to the
   total instrumented wall time;
 * :mod:`repro.obs.ledger` -- the distributed run ledger: per-run ids
-  stamped into every trace event, propagated through pool workers and
+  stamped into every trace event, shared by forked children and
   remote shards, and a stitcher that reassembles many JSONL streams
   into one causally-ordered trace;
 * :mod:`repro.obs.live` -- the live progress plane: heartbeat records
@@ -24,10 +24,10 @@ A zero-dependency measurement substrate for the verifier pipeline:
 * :mod:`repro.obs.bench` -- the bench regression sentinel gating
   ``benchmarks/metrics/BENCH_*.json`` trajectories.
 
-The registry and trace sink are per process.  Worker processes of the
-parallel sweep start from a clean slate (:func:`reset_for_worker`) and
-ship their phase/cache deltas back to the driver inside
-``TaskOutcome``; see :mod:`repro.verifier.parallel`.
+The registry and trace sink are per process.  The forked children of
+``workers > 1`` start from a clean slate (:func:`reset_for_worker`) and
+ship their registry snapshot back inside a shard fragment; the parent
+folds it in (see :func:`repro.verifier.run_local_shards`).
 """
 
 from .bench import (
@@ -39,9 +39,8 @@ from .export import (
     extract_registry_snapshot, render_prometheus,
 )
 from .ledger import (
-    RunContext, Span, StitchedTrace, adopt_worker, begin_run,
-    current_run, current_run_id, end_run, new_run_id, set_shard,
-    stitch, worker_bootstrap,
+    RunContext, Span, StitchedTrace, begin_run, current_run,
+    current_run_id, end_run, new_run_id, set_shard, stitch,
 )
 from .live import (
     NULL_PROGRESS, NullProgress, ProgressPlane, campaign_progress,
@@ -67,16 +66,18 @@ from .trace import (
 
 
 def reset_for_worker() -> None:
-    """Start a fresh per-process observability slate (pool initializer).
+    """Start a fresh per-process observability slate (forked child).
 
-    Forked workers inherit the parent's registry contents and the open
-    trace sink; the registry is cleared so per-task deltas are private,
-    while the trace configuration is kept (the sink reopens the JSONL
-    file on first use in the new pid, so worker spans land in the same
-    file as the driver's).
+    Forked children inherit the parent's registry contents, its open
+    phase timers and its trace sink; the registry and the phase stack
+    are cleared so the child's numbers are its own, while the trace
+    configuration is kept (the sink reopens the JSONL file on first use
+    in the new pid, so child spans land in the same file as the
+    parent's).
     """
     REGISTRY.reset()
-    from . import trace as _trace
+    from . import phases as _phases, trace as _trace
+    _phases._local.stack = []
     _trace.reopen_in_child()
 
 
@@ -88,7 +89,7 @@ __all__ = [
     "PHASE_FO_EVAL", "PHASE_IB_CHECK", "PHASE_LINT", "PHASE_RULE_FIRE",
     "PHASE_SEARCH", "PHASE_SWEEP", "PHASE_TRANSLATE",
     "PHASE_VALUATIONS", "ProgressPlane", "REGISTRY", "Regression",
-    "RunContext", "Span", "StitchedTrace", "adopt_worker", "begin_run",
+    "RunContext", "Span", "StitchedTrace", "begin_run",
     "campaign_progress", "check_directory", "check_entries",
     "chrome_trace_document", "chrome_trace_events",
     "configure_tracing", "convert_trace_files", "counter",
@@ -102,5 +103,5 @@ __all__ = [
     "phase_snapshot", "read_progress", "render_progress",
     "render_prometheus", "reset_for_worker", "run_dir", "runs_root",
     "set_shard", "set_stamp", "stamp", "stitch", "sweep_progress",
-    "trace_path", "tracing_enabled", "worker_bootstrap",
+    "trace_path", "tracing_enabled",
 ]

@@ -1,18 +1,15 @@
 """The distributed run ledger: one ``run_id``, one stitched trace.
 
-The multi-process pipeline (driver, pool workers, shard slices on other
-machines, fuzz campaigns) emits per-process JSONL span streams
-(:mod:`repro.obs.trace`).  This module is the correlation layer that
-turns those streams into *one* picture:
+The multi-process pipeline (driver, the forked children of ``--workers``,
+shard slices on other machines, fuzz campaigns) emits per-process JSONL
+span streams (:mod:`repro.obs.trace`).  This module is the correlation
+layer that turns those streams into *one* picture:
 
 * :func:`begin_run` assigns (or adopts, via the ``REPRO_RUN_ID``
   environment variable or ``--run-id``) a globally unique run id and
   installs it as the trace stamp, so every subsequent event carries
-  ``run``/``worker``/``shard`` fields;
-* :func:`worker_bootstrap` / :func:`adopt_worker` propagate the run
-  context across the pool boundary -- including under the ``spawn``
-  start method, where a worker imports a fresh module tree and would
-  otherwise lose both the run id and the trace sink;
+  ``run``/``worker``/``shard`` fields; a forked child re-opens the
+  parent's run with its worker index;
 * :func:`stitch` reads any number of trace files (the driver's, a
   shard's from another machine, ...) and reassembles them into one
   causally-ordered event sequence plus a span forest, aligning the
@@ -31,7 +28,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import trace
 
@@ -53,7 +50,7 @@ class RunContext:
 
     run_id: str
     role: str = "driver"            #: driver | worker | fuzz | merge
-    worker: int | None = None       #: pool-worker index (workers only)
+    worker: int | None = None       #: local-shard child index (workers)
     shard: tuple[int, int] | None = None  #: ``(i, N)`` slice, if any
 
     def stamp(self) -> dict:
@@ -114,44 +111,6 @@ def end_run() -> None:
     global _CURRENT
     _CURRENT = None
     trace.set_stamp(None)
-
-
-def worker_bootstrap(worker: int) -> dict:
-    """Everything a pool worker needs to join this process's run.
-
-    Shipped in the worker's start arguments (plain picklable dict).
-    Works under any start method: ``fork`` children inherit the module
-    state and merely re-stamp; ``spawn`` children rebuild it from this
-    dict, including re-attaching the trace sink in append mode.
-    """
-    ctx = _CURRENT
-    return {
-        "run_id": ctx.run_id if ctx is not None else None,
-        "shard": ctx.shard if ctx is not None else None,
-        "worker": worker,
-        "trace_path": trace.trace_path() if trace.tracing_enabled()
-        else None,
-    }
-
-
-def adopt_worker(bootstrap: Mapping | None) -> RunContext | None:
-    """Join the driver's run from inside a pool worker.
-
-    Call after :func:`repro.obs.reset_for_worker`.  Attaches the trace
-    sink without truncating (spawn workers start with tracing off), and
-    installs the worker-indexed run stamp.
-    """
-    if not bootstrap:
-        return None
-    path = bootstrap.get("trace_path")
-    if path and not trace.tracing_enabled():
-        trace.configure_tracing(path, truncate=False)
-    if bootstrap.get("run_id") is None:
-        return None
-    shard = bootstrap.get("shard")
-    return begin_run(run_id=bootstrap["run_id"], role="worker",
-                     worker=bootstrap.get("worker"),
-                     shard=tuple(shard) if shard is not None else None)
 
 
 # ---------------------------------------------------------------------------

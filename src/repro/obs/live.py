@@ -85,16 +85,10 @@ class NullProgress:
     def advance(self, n: int = 1, **counters) -> None:
         pass
 
-    def add_counters(self, extra: Mapping) -> None:
-        pass
-
     def set_info(self, **fields) -> None:
         pass
 
     def tick(self, force: bool = False) -> None:
-        pass
-
-    def reset(self) -> None:
         pass
 
     def finish(self, status: str = "done") -> None:
@@ -104,9 +98,9 @@ class NullProgress:
 class ProgressPlane(NullProgress):
     """Writes rate-limited heartbeats for one run to the runs root.
 
-    Single-writer by design: the driver process owns it and folds in
-    worker outcomes as they arrive on the result queue, so no
-    cross-process coordination is needed beyond the atomic replace.
+    Single-writer by design: the process that owns the run writes it
+    (the parent counts finished local shards), so no cross-process
+    coordination is needed beyond the atomic replace.
     """
 
     enabled = True
@@ -134,23 +128,10 @@ class ProgressPlane(NullProgress):
                 self.counters[name] = self.counters.get(name, 0) + value
         self.tick()
 
-    def add_counters(self, extra: Mapping) -> None:
-        """Fold a flat counter-delta mapping (a worker's) into the view."""
-        for name, value in extra.items():
-            if value:
-                self.counters[name] = self.counters.get(name, 0) + value
-
     def set_info(self, **fields) -> None:
         """Attach static context (spec path, workers, graph size, ...)."""
         self.info.update(
             {k: v for k, v in fields.items() if v is not None})
-
-    def reset(self) -> None:
-        """Start progress over (pool-broken -> sequential fallback)."""
-        self.done = 0
-        self.counters.clear()
-        self.started = time.time()
-        self.tick(force=True)
 
     def _record(self, status: str) -> dict:
         now = time.time()

@@ -7,8 +7,9 @@ increment is one attribute add, and nothing allocates on the hot path
 after the first ``counter(name)`` lookup.
 
 Snapshots are plain JSON-able dicts with a versioned ``schema`` tag, so
-they can be shipped across process boundaries (the parallel sweep sends
-per-task deltas back to the driver) and merged numerically.
+they can be shipped across process boundaries (shard fragments carry
+them to ``repro merge-shards`` and from forked children to their
+parent) and merged numerically.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from bisect import bisect_left
 from typing import Mapping
 
 #: Version tag stamped on every registry snapshot.  ``/2`` adds an
-#: optional top-level ``run`` key (the run-ledger id) and allows the
-#: ``shm.segments_active`` additive gauge; the numeric layout of
-#: counters/gauges/histograms/phases is unchanged from ``/1``.
+#: optional top-level ``run`` key (the run-ledger id); the numeric
+#: layout of counters/gauges/histograms/phases is unchanged from ``/1``.
 SCHEMA = "repro.metrics/2"
 
 #: Snapshot schemas the merge paths accept.  Committed ``BENCH_*.json``
@@ -184,16 +184,14 @@ class MetricsRegistry:
 def counters_snapshot() -> dict[str, int]:
     """Current value of every counter in this process's registry.
 
-    The flat form the parallel sweep ships across process boundaries:
-    workers snapshot before/after a task, :func:`diff_numeric` the two,
-    and the driver folds the delta back in with :func:`merge_counters`
-    so ``--metrics-json`` reports fleet-wide totals.
+    Snapshot before and after a unit of work and :func:`diff_numeric`
+    the two for the unit's counter deltas.
     """
     return {name: c.value for name, c in REGISTRY._counters.items()}
 
 
 def merge_counters(delta: Mapping) -> None:
-    """Add a worker's counter deltas into this process's registry."""
+    """Add counter deltas (another process's) into this registry."""
     for name, value in delta.items():
         if value:
             REGISTRY.counter(name).inc(value)
@@ -236,8 +234,8 @@ def merge_registry_snapshot(snapshot: Mapping) -> None:
 def merge_numeric(into: dict, extra: Mapping) -> dict:
     """Sum *extra*'s numeric values into *into*, key by key (in place).
 
-    Used to aggregate per-task/per-worker deltas (phase seconds, cache
-    counters) shipped back from pool workers.
+    Used to aggregate deltas (phase seconds, cache counters) from
+    several units or processes.
     """
     for key, value in extra.items():
         into[key] = into.get(key, 0) + value
@@ -254,7 +252,7 @@ def diff_numeric(after: Mapping, before: Mapping) -> dict:
     return out
 
 
-#: The process-global registry.  Worker processes reset it on start
+#: The process-global registry.  Forked children reset it on start
 #: (:func:`repro.obs.reset_for_worker`) so their numbers are private.
 REGISTRY = MetricsRegistry()
 

@@ -15,7 +15,7 @@ Event schema (one JSON object per line; ``repro.trace/2``):
     optional JSON object of extra fields (instants only);
 ``run`` / ``worker`` / ``shard``
     the run-ledger stamp (:mod:`repro.obs.ledger`): the run id this
-    event belongs to, the pool-worker index, and the ``i/N`` shard
+    event belongs to, the local-shard child index, and the ``i/N`` shard
     selector.  Present whenever a run context is active; these fields
     are what lets ``repro trace convert`` stitch JSONL files from many
     processes -- and many machines -- into one causally-ordered trace.
@@ -60,13 +60,11 @@ _STAMP: dict = {}
 _ANCHORED_PID: int | None = None
 
 
-def configure_tracing(path: str | None, truncate: bool = True) -> None:
-    """Start tracing to *path*, or stop with ``None``.
+def configure_tracing(path: str | None) -> None:
+    """Start tracing to a fresh file at *path*, or stop with ``None``.
 
-    ``truncate=True`` (the driver's path) starts a fresh file;
-    ``truncate=False`` attaches to an existing sink in append mode --
-    how a spawn-started pool worker joins the driver's trace file
-    (:func:`repro.obs.ledger.adopt_worker`).
+    Forked children keep the parent's sink and append to the same file
+    (:func:`reopen_in_child`).
     """
     global _ENABLED, _PATH, _FILE, _ANCHORED_PID
     with _LOCK:
@@ -76,7 +74,7 @@ def configure_tracing(path: str | None, truncate: bool = True) -> None:
         _PATH = path
         _ENABLED = path is not None
         _ANCHORED_PID = None
-        if path is not None and truncate:
+        if path is not None:
             open(path, "w").close()
     if path is not None:
         instant("stream-start", schema=SCHEMA, wall=time.time())
@@ -109,7 +107,7 @@ def stamp() -> dict:
 def reopen_in_child() -> None:
     """Flush and drop the inherited handle; the next event reopens.
 
-    Called from the pool-worker initializer.  A forked child inherits
+    Called in every forked local-shard child.  A forked child inherits
     the parent's open handle *and* its lock: the handle is flushed and
     closed (the sink is unbuffered, so this releases the child's dup of
     the file descriptor without ever replaying parent bytes -- a

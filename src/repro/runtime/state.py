@@ -75,7 +75,7 @@ class GlobalState:
 
     def __getstate__(self) -> tuple:
         # the memoized hash is process-dependent (seeded string hashing):
-        # never ship it to pool workers
+        # never ship it to another process
         return (self.data, self.queues, self.mover, self.enqueued,
                 self.sent)
 

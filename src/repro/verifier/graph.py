@@ -5,7 +5,7 @@ the composition's reachable snapshot graph is *valuation-independent* --
 different valuations of a property's closure variables change only the
 AP letters the Büchi automaton reads, never the snapshots or the
 transitions between them.  The seed engine re-derives that graph for
-every valuation (and, under ``--workers``, once per worker process).
+every valuation.
 
 Three pieces remove the redundancy:
 
@@ -20,10 +20,9 @@ Three pieces remove the redundancy:
   buffers, ``offsets``/``targets``.  Once frozen, every subsequent
   valuation's product search is a pure graph walk -- no rule firing, no
   snapshot hashing, no dict-of-states lookups.
-* :class:`ExploredGraph` is picklable, so the parallel sweep's driver
-  can expand once and ship the frozen graph to pool workers
-  (:meth:`SharedExploration.from_graph`), instead of every worker
-  re-expanding the same state space from scratch.
+* :class:`ExploredGraph` is picklable, and
+  :meth:`SharedExploration.from_graph` serves a frozen graph built
+  elsewhere without expanding anything.
 
 Successor order, initial-state order, and Büchi target order are all
 preserved exactly, so the interned product visits the same nodes in the
@@ -34,7 +33,6 @@ verdicts, counterexample lassos, and search node counts are identical
 
 from __future__ import annotations
 
-import os
 import pickle
 from array import array
 from collections import deque
@@ -46,14 +44,15 @@ from ..runtime.state import GlobalState
 from ..spec.composition import Composition
 from .product import ProductNode, SearchBudget, TransitionCache
 
-#: Engine names accepted by ``verify(..., engine=...)`` and the CLI.
+#: Engine names accepted by ``verify(..., engine=...)``: ``seed`` is
+#: the per-valuation reference the differential tests compare against.
 ENGINES = ("shared", "seed")
 
 
 def resolve_engine(engine: str | None) -> str:
-    """Normalize an engine selector (None -> ``REPRO_ENGINE`` or shared)."""
+    """Normalize an engine selector (None -> ``shared``)."""
     if engine is None:
-        engine = os.environ.get("REPRO_ENGINE", "") or "shared"
+        return "shared"
     if engine not in ENGINES:
         raise VerificationError(
             f"unknown engine {engine!r}; expected one of {ENGINES}"
@@ -96,7 +95,7 @@ def _as_q_array(data) -> array:
     Accepts whatever the pickle layer hands us: an ``array`` (older
     pickles), in-band ``bytes``/``bytearray`` (a :class:`pickle.
     PickleBuffer` serialized without out-of-band transport), or a
-    ``memoryview`` (out-of-band buffer, or a shared-memory cast).
+    ``memoryview`` (an out-of-band buffer).
     """
     if isinstance(data, array):
         return data
@@ -120,12 +119,8 @@ class ExploredGraph:
     of ``i`` are ``targets[offsets[i]:offsets[i+1]]``, in the exact
     order :func:`repro.runtime.step.successors` produced them.
 
-    ``offsets``/``targets`` are normally ``array('q')`` buffers, but a
-    graph attached from shared memory carries ``memoryview`` casts over
-    the mapping instead (see :mod:`repro.verifier.shm`) -- every access
-    pattern used here (indexing, slicing, ``len``) behaves identically.
-    Pickling always materializes owned arrays, and under protocol 5 the
-    CSR buffers travel as :class:`pickle.PickleBuffer` so transports
+    ``offsets``/``targets`` are ``array('q')`` buffers.  Under pickle
+    protocol 5 they travel as :class:`pickle.PickleBuffer` so transports
     that support out-of-band buffers skip one copy.
     """
 
@@ -149,12 +144,6 @@ class ExploredGraph:
     def num_edges(self) -> int:
         return len(self.targets)
 
-    @property
-    def csr_nbytes(self) -> int:
-        """Bytes of the two CSR buffers (the zero-copy payload)."""
-        itemsize = array("q").itemsize
-        return (len(self.offsets) + len(self.targets)) * itemsize
-
     def __reduce_ex__(self, protocol: int):
         offsets = _as_q_array(self.offsets)
         targets = _as_q_array(self.targets)
@@ -173,9 +162,9 @@ class ExploredGraph:
 class SharedExploration:
     """One interned exploration, reused by every valuation's search.
 
-    Wraps a live :class:`TransitionCache` (driver side) or a frozen
-    :class:`ExploredGraph` (worker side, via :meth:`from_graph`); either
-    way the product search only ever sees integer state ids.
+    Wraps a live :class:`TransitionCache` or a frozen
+    :class:`ExploredGraph` (via :meth:`from_graph`); either way the
+    product search only ever sees integer state ids.
     """
 
     def __init__(self, cache: TransitionCache) -> None:

@@ -13,43 +13,40 @@ from ..spec.composition import Composition
 
 @dataclass(frozen=True)
 class TaskStats:
-    """Timing and node counters of one (valuation, database) sweep task."""
+    """Timing and node counters of one valuation a shard checked."""
 
-    group: int
     order: int
     wall_seconds: float
     nba_states: int
     product_nodes: int
-    system_states: int
-    cancelled: bool = False
-    worker: str = ""
 
 
 @dataclass
 class VerifierStats:
     """Aggregate counters across a whole verification call.
 
-    ``workers``/``tasks_*``/``task_seconds``/``per_task`` are filled by
-    the parallel sweep engine; a sequential run leaves them at their
-    defaults (``workers=1``, no per-task records).  ``task_seconds`` is
-    the *sum* of per-task wall times (total compute), while
-    ``wall_seconds`` is elapsed time -- their ratio is the effective
-    parallelism.  Cancelled tasks' partial compute is kept separately
-    in ``cancelled_task_seconds`` (it is real work spent, but must not
-    inflate the deterministic headline counters).
+    ``per_task`` holds one row per valuation a sharded sweep checked
+    (``verify(shard=...)``, and the union of the children's rows under
+    ``workers > 1``); an unsharded in-process run leaves it empty.
+    ``workers``/``tasks_*``/``task_seconds`` are filled when shards are
+    merged (``repro merge-shards``, or the local shards of ``workers >
+    1``): ``tasks_run`` counts the rows up to the decisive order -- the
+    valuations an unsharded run checks -- and ``tasks_cancelled`` the
+    rows past it, work a shard did before finding its own violation.
+    ``task_seconds`` is the *sum* of the counted rows' wall times (total
+    compute), while ``wall_seconds`` is elapsed time -- their ratio is
+    the effective parallelism.
 
     ``phase_seconds``/``phase_counts`` hold the per-phase self-time
     breakdown (see :mod:`repro.obs.phases`) and ``rule_cache`` the
-    rule-firing memo deltas (hits/misses/evictions), aggregated across
-    worker processes for parallel runs; ``per_worker`` breaks both down
-    by worker id for the ``repro profile`` per-worker rows.
+    rule-firing memo deltas (hits/misses/evictions), summed across the
+    children of a ``workers > 1`` run.
 
     ``system_states`` counts the snapshots the run expanded.  When a run
     shares one exploration across properties (``verify_all``, or the
-    CLI's in-process batches, see
-    :func:`repro.verifier.property_engines`), it is that shared
-    exploration's size when the property finished, so it can exceed
-    what the property alone would have explored.
+    CLI's batches, see :func:`repro.verifier.property_engines`), it is
+    that shared exploration's size when the property finished, so it
+    can exceed what the property alone would have explored.
     """
 
     valuations_checked: int = 0
@@ -58,10 +55,10 @@ class VerifierStats:
     nba_states_total: int = 0
     wall_seconds: float = 0.0
     workers: int = 1
-    #: Global sweep order of the violated task that decided the verdict
-    #: (None when satisfied).  Orders are global even under ``--shard``,
-    #: so ``repro merge-shards`` picks the overall decisive task as the
-    #: minimum across fragments -- the lowest-order-wins rule.
+    #: Global sweep order of the violated valuation that decided the
+    #: verdict (None when satisfied).  Orders are global even under
+    #: ``--shard``, so ``repro merge-shards`` picks the overall decisive
+    #: valuation as the minimum across fragments -- lowest order wins.
     decisive_order: int | None = None
     tasks_run: int = 0
     tasks_cancelled: int = 0
@@ -71,19 +68,9 @@ class VerifierStats:
     phase_seconds: dict[str, float] = field(default_factory=dict)
     phase_counts: dict[str, int] = field(default_factory=dict)
     rule_cache: dict[str, int] = field(default_factory=dict)
-    per_worker: dict[str, dict] = field(default_factory=dict)
 
     def merge_search(self, blue: int, red: int) -> None:
         self.product_nodes_visited += blue + red
-
-    def record_task(self, task: TaskStats) -> None:
-        self.per_task.append(task)
-        if task.cancelled:
-            self.tasks_cancelled += 1
-            self.cancelled_task_seconds += task.wall_seconds
-            return
-        self.tasks_run += 1
-        self.task_seconds += task.wall_seconds
 
     def merge_phases(self, seconds: Mapping[str, float],
                      counts: Mapping[str, int]) -> None:
@@ -97,24 +84,6 @@ class VerifierStats:
     def merge_rule_cache(self, delta: Mapping[str, int]) -> None:
         for key, value in delta.items():
             self.rule_cache[key] = self.rule_cache.get(key, 0) + value
-
-    def merge_worker(self, worker: str, wall_seconds: float,
-                     phase_seconds: Mapping[str, float],
-                     rule_cache: Mapping[str, int]) -> None:
-        slot = self.per_worker.get(worker)
-        if slot is None:
-            slot = self.per_worker[worker] = {
-                "tasks": 0, "task_seconds": 0.0,
-                "phase_seconds": {}, "rule_cache": {},
-            }
-        slot["tasks"] += 1
-        slot["task_seconds"] += wall_seconds
-        for name, value in phase_seconds.items():
-            slot["phase_seconds"][name] = (
-                slot["phase_seconds"].get(name, 0.0) + value
-            )
-        for key, value in rule_cache.items():
-            slot["rule_cache"][key] = slot["rule_cache"].get(key, 0) + value
 
     @property
     def rule_cache_hit_rate(self) -> float | None:
@@ -142,24 +111,12 @@ class VerifierStats:
             "phase_seconds": dict(self.phase_seconds),
             "phase_counts": dict(self.phase_counts),
             "rule_cache": dict(self.rule_cache),
-            "per_worker": {
-                worker: {
-                    "tasks": slot["tasks"],
-                    "task_seconds": slot["task_seconds"],
-                    "phase_seconds": dict(slot["phase_seconds"]),
-                    "rule_cache": dict(slot["rule_cache"]),
-                }
-                for worker, slot in sorted(self.per_worker.items())
-            },
             "per_task": [
                 {
-                    "group": t.group, "order": t.order,
+                    "order": t.order,
                     "wall_seconds": t.wall_seconds,
                     "nba_states": t.nba_states,
                     "product_nodes": t.product_nodes,
-                    "system_states": t.system_states,
-                    "cancelled": t.cancelled,
-                    "worker": t.worker,
                 }
                 for t in self.per_task
             ],
@@ -225,13 +182,13 @@ class VerificationResult:
             lines += (
                 f"\n  workers: {self.stats.workers}, "
                 f"tasks: {self.stats.tasks_run} run + "
-                f"{self.stats.tasks_cancelled} cancelled, "
+                f"{self.stats.tasks_cancelled} past the decisive order, "
                 f"compute: {self.stats.task_seconds:.3f}s"
             )
             if self.stats.cancelled_task_seconds:
                 lines += (
                     f" (+{self.stats.cancelled_task_seconds:.3f}s "
-                    "cancelled)"
+                    "past it)"
                 )
         hit_rate = self.stats.rule_cache_hit_rate
         if hit_rate is not None:

@@ -16,23 +16,6 @@ from ..errors import VerificationError
 from ..obs import PHASE_SEARCH, counter, phase
 from .product import ProductNode, ProductSystem
 
-#: How many loop iterations pass between ``should_stop`` polls.
-#:
-#: Polling is driven by a per-search iteration counter, NOT by
-#: ``stats.nodes_visited``: node counts stall during postorder/pop
-#: stretches (every iteration would re-poll at a multiple and never
-#: poll between multiples), so a monotonic tick is the only way to
-#: bound cancellation latency.
-_STOP_POLL_INTERVAL = 128
-
-
-class SearchCancelled(Exception):
-    """Raised when a cooperative ``should_stop`` callback aborts a search.
-
-    Used by the parallel sweep engine to cancel in-flight emptiness
-    searches once another task has already decided the verdict.
-    """
-
 
 @dataclass
 class SearchStats:
@@ -57,21 +40,13 @@ class LassoNodes:
 def _red_search(seed: ProductNode,
                 successors: Callable[[ProductNode], Iterator[ProductNode]],
                 cyan: set, red: set,
-                stats: SearchStats,
-                should_stop: Callable[[], bool] | None = None
-                ) -> list[ProductNode] | None:
+                stats: SearchStats) -> list[ProductNode] | None:
     """DFS from *seed*; returns a path ``seed -> ... -> t`` with t cyan."""
     parents: dict[ProductNode, ProductNode] = {}
     stack = [seed]
     local_seen = {seed}
-    tick = 0
     while stack:
         node = stack.pop()
-        if (should_stop is not None
-                and tick % _STOP_POLL_INTERVAL == 0
-                and should_stop()):
-            raise SearchCancelled
-        tick += 1
         for succ in successors(node):
             if succ in cyan:
                 # found the closing edge; rebuild the red path
@@ -93,23 +68,18 @@ def _red_search(seed: ProductNode,
 
 
 def find_accepting_lasso(product: ProductSystem,
-                         max_nodes: int | None = None,
-                         should_stop: Callable[[], bool] | None = None
+                         max_nodes: int | None = None
                          ) -> tuple[LassoNodes | None, SearchStats]:
     """Search the product for a reachable accepting cycle.
 
     Returns ``(lasso, stats)``; ``lasso`` is None iff no run of the system
     satisfies the automaton's (negated-property) language -- i.e. the
     property holds.
-
-    ``should_stop`` is polled every few node visits; when it returns
-    True the search raises :class:`SearchCancelled` (cooperative
-    cancellation for the parallel sweep engine).
     """
     stats = SearchStats()
     try:
         with phase(PHASE_SEARCH):
-            return _blue_dfs(product, stats, max_nodes, should_stop)
+            return _blue_dfs(product, stats, max_nodes)
     finally:
         counter("search.blue_visited").inc(stats.blue_visited)
         counter("search.red_visited").inc(stats.red_visited)
@@ -118,8 +88,7 @@ def find_accepting_lasso(product: ProductSystem,
 
 def _blue_dfs(product: ProductSystem,
               stats: SearchStats,
-              max_nodes: int | None = None,
-              should_stop: Callable[[], bool] | None = None
+              max_nodes: int | None = None
               ) -> tuple[LassoNodes | None, SearchStats]:
     limit = max_nodes or product.cache.budget.max_product_nodes
     cyan: set = set()
@@ -136,14 +105,8 @@ def _blue_dfs(product: ProductSystem,
         path.append(root)
         stack.append((root, product.successors(root)))
         stats.blue_visited += 1
-        tick = 0
         while stack:
             node, it = stack[-1]
-            if (should_stop is not None
-                    and tick % _STOP_POLL_INTERVAL == 0
-                    and should_stop()):
-                raise SearchCancelled
-            tick += 1
             advanced = False
             for succ in it:
                 if succ in cyan or succ in blue:
@@ -164,7 +127,7 @@ def _blue_dfs(product: ProductSystem,
             stack.pop()
             if product.is_accepting(node):
                 red_path = _red_search(node, product.successors, cyan,
-                                       red, stats, should_stop)
+                                       red, stats)
                 if red_path is not None:
                     target = red_path[-1]  # the cyan node closing the cycle
                     anchor = path.index(target)

@@ -1,31 +1,32 @@
-"""Shard fragments and their merge: one sweep split across machines.
+"""Shard fragments and their merge: one sweep split across processes.
 
-The shard plane of the distributed sweep
-(:mod:`repro.verifier.parallel`): ``repro verify --shard i/N`` runs the
-i-th residue class of the valuation grid (``order % N == i``) and
-writes a JSON *fragment* -- verdict, decisive order, per-task stats,
-counterexample, and a full ``repro.metrics/1`` registry snapshot.
-``repro merge-shards`` reads all N fragments and reassembles the exact
-global result.
+``repro verify --shard i/N`` runs the i-th residue class of the
+valuation sweep (``order % N == i``) and writes a JSON *fragment* --
+verdict, decisive order, per-valuation rows, counterexample, and a full
+``repro.metrics/2`` registry snapshot.  ``repro merge-shards`` reads all
+N fragments and reassembles the exact global result.  The same merge
+joins the local shards of ``workers > 1``
+(:func:`repro.verifier.run_local_shards`), whose children return
+fragments instead of writing them.
 
 The merge is deterministic and provably equal to the unsharded sweep:
 
 * **Verdict.**  A property is violated iff any shard found a
-  violation; the decisive task is the one with the *lowest global
-  order* across fragments -- the same lowest-order-wins rule the
-  in-process scheduler applies, so the merged decisive valuation and
-  lasso are bit-for-bit the unsharded ones.
-* **Headline stats.**  Each fragment ships its per-task rows with
-  global order numbers.  The merge recomputes ``valuations_checked`` /
-  ``product_nodes_visited`` / ``nba_states_total`` from the union of
-  rows at or before the *global* decisive order.  Every such row exists
-  and is uncancelled in exactly one fragment (a shard only cancels
-  orders past its own decisive order, which is >= the global one), so
-  the recount equals the sequential sweep's.
+  violation; the decisive valuation is the one with the *lowest global
+  order* across fragments, so the merged decisive valuation and lasso
+  are bit-for-bit the unsharded ones.
+* **Headline stats.**  Each fragment ships one row per valuation it
+  checked, with its global order.  The merge recomputes
+  ``valuations_checked`` / ``product_nodes_visited`` /
+  ``nba_states_total`` from the union of rows at or before the
+  *global* decisive order.  Every such row exists in exactly one
+  fragment (a shard stops at its own first violation, whose order is
+  >= the global one), so the recount equals the sequential sweep's.
 * **Metrics.**  Registry snapshots merge by kind: counters and phase
   accumulators add, gauges take the maximum, histograms add bucket-wise
   (:func:`merge_metrics_snapshots`).  Wall time is the max across
-  shards (they run concurrently); compute seconds add.
+  shards (they run concurrently); compute seconds, per-property phases
+  and rule-cache counters add.
 """
 
 from __future__ import annotations
@@ -218,34 +219,31 @@ def _merge_property(entries: Sequence[Mapping]) -> dict:
     )
     cutoff = (decisive["decisive_order"] if decisive is not None
               else _UNDECIDED)
-    valuations = nodes = nba = tasks_run = tasks_cancelled = 0
-    task_seconds = cancelled_seconds = 0.0
+    valuations = nodes = nba = tasks_past = 0
+    task_seconds = past_seconds = 0.0
     system_states = 0
     wall = 0.0
     workers = 1
+    seconds: dict = {}
+    counts: dict = {}
+    rule_cache: dict = {}
     for entry in entries:
         stats = entry["stats"]
         wall = max(wall, stats["wall_seconds"])
         workers = max(workers, stats["workers"])
         system_states = max(system_states, stats["system_states"])
+        merge_numeric(seconds, stats.get("phase_seconds", {}))
+        merge_numeric(counts, stats.get("phase_counts", {}))
+        merge_numeric(rule_cache, stats.get("rule_cache", {}))
         for row in stats["per_task"]:
-            counted = not row["cancelled"] and row["order"] <= cutoff
-            if counted:
+            if row["order"] <= cutoff:
                 valuations += 1
                 nodes += row["product_nodes"]
                 nba += row["nba_states"]
-                tasks_run += 1
                 task_seconds += row["wall_seconds"]
             else:
-                tasks_cancelled += 1
-                cancelled_seconds += row["wall_seconds"]
-        if not stats["per_task"]:
-            # a shard that ran its slice sequentially (workers=1 falls
-            # back in-process) has headline numbers but no rows; they
-            # are already cutoff-filtered by its own early stop
-            valuations += stats["valuations_checked"]
-            nodes += stats["product_nodes_visited"]
-            nba += stats["nba_states_total"]
+                tasks_past += 1
+                past_seconds += row["wall_seconds"]
     merged = {
         "property": entries[0]["property"],
         "verdict": "VIOLATED" if decisive is not None else "SATISFIED",
@@ -265,10 +263,13 @@ def _merge_property(entries: Sequence[Mapping]) -> dict:
             "system_states": system_states,
             "wall_seconds": wall,
             "workers": workers,
-            "tasks_run": tasks_run,
-            "tasks_cancelled": tasks_cancelled,
+            "tasks_run": valuations,
+            "tasks_cancelled": tasks_past,
             "task_seconds": task_seconds,
-            "cancelled_task_seconds": cancelled_seconds,
+            "cancelled_task_seconds": past_seconds,
+            "phase_seconds": seconds,
+            "phase_counts": counts,
+            "rule_cache": rule_cache,
         },
     }
     return merged
@@ -324,6 +325,9 @@ def result_from_merged(entry: Mapping) -> VerificationResult:
         tasks_cancelled=stats_in["tasks_cancelled"],
         task_seconds=stats_in["task_seconds"],
         cancelled_task_seconds=stats_in["cancelled_task_seconds"],
+        phase_seconds=dict(stats_in["phase_seconds"]),
+        phase_counts=dict(stats_in["phase_counts"]),
+        rule_cache=dict(stats_in["rule_cache"]),
     )
     counterexample: Counterexample | None = None
     if entry["counterexample"] is not None:

@@ -225,17 +225,26 @@ class TestProfileCommand:
         assert main(["profile", "nosuchlib"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_profile_workers_prints_per_worker_rows(self, capsys,
-                                                    tmp_path):
+    def test_profile_workers_counts_every_child(self, capsys, tmp_path):
+        """Both children's work reaches the profile and --metrics-json."""
+        from repro.obs import phase_counts
+
         out_json = tmp_path / "m.json"
+        before = phase_counts().get("expand", 0)
         code = main(["profile", "loan", "--workers", "2",
                      "--property", "letter_needs_application",
                      "--metrics-json", str(out_json)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "per-worker breakdown" in out
-        assert "pid-" in out
+        # the children's phases were folded into this process's registry
+        assert phase_counts()["expand"] - before == 410
+        assert "workers=2" in out
+        # each child explores the graph once: 205 states, twice
+        assert "expansions: 410 of 205 distinct states" in out
         payload = json.loads(out_json.read_text())
         assert payload["command"] == "profile"
         (entry,) = payload["results"]
-        assert entry["stats"]["per_worker"]
+        stats = entry["stats"]
+        assert stats["workers"] == 2
+        assert stats["phase_counts"]["expand"] == 410
+        assert [row["order"] for row in stats["per_task"]] == [0, 1]

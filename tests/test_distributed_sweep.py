@@ -1,40 +1,66 @@
-"""The distributed sweep: stealing, sharding, crashes, start methods.
+"""The distributed sweep: local shards, shards, dead children.
 
-PR 6's determinism contract, tested differentially: the verdict, the
+The determinism contract, tested differentially: the verdict, the
 decisive valuation (and its global ``decisive_order``), and the
 counterexample lasso must be bit-for-bit identical across
 
-* worker counts (1 / 2 / 4) under the work-stealing pool,
+* worker counts (1 / 2 / 4): ``workers=N`` runs N local shards in
+  forked children and merges them like ``repro merge-shards``,
 * ``--shard`` runs -- a trivial 1-shard run and a 3-shard split merged
-  back through :func:`repro.verifier.merge_fragments`,
-* the ``fork`` and ``spawn`` start methods, and
-* a pool crash: a worker killed mid-task must trip the
-  ``BrokenProcessPool`` fallback, which re-runs the sweep sequentially
-  in the driver with the same verdict and no leaked ``/dev/shm``
-  segment.
+  back through :func:`repro.verifier.merge_fragments`, with and
+  without local shards inside each shard, and
+* a shard over a caller-supplied transition cache.
 
-Plus white-box units for the scheduler pieces: ``plan_batches`` (steal
-units never span a ``(group, ctx)`` exploration), ``shard_filter``
-(disjoint complete partition with global orders), and ``resolve_shard``
-validation.  A hypothesis property closes the loop over random
+A child that dies ends the run in a :class:`VerificationError` that
+names its shard and exit code (and ``repro verify`` exits 2).  White-box
+units cover ``shard_filter`` and ``local_shards`` (disjoint complete
+partitions with global orders), ``resolve_shard`` validation, and
+``resolve_workers``.  A hypothesis property closes the loop over random
 sender-receiver style compositions.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.verifier.ltlfo_verifier as ltlfo_verifier
+from repro.cli import main
+from repro.errors import VerificationError
 from repro.fo import Instance
-from repro.obs import counters_snapshot
 from repro.runtime import validate_lasso
 from repro.spec import Composition, PeerBuilder
 from repro.verifier import (
-    leaked_segments, merge_fragments, resolve_shard, result_from_merged,
-    shard_filter, shard_fragment, verification_domain, verify,
+    local_shards, merge_fragments, resolve_shard, resolve_workers,
+    result_from_merged, shard_filter, shard_fragment, verification_domain,
+    verify,
 )
-from repro.verifier.parallel import SweepTask, plan_batches
 
 SAFETY = "forall x: G( R.got(x) -> S.items(x) )"
 LIVENESS = "forall x: G( S.pick(x) -> F R.got(x) )"
+
+SPEC_TEXT = """
+peer S {
+    database items/1
+    input pick/1
+    out flat msg/1
+    input pick(x) <- items(x)
+    send  msg(x)  <- pick(x)
+}
+peer R {
+    state got/1
+    in flat msg/1
+    insert got(x) <- ?msg(x)
+}
+database S {
+    items: ("a",), ("b",)
+}
+property liveness:
+    forall x: G( S.pick(x) -> F R.got(x) )
+"""
 
 
 def sender_receiver_case(items=("a", "b")):
@@ -98,53 +124,31 @@ def _assert_equivalent(reference, other, comp, dbs, dom_values):
 
 
 # ---------------------------------------------------------------------------
-# scheduler units
-
-
-def _grid(n_tasks, groups=1, ctxs=1):
-    tasks = []
-    order = 0
-    for group in range(groups):
-        for ctx in range(ctxs):
-            for _ in range(n_tasks):
-                tasks.append(SweepTask(group=group, order=order, ctx=ctx,
-                                       sentence=group, valuation=()))
-                order += 1
-    return tasks
-
-
-def test_plan_batches_cover_grid_in_order():
-    tasks = _grid(11, groups=2, ctxs=2)
-    batches = plan_batches(tasks, workers=4)
-    flat = [t for batch in batches for t in batch]
-    assert flat == tasks  # nothing lost, global order preserved
-    for batch in batches:
-        assert len({(t.group, t.ctx) for t in batch}) == 1, (
-            "a steal unit spans two explorations"
-        )
-
-
-def test_plan_batches_chunk_size_targets_steal_granularity():
-    tasks = _grid(64)
-    batches = plan_batches(tasks, workers=4)
-    # 64 tasks / (4 workers * 4 batches each) -> chunks of 4
-    assert max(len(b) for b in batches) == 4
-    assert plan_batches([], workers=4) == []
-    # tiny grids degrade to one-task batches, never to zero batches
-    assert [len(b) for b in plan_batches(_grid(2), workers=8)] == [1, 1]
+# partition units
 
 
 def test_shard_filter_is_a_partition():
-    tasks = _grid(10, groups=2)
+    valuations = [f"v{i}" for i in range(10)]
     count = 3
-    shards = [shard_filter(tasks, (i, count)) for i in range(count)]
-    seen = [t for shard in shards for t in shard]
-    assert sorted(seen, key=lambda t: t.order) == tasks
-    assert sum(len(s) for s in shards) == len(tasks)
+    shards = [shard_filter(valuations, (i, count)) for i in range(count)]
+    seen = [pair for shard in shards for pair in shard]
+    assert sorted(seen) == list(enumerate(valuations))
     for i, shard in enumerate(shards):
-        assert all(t.order % count == i for t in shard)
-    assert shard_filter(tasks, None) == tasks
-    assert shard_filter(tasks, (0, 1)) == tasks
+        assert all(order % count == i for order, _v in shard)
+    assert shard_filter(valuations, None) == list(enumerate(valuations))
+    assert shard_filter(valuations, (0, 1)) == list(enumerate(valuations))
+
+
+def test_local_shards_partition_their_shard():
+    orders = range(60)
+    assert local_shards(None, 3) == [(0, 3), (1, 3), (2, 3)]
+    for outer in (None, (0, 2), (1, 2), (2, 5)):
+        index, count = outer or (0, 1)
+        mine = [o for o in orders if o % count == index]
+        covered = sorted(
+            o for sub_index, sub_count in local_shards(outer, 4)
+            for o in orders if o % sub_count == sub_index)
+        assert covered == mine  # each order of the shard exactly once
 
 
 def test_resolve_shard_validates():
@@ -153,6 +157,16 @@ def test_resolve_shard_validates():
     for bad in ((3, 3), (-1, 2), (0, 0)):
         with pytest.raises(ValueError):
             resolve_shard(bad)
+
+
+def test_workers_zero_follows_cpu_affinity(monkeypatch):
+    """``workers=0`` counts the CPUs this process may use, not the host's."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert resolve_workers(0) == 1
+    assert resolve_workers(None) == 1
+    assert resolve_workers(3) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -176,57 +190,95 @@ def test_workers_and_shards_agree(prop, expected):
 
     merged = _merged_shard_run(comp, dbs, prop, count=3, workers=2)
     _assert_equivalent(reference, merged, comp, dbs, dom.values)
-    assert not leaked_segments(), leaked_segments()
 
 
-def test_shard_conflicts_are_rejected():
+def test_shard_combines_with_supplied_cache():
+    """The graph does not depend on the valuation: a shard may reuse one."""
     comp, dbs = sender_receiver_case()
     from repro.verifier import TransitionCache
     from repro.spec.channels import DECIDABLE_DEFAULT
     dom = verification_domain(comp, [], dbs, fresh_count=1)
+    reference = _verify(comp, dbs, LIVENESS, workers=1)
     cache = TransitionCache(comp, dbs, dom.values, DECIDABLE_DEFAULT)
-    with pytest.raises(ValueError, match="shard"):
-        verify(comp, SAFETY, dbs, domain=dom, shard=(0, 2),
-               transition_cache=cache)
+    fragments = [
+        shard_fragment([verify(comp, LIVENESS, dbs, domain=dom,
+                               shard=(index, 2), transition_cache=cache)],
+                       (index, 2), composition=comp)
+        for index in range(2)
+    ]
+    merged = result_from_merged(merge_fragments(fragments)["properties"][0])
+    _assert_equivalent(reference, merged, comp, dbs, dom.values)
 
 
 # ---------------------------------------------------------------------------
-# crash robustness
+# one worker stays in process
 
 
-def test_pool_crash_falls_back_sequentially(monkeypatch):
-    """Killing a worker mid-task must not change the verdict or leak."""
-    comp, dbs = sender_receiver_case()
-    reference = _verify(comp, dbs, LIVENESS, workers=1)
+#: Run in a fresh interpreter: ``import repro.cli`` and a one-worker
+#: ``repro verify`` must not load the process-pool machinery.
+_NO_POOL_PROBE = """
+import sys
+import repro.cli
 
-    monkeypatch.setenv("REPRO_TEST_KILL_TASK", "0")
-    before = counters_snapshot()
-    crashed = _verify(comp, dbs, LIVENESS, workers=2)
-    after = counters_snapshot()
+def pool_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("multiprocessing", "concurrent"))
 
-    broke = (after.get("sweep.pool_broken", 0)
-             - before.get("sweep.pool_broken", 0))
-    assert broke >= 1, "the killed worker did not trip the pool fallback"
-    assert crashed.verdict == reference.verdict
-    assert (crashed.counterexample.valuation
-            == reference.counterexample.valuation)
-    assert crashed.counterexample.lasso == reference.counterexample.lasso
-    assert not leaked_segments(), leaked_segments()
+assert pool_modules() == [], pool_modules()
+assert repro.cli.main(["verify", "--workers", "1", sys.argv[1]]) == 1
+assert pool_modules() == [], pool_modules()
+"""
+
+
+def test_one_worker_loads_no_process_pool(tmp_path):
+    spec = tmp_path / "sr.dws"
+    spec.write_text(SPEC_TEXT)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    child = subprocess.run(
+        [sys.executable, "-c", _NO_POOL_PROBE, str(spec)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
 
 
 # ---------------------------------------------------------------------------
-# start methods
+# a dead child
 
 
-def test_spawn_start_method_smoke(monkeypatch):
-    """The pool works (and stays deterministic) under spawn workers."""
+def _die_in_shard_one(monkeypatch):
+    """Make the child of local shard 1 die with exit code 17.
+
+    The fork start method copies the patched module into the child.
+    """
+    run_shard = ltlfo_verifier._run_shard
+
+    def dying(shard):
+        if shard[0] == 1:
+            os._exit(17)
+        return run_shard(shard)
+
+    monkeypatch.setattr(ltlfo_verifier, "_run_shard", dying)
+
+
+def test_dead_shard_child_is_an_error(monkeypatch):
     comp, dbs = sender_receiver_case()
-    dom = verification_domain(comp, [], dbs, fresh_count=1)
-    reference = _verify(comp, dbs, LIVENESS, workers=1)
-    monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-    par = _verify(comp, dbs, LIVENESS, workers=2)
-    _assert_equivalent(reference, par, comp, dbs, dom.values)
-    assert not leaked_segments(), leaked_segments()
+    _die_in_shard_one(monkeypatch)
+    with pytest.raises(VerificationError,
+                       match=r"shard 1/2 died with exit code 17"):
+        _verify(comp, dbs, LIVENESS, workers=2)
+
+
+def test_dead_shard_child_exits_2_without_traceback(monkeypatch, tmp_path,
+                                                    capsys):
+    spec = tmp_path / "sr.dws"
+    spec.write_text(SPEC_TEXT)
+    _die_in_shard_one(monkeypatch)
+    assert main(["verify", str(spec), "--workers", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "error: the child running shard 1/2 died with exit code 17" \
+        in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -246,4 +298,3 @@ def test_shard_merge_matches_sequential(items, prop, count):
     reference = _verify(comp, dbs, prop, workers=1)
     merged = _merged_shard_run(comp, dbs, prop, count=count, workers=1)
     _assert_equivalent(reference, merged, comp, dbs, dom.values)
-    assert not leaked_segments(), leaked_segments()

@@ -1,6 +1,6 @@
 """Golden digests of the expansion kernel's output.
 
-The seed, shared, pool and shard differentials all call the same
+The seed, shared, local-shard and shard differentials all call the same
 :func:`repro.runtime.step.successors`, so a change to the order in
 which it lists successors would move every lasso and still pass them
 all.  This module pins that order, and the states themselves, against
@@ -12,7 +12,8 @@ recorded sha256 digests:
   ``offsets``/``targets`` arrays;
 * per violated library property, the decisive valuation, the lasso and
   ``product_nodes_visited`` of a ``verify()`` run with the valuation
-  candidates ``repro profile`` uses.
+  candidates ``repro profile`` uses -- in process and as two local
+  shards (``workers=2``), which must both match the recorded row.
 
 Renderings sort every set, so the digests do not depend on
 ``PYTHONHASHSEED``.  The verdict rows are computed in a child
@@ -159,7 +160,7 @@ def _document_explorations(document: str) -> list:
         composition,
         [parse_ltlfo(properties[n], composition.schema)
          for n in sorted(properties)],
-        databases, workers=1, engine="shared")
+        databases)
     return list({id(engine): engine for _d, engine in plan}.values())
 
 
@@ -180,7 +181,7 @@ PROFILE_CANDIDATES = {
 }
 
 
-def verdict_case(key: str) -> list:
+def verdict_case(key: str, workers: int = 1) -> list:
     """``[decisive valuation, lasso digest, product nodes visited]``."""
     setup, constant = key.split(".")
     extra = {}
@@ -196,7 +197,8 @@ def verdict_case(key: str) -> list:
                       else module.STANDARD_CANDIDATES)
     result = verify(composition, getattr(module, f"PROPERTY_{constant}"),
                     databases, domain=domain,
-                    valuation_candidates=candidates, workers=1, **extra)
+                    valuation_candidates=candidates, workers=workers,
+                    **extra)
     assert not result.satisfied, key
     return [repr(sorted(result.counterexample.valuation.items())),
             lasso_digest(result.counterexample.lasso),
@@ -264,8 +266,9 @@ def test_graph_digest(key):
 
 
 @pytest.fixture(scope="module")
-def verdict_rows() -> dict[str, list]:
-    """Every ``verdict_case`` row, from a child with ``PYTHONHASHSEED=0``."""
+def verdict_rows() -> dict[str, dict[str, list]]:
+    """Every ``verdict_case`` row per worker count (``"1"``, ``"2"``),
+    from a child with ``PYTHONHASHSEED=0``."""
     path = os.pathsep.join(filter(None, (str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH"))))
     child = subprocess.run(
@@ -277,7 +280,12 @@ def verdict_rows() -> dict[str, list]:
 
 @pytest.mark.parametrize("key", VIOLATED)
 def test_violated_property(key, verdict_rows):
-    assert verdict_rows[key] == VERDICT_DIGESTS[key]
+    assert verdict_rows["1"][key] == VERDICT_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", VIOLATED)
+def test_violated_property_local_shards(key, verdict_rows):
+    assert verdict_rows["2"][key] == VERDICT_DIGESTS[key]
 
 
 def test_every_case_is_recorded():
@@ -295,7 +303,10 @@ def _graph_keys() -> list[str]:
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--verdicts-json"]:
-        print(json.dumps({key: verdict_case(key) for key in VIOLATED}))
+        print(json.dumps({
+            str(workers): {key: verdict_case(key, workers)
+                           for key in VIOLATED}
+            for workers in (1, 2)}))
         sys.exit(0)
     print("GRAPH_DIGESTS = {")
     for key in _graph_keys():

@@ -92,36 +92,6 @@ class TestStampPropagation:
                                shard=(0, 2))
         assert ctx.stamp() == {"run": "r-w", "worker": 3, "shard": "0/2"}
 
-    def test_bootstrap_round_trip(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        ledger.begin_run(run_id="r-boot-01", shard=(1, 2))
-        configure_tracing(str(path))
-        boot = ledger.worker_bootstrap(worker=2)
-        assert boot == {"run_id": "r-boot-01", "shard": (1, 2),
-                        "worker": 2, "trace_path": str(path)}
-        # simulate a spawn worker: fresh module state, then adopt
-        configure_tracing(None)
-        ledger.end_run()
-        ctx = ledger.adopt_worker(boot)
-        assert ctx.role == "worker"
-        assert ctx.worker == 2
-        assert ctx.shard == (1, 2)
-        assert ledger.current_run_id() == "r-boot-01"
-        assert trace_mod.tracing_enabled()
-        trace_mod.instant("from-worker")
-        configure_tracing(None)
-        events = [json.loads(line)
-                  for line in path.read_text().splitlines() if line]
-        workers = [ev for ev in events if ev["name"] == "from-worker"]
-        assert workers and workers[0]["worker"] == 2
-        # adoption appended; the driver's opening anchor survived
-        assert events[0]["name"] == "stream-start"
-
-    def test_adopt_none_bootstrap_is_noop(self):
-        assert ledger.adopt_worker(None) is None
-        assert ledger.adopt_worker({"run_id": None,
-                                    "trace_path": None}) is None
-
 
 def _write_stream(path, pid, wall0, events, run="r-stitch",
                   worker=None, append=False):

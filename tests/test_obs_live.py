@@ -47,10 +47,8 @@ class TestGating:
     def test_null_progress_accepts_all_calls(self):
         p = live.NULL_PROGRESS
         p.advance(3, violated=1)
-        p.add_counters({"x": 1})
         p.set_info(workers=4)
         p.tick(force=True)
-        p.reset()
         p.finish("cancelled")
 
 
@@ -115,15 +113,6 @@ class TestHeartbeatRecords:
         progress.finish()  # finish always writes
         assert (live.run_dir("r-hb-01")
                 / "heartbeat.jsonl").read_text().count("\n") == after + 1
-
-    def test_reset_starts_over(self):
-        progress = self._plane()
-        progress.advance(7, violated=3)
-        progress.reset()
-        progress.finish()
-        record = live.read_progress("r-hb-01")
-        assert record["done"] == 0
-        assert record["counters"] == {}
 
 
 class TestReaders:

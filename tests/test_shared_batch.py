@@ -1,10 +1,11 @@
 """One exploration per run: CLI property batches against solo runs.
 
-In process (one worker, no ``--shard``, the ``shared`` engine),
-``repro verify`` and ``repro profile`` give every distinct verification
-domain one :class:`SharedExploration` and pass it to each property's
-``verify()`` call.  Sharing must not show in any result: for every
-property the verdict, the decisive valuation, the lasso,
+In process (one worker, sharded or not), ``repro verify`` and ``repro
+profile`` give every distinct verification domain one
+:class:`SharedExploration` and pass it to each property's ``verify()``
+call; with ``--workers N`` each local shard does the same in its
+child.  Sharing must not show in any result: for every property the
+verdict, the decisive valuation, the lasso,
 ``valuations_checked`` and ``product_nodes_visited`` equal a solo
 ``verify()`` over the same domain.  ``system_states`` is not compared
 (a shared exploration reports its own size, and a solo lazy search may
@@ -169,15 +170,23 @@ def test_profile_loan_matches_solo_runs(calls, capsys):
     assert "warning:" not in out.err
 
 
-@pytest.mark.parametrize("extra", [["--engine", "seed"],
-                                   ["--workers", "2"]])
-def test_profile_flags_per_property_exploration(extra, capsys):
-    """Seed engine and worker pool explore per property: ratio 2.00."""
-    assert cli.main(["profile", "loan", *extra]) == 0
+def test_profile_flags_per_shard_exploration(capsys):
+    """Two local shards explore the graph once each: ratio 2.00."""
+    assert cli.main(["profile", "loan", "--workers", "2"]) == 0
     out = capsys.readouterr()
     assert "expansions: 410 of 205 distinct states (2.00 per state)" \
         in out.out
     assert "warning: states were expanded 2.00 times each" in out.err
+
+
+def test_profile_shard_shares_one_exploration(capsys, tmp_path):
+    """A shard walks one graph for every property, like the whole sweep."""
+    assert cli.main(["profile", "loan", "--shard", "0/2", "--shard-output",
+                     str(tmp_path / "shard.json")]) == 0
+    out = capsys.readouterr()
+    assert "expansions: 205 of 205 distinct states (1.00 per state)" \
+        in out.out
+    assert "warning:" not in out.err
 
 
 def batch_sentences():
@@ -201,22 +210,17 @@ def test_letter_memo_dropped_for_supplied_exploration():
     assert engine.frozen is not None and engine.shared._views
 
 
-def test_property_engines_share_only_in_process():
+def test_property_engines_share_per_domain():
     composition, databases, by_name = batch_sentences()
     sentences = list(by_name.values())
-    shared = property_engines(composition, sentences, databases,
-                              workers=1, engine="shared")
-    engines = [engine for _domain, engine in shared]
+    plan = property_engines(composition, sentences, databases)
+    engines = [engine for _domain, engine in plan]
+    assert all(isinstance(e, SharedExploration) for e in engines)
     assert engines[0] is engines[1] is engines[3]
     assert engines[2] is not engines[0]
-    for kwargs, name in (({"workers": 2}, "shared"),
-                         ({"shard": (0, 2)}, "shared"),
-                         ({"engine": "seed"}, "seed")):
-        plan = property_engines(composition, sentences, databases,
-                                **{"workers": 1, "engine": "shared",
-                                   **kwargs})
-        assert [engine for _d, engine in plan] == [name] * len(sentences)
-        assert [d for d, _e in plan] == [d for d, _e in shared]
+    assert [d for d, _e in plan] == [
+        verification_domain(composition, [s], databases)
+        for s in sentences]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
