@@ -1,17 +1,17 @@
 """E14 (PR5): shared-exploration sweep -- cross-valuation reuse.
 
-The shared engine interns global states, freezes the reachable snapshot
-graph after the first valuation (sound by Theorem 3.4: the snapshot
-graph does not depend on the valuation), and memoizes per-state letter
-fragments across valuations.  Rows measured here:
+The shared engine interns global states, completes the reachable
+snapshot graph into memoized successor rows after the first valuation
+(sound by Theorem 3.4: the snapshot graph does not depend on the
+valuation), and memoizes per-state letter fragments across valuations.  Rows measured here:
 
 * a wide loan sweep (>= 8 valuations of the letter property) run
   sequentially under both engines -- the shared engine must be at
   least ``REPRO_BENCH_MIN_SPEEDUP`` (default 3x) faster while agreeing
   node-for-node with the seed;
-* the same sweep at ``--workers`` -- each local shard's child freezes
+* the same sweep at ``--workers`` -- each local shard's child completes
   the graph once and serves its valuations from it, so the run must
-  show frozen-graph serving (``graph.reuse_hits``) and at most one
+  show memoized-row serving (``graph.reuse_hits``) and at most one
   full expansion per child (``product.states_expanded``);
 * a quick parity row over the standard candidates for the CI smoke
   job.
@@ -83,7 +83,7 @@ def test_shared_vs_seed_sequential(benchmark):
 
 
 def test_workers_serve_frozen_graph(benchmark):
-    """Each local shard expands the graph once, then walks its CSR."""
+    """Each local shard expands the graph once, then walks its rows."""
     before = counters_snapshot()
     workers = bench_workers()
     result = benchmark.pedantic(_sweep, args=("shared", workers),

@@ -4,7 +4,9 @@ A composition satisfies a conversation protocol iff every run's trace is
 accepted by the protocol automaton.  Verification searches the product of
 the composition's snapshot graph with an automaton for the *complement*
 of the protocol language (negated LTL, or rank/DBA complementation for
-automaton-given protocols) for an accepting lasso.
+automaton-given protocols) for an accepting lasso, in the valuation loop
+the LTL-FO verifier uses
+(:func:`~repro.verifier.ltlfo_verifier.sweep_valuations`).
 """
 
 from __future__ import annotations
@@ -15,12 +17,9 @@ from ..errors import VerificationError
 from ..fo import formulas as fo
 from ..fo.evaluator import evaluate
 from ..fo.instance import Instance
-from ..ltl.buchi import BuchiAutomaton
-from ..ltl.formulas import land, latom, lfinally
+from ..ltl.formulas import land
 from ..ltl.translate import ltl_to_buchi
-from ..obs import diff_numeric, phase_counts, phase_seconds
 from ..runtime.run import Lasso
-from ..runtime.step import rule_cache_delta, rule_cache_info
 from ..runtime.state import GlobalState, snapshot_view
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
@@ -28,12 +27,10 @@ from ..verifier.atoms import OccursAtom
 from ..verifier.domain import (
     VerificationDomain, canonical_valuations, verification_domain,
 )
-from ..verifier.product import ProductSystem, SearchBudget, TransitionCache
-from ..verifier.result import (
-    Counterexample, Stopwatch, VerificationResult, VerifierStats,
-)
-from ..verifier.search import find_accepting_lasso
-from .base import AgnosticProtocol, DataAwareProtocol, Observer
+from ..verifier.ltlfo_verifier import occurs_terms, sweep_valuations
+from ..verifier.product import SearchBudget, TransitionCache
+from ..verifier.result import VerificationResult
+from .base import AgnosticProtocol, DataAwareProtocol
 
 
 class CallbackEvaluator:
@@ -60,40 +57,20 @@ class CallbackEvaluator:
         return cached
 
 
-def _search(composition: Composition, cache: TransitionCache,
-            nba: BuchiAutomaton, evaluator, stats: VerifierStats,
-            valuation: Mapping[str, object], text: str
-            ) -> Counterexample | None:
-    product = ProductSystem(cache, nba, evaluator)
-    lasso_nodes, search_stats = find_accepting_lasso(product)
-    stats.merge_search(search_stats.blue_visited, search_stats.red_visited)
-    stats.nba_states_total += nba.num_states()
-    if lasso_nodes is None:
-        return None
-    return Counterexample(
-        valuation=dict(valuation),
-        lasso=Lasso(
-            tuple(n[0] for n in lasso_nodes.prefix),
-            tuple(n[0] for n in lasso_nodes.cycle),
-        ),
-        property_text=text,
-    )
-
-
 def verify_agnostic(composition: Composition,
                     protocol: AgnosticProtocol,
                     databases: Mapping[str, Instance],
                     semantics: ChannelSemantics = DECIDABLE_DEFAULT,
                     domain: VerificationDomain | None = None,
                     budget: SearchBudget | None = None,
-                    transition_cache: TransitionCache | None = None,
                     ) -> VerificationResult:
     """Check compliance with a data-agnostic protocol (Theorem 4.2).
 
     Observer-at-source protocols are checked with the same product
     machinery (letters become send events).  For a fixed database and
     domain the check is exact; Theorem 4.3's undecidability concerns the
-    unrestricted problem.
+    unrestricted problem.  The protocol has no closure variables, so the
+    sweep checks the one empty valuation.
     """
     unknown = set(protocol.alphabet) - {
         c.name for c in composition.channels
@@ -104,36 +81,20 @@ def verify_agnostic(composition: Composition,
         )
     if domain is None:
         domain = verification_domain(composition, [], databases)
-    stats = VerifierStats()
-    cache = transition_cache or TransitionCache(
+    cache = TransitionCache(
         composition, databases, domain.values, semantics, budget=budget,
     )
     text = (f"agnostic protocol over {sorted(protocol.alphabet)} "
             f"({protocol.observer.value})")
-    cache_before = rule_cache_info()
-    seconds_before = phase_seconds()
-    counts_before = phase_counts()
-    with Stopwatch(stats):
-        stats.valuations_checked = 1
+
+    def unit(_valuation):
         nba = protocol.violation_automaton()
-        evaluator = CallbackEvaluator(
+        return nba, CallbackEvaluator(
             frozenset(nba.aps),
             lambda ap, state: ap in protocol.letter_of(state),
         )
-        counterexample = _search(composition, cache, nba, evaluator,
-                                 stats, {}, text)
-        stats.system_states = cache.states_expanded
-    stats.merge_phases(diff_numeric(phase_seconds(), seconds_before),
-                       diff_numeric(phase_counts(), counts_before))
-    stats.merge_rule_cache(rule_cache_delta(cache_before))
-    return VerificationResult(
-        satisfied=counterexample is None,
-        property_text=text,
-        counterexample=counterexample,
-        stats=stats,
-        domain_description=domain.describe(),
-        semantics_description=semantics.describe(),
-    )
+
+    return sweep_valuations([{}], cache, unit, text, domain, semantics)
 
 
 def verify_aware(composition: Composition,
@@ -142,7 +103,6 @@ def verify_aware(composition: Composition,
                  semantics: ChannelSemantics = DECIDABLE_DEFAULT,
                  domain: VerificationDomain | None = None,
                  budget: SearchBudget | None = None,
-                 transition_cache: TransitionCache | None = None,
                  ) -> VerificationResult:
     """Check compliance with a data-aware protocol (Theorem 4.5).
 
@@ -162,67 +122,34 @@ def verify_aware(composition: Composition,
             domain = VerificationDomain(
                 domain.constants + extra, domain.fresh
             )
-    stats = VerifierStats()
-    cache = transition_cache or TransitionCache(
+    cache = TransitionCache(
         composition, databases, domain.values, semantics, budget=budget,
     )
     text = f"data-aware protocol over {sorted(protocol.symbols)}"
     violation = protocol.violation_automaton()
 
-    counterexample: Counterexample | None = None
-    cache_before = rule_cache_info()
-    seconds_before = phase_seconds()
-    counts_before = phase_counts()
-    with Stopwatch(stats):
-        for valuation in canonical_valuations(variables, domain):
-            stats.valuations_checked += 1
-            instantiated = {
-                name: fo.instantiate(formula, valuation)
-                for name, formula in protocol.symbols.items()
-            }
-            occurs_values = [
-                v for v in set(valuation.values())
-                if v not in domain.constants
-            ]
-            nba = violation
-            if occurs_values:
-                occurs_nba = ltl_to_buchi(land(*[
-                    lfinally(latom(OccursAtom(v))) for v in occurs_values
-                ]))
-                nba = violation.intersection(occurs_nba)
+    def unit(valuation):
+        instantiated = {
+            name: fo.instantiate(formula, valuation)
+            for name, formula in protocol.symbols.items()
+        }
+        occurs = occurs_terms(valuation, domain)
+        nba = (violation.intersection(ltl_to_buchi(land(*occurs)))
+               if occurs else violation)
+        views: dict[GlobalState, Instance] = {}
 
-            view_cache: dict[GlobalState, Instance] = {}
+        def truth(ap, state):
+            if isinstance(ap, OccursAtom):
+                return ap.value in state.active_domain()
+            view = views.get(state)
+            if view is None:
+                view = views[state] = snapshot_view(state, composition)
+            return evaluate(instantiated[ap], view, domain.values)
 
-            def truth(ap, state, _inst=instantiated, _vc=view_cache):
-                if isinstance(ap, OccursAtom):
-                    return ap.value in state.active_domain()
-                view = _vc.get(state)
-                if view is None:
-                    view = snapshot_view(state, composition)
-                    _vc[state] = view
-                return evaluate(_inst[ap], view, domain.values)
+        return nba, CallbackEvaluator(frozenset(nba.aps), truth)
 
-            evaluator = CallbackEvaluator(frozenset(nba.aps), truth)
-            counterexample = _search(
-                composition, cache, nba, evaluator, stats,
-                {v.name: val for v, val in valuation.items()}, text,
-            )
-            if counterexample is not None:
-                break
-        stats.system_states = cache.states_expanded
-
-    stats.merge_phases(diff_numeric(phase_seconds(), seconds_before),
-                       diff_numeric(phase_counts(), counts_before))
-    stats.merge_rule_cache(rule_cache_delta(cache_before))
-
-    return VerificationResult(
-        satisfied=counterexample is None,
-        property_text=text,
-        counterexample=counterexample,
-        stats=stats,
-        domain_description=domain.describe(),
-        semantics_description=semantics.describe(),
-    )
+    return sweep_valuations(canonical_valuations(variables, domain), cache,
+                            unit, text, domain, semantics)
 
 
 def trace_of(lasso: Lasso, protocol: AgnosticProtocol

@@ -118,8 +118,6 @@ def validate_lasso(composition: Composition,
                    domain: Domain,
                    lasso: Lasso,
                    semantics: ChannelSemantics = DECIDABLE_DEFAULT,
-                   include_environment: bool = True,
-                   env_one_action_per_move: bool = True,
                    env_value_domain: Domain | None = None,
                    ) -> list[str]:
     """Replay a lasso through the legal-successor relation.
@@ -132,9 +130,9 @@ def validate_lasso(composition: Composition,
     search, and available to callers that want defence-in-depth on
     verifier output.
 
-    The ``env_*`` knobs must match the ones the verifier searched with,
-    otherwise environment moves of an open composition are judged
-    against a different environment.
+    Environment moves of an open composition are judged as the verifier
+    explores them (one environment action per move); ``env_value_domain``
+    must match the one the verifier searched with.
     """
     problems: list[str] = []
     states = lasso.states()
@@ -148,8 +146,7 @@ def validate_lasso(composition: Composition,
     def succs(state: GlobalState) -> list[GlobalState]:
         return successors(
             composition, state, domain, semantics,
-            include_environment=include_environment,
-            env_one_action_per_move=env_one_action_per_move,
+            env_one_action_per_move=True,
             env_value_domain=env_value_domain,
         )
 

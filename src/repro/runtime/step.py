@@ -497,16 +497,13 @@ def peer_successors(composition: Composition, state: GlobalState,
 
 def successors(composition: Composition, state: GlobalState,
                domain: Domain, semantics: ChannelSemantics,
-               include_environment: bool = True,
-               env_max_nested_rows: int = 1,
                env_one_action_per_move: bool = False,
                env_value_domain: Domain | None = None) -> list[GlobalState]:
     """All legal successors of *state* (any peer may move).
 
     Every peer's move reads the same view of *state*, rendered once.
-    For open compositions, environment moves are included unless
-    *include_environment* is False; the ``env_*`` knobs bound the
-    environment's nondeterminism (see
+    For open compositions, environment moves are included; the ``env_*``
+    knobs bound the environment's nondeterminism (see
     :func:`~repro.runtime.environment.environment_successors`).
     """
     view = snapshot_view(state, composition)
@@ -515,12 +512,11 @@ def successors(composition: Composition, state: GlobalState,
     for plan in _move_plans(composition).values():
         out.extend(_move_successors(composition, plan, state, view, domain,
                                     semantics))
-    if include_environment and not composition.is_closed:
+    if not composition.is_closed:
         from .environment import environment_successors
         out.extend(
             environment_successors(
                 composition, state, domain, semantics,
-                max_nested_rows=env_max_nested_rows,
                 one_action_per_move=env_one_action_per_move,
                 value_domain=env_value_domain,
             )

@@ -9,10 +9,7 @@ from .domain import (
     VerificationDomain, canonical_valuations, canonicalize_valuation,
     enumerate_databases, fresh_values, verification_domain,
 )
-from .graph import (
-    ExploredGraph, InternedProduct, SharedExploration, StateInterner,
-    resolve_engine,
-)
+from .graph import SharedExploration, StateInterner, resolve_engine
 from .shards import (
     MERGED_SCHEMA, SHARD_SCHEMA, merge_fragments,
     merge_metrics_snapshots, result_from_merged, shard_fragment,
@@ -24,9 +21,9 @@ from .result import (
 )
 from .search import LassoNodes, SearchStats, find_accepting_lasso
 from .ltlfo_verifier import (
-    check_one_valuation, local_shards, preflight, property_engines,
-    resolve_shard, resolve_workers, run_local_shards, shard_filter,
-    verify, verify_all, verify_over_databases,
+    local_shards, preflight, property_engines, resolve_shard,
+    resolve_workers, run_local_shards, shard_filter, verify, verify_all,
+    verify_over_databases,
 )
 from .modular import (
     environment_schema, observer_translate, parse_env_spec,
@@ -34,14 +31,13 @@ from .modular import (
 )
 
 __all__ = [
-    "Counterexample", "ExploredGraph", "InternedProduct",
-    "InternedSnapshotEvaluator", "LassoNodes", "MERGED_SCHEMA",
-    "OccursAtom", "ProductSystem", "SHARD_SCHEMA", "SearchBudget",
-    "SearchStats", "SharedExploration", "SharedSnapshotContext",
-    "SnapshotEvaluator", "StateInterner", "TaskStats",
-    "TransitionCache", "VerificationDomain", "VerificationResult",
-    "VerifierStats", "canonical_valuations", "canonicalize_valuation",
-    "check_one_valuation", "enumerate_databases",
+    "Counterexample", "InternedSnapshotEvaluator", "LassoNodes",
+    "MERGED_SCHEMA", "OccursAtom", "ProductSystem", "SHARD_SCHEMA",
+    "SearchBudget", "SearchStats", "SharedExploration",
+    "SharedSnapshotContext", "SnapshotEvaluator", "StateInterner",
+    "TaskStats", "TransitionCache", "VerificationDomain",
+    "VerificationResult", "VerifierStats", "canonical_valuations",
+    "canonicalize_valuation", "enumerate_databases",
     "environment_schema", "find_accepting_lasso", "fresh_values",
     "local_shards", "merge_fragments", "merge_metrics_snapshots",
     "observer_translate", "parse_env_spec", "preflight",

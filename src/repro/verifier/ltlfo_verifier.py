@@ -34,13 +34,13 @@ from __future__ import annotations
 import os
 import signal
 import time
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from ..errors import InputBoundednessError, VerificationError
 from ..fo.instance import Instance
 from ..fo.terms import Value, Var, value_sort_key
 from ..ib.checker import check_composition, check_sentence
+from ..ltl.buchi import BuchiAutomaton
 from ..ltl.formulas import land, latom, lfinally, lglobally, lnot
 from ..ltl.translate import ltl_to_buchi
 from ..ltlfo.formulas import LTLFOSentence
@@ -57,7 +57,7 @@ from .atoms import InternedSnapshotEvaluator, OccursAtom, SnapshotEvaluator
 from .domain import (
     VerificationDomain, canonical_valuations, verification_domain,
 )
-from .graph import InternedProduct, SharedExploration, resolve_engine
+from .graph import SharedExploration, resolve_engine
 from .product import ProductSystem, SearchBudget, TransitionCache
 from .result import (
     Counterexample, Stopwatch, TaskStats, VerificationResult,
@@ -74,18 +74,34 @@ def _as_sentence(prop: LTLFOSentence | str,
     return prop
 
 
-def _candidate_valuations(sentence: LTLFOSentence,
+def _candidate_valuations(variables: Sequence[Var],
                           domain: VerificationDomain,
                           candidates: Mapping[str, Sequence[Value]] | None
                           ) -> list[dict]:
-    """The sentence's canonical valuations, restricted to *candidates*."""
-    valuations = canonical_valuations(sentence.variables, domain)
+    """The canonical valuations of *variables*, restricted to *candidates*."""
+    valuations = canonical_valuations(variables, domain)
     if not candidates:
         return valuations
     return [
         v for v in valuations
         if all(var.name not in candidates or v[var] in candidates[var.name]
-               for var in sentence.variables)
+               for var in variables)
+    ]
+
+
+def occurs_terms(valuation: Mapping[Var, Value],
+                 domain: VerificationDomain) -> list:
+    """``F occurs(v)`` for each fresh value of *valuation*.
+
+    The ``Dom(rho)`` restriction of the closure semantics: a fresh value
+    a counterexample's valuation uses must occur in the run.  Sorted so
+    the conjunct order (hence the GPVW translation) is identical across
+    processes regardless of hash randomization.
+    """
+    return [
+        lfinally(latom(OccursAtom(v)))
+        for v in sorted(set(valuation.values()), key=value_sort_key)
+        if v not in domain.constants
     ]
 
 
@@ -188,22 +204,7 @@ def local_shards(shard: tuple[int, int] | None,
 
 
 # ---------------------------------------------------------------------------
-# one valuation
-
-
-@dataclass(frozen=True)
-class ValuationOutcome:
-    """Result of checking one valuation: lasso (if violated) + counters."""
-
-    lasso_prefix: tuple | None
-    lasso_cycle: tuple | None
-    nba_states: int
-    blue_visited: int
-    red_visited: int
-
-    @property
-    def violated(self) -> bool:
-        return self.lasso_cycle is not None
+# the valuation loop
 
 
 def fairness_terms(composition: Composition) -> list:
@@ -216,64 +217,92 @@ def fairness_terms(composition: Composition) -> list:
     ]
 
 
-def check_one_valuation(composition: Composition,
-                        sentence: LTLFOSentence,
-                        valuation: Mapping[Var, Value],
-                        domain: VerificationDomain,
-                        cache: TransitionCache | None,
-                        fair_scheduling: bool = False,
-                        engine: SharedExploration | None = None
-                        ) -> ValuationOutcome:
-    """Translate + search one valuation of the closure variables.
+#: Per-valuation unit of a sweep: the valuation's violation automaton
+#: and the evaluator of its letters on the exploration's nodes.
+Unit = Callable[[Mapping[Var, Value]], tuple[BuchiAutomaton, object]]
 
-    The per-valuation unit of work of :func:`verify`: instantiate the
-    sentence, negate, conjoin the ``Dom(rho)`` ``F occurs(v)``
-    restrictions (and fairness terms if requested), translate to a
-    Büchi automaton, and search the on-the-fly product for an
-    accepting lasso.
 
-    With ``engine`` (a :class:`~repro.verifier.graph.SharedExploration`)
-    the product runs over interned state ids and the exploration's
-    shared snapshot/letter caches; lasso nodes are mapped back to
-    snapshots before returning, so the outcome is indistinguishable
-    from the seed path.
+def sweep_valuations(valuations: Sequence[Mapping[Var, Value]],
+                     space, unit: Unit, property_text: str,
+                     domain: VerificationDomain,
+                     semantics: ChannelSemantics,
+                     shard: tuple[int, int] | None = None
+                     ) -> VerificationResult:
+    """The valuation loop behind every decision procedure.
+
+    LTL-FO properties (:func:`verify`), conversation protocols
+    (:func:`repro.protocols.verify_agnostic`/``verify_aware``) and
+    modular specs (:func:`repro.verifier.verify_modular`) all sweep the
+    closure valuations and search, for each, the product of the
+    exploration *space* with the valuation's violation automaton.  For
+    each valuation *shard* owns (:func:`shard_filter`), ``unit`` gives
+    the automaton and the letter evaluator; the first accepting lasso,
+    mapped back to snapshots with ``space.state_of``, decides the
+    verdict and stops the loop.  Sharded runs record one ``per_task``
+    row per valuation.
+
+    Over a :class:`SharedExploration` the first valuation explores
+    lazily (it may decide the verdict without the full graph); from the
+    second on the graph is completed, so the remaining valuations are
+    pure graph walks.  The exploration's letter memo is per-AP-set, so
+    it is dropped when the loop ends.
     """
-    body = sentence.instantiate(valuation)
-    negated = lnot(body)
-    # Dom(rho) restriction: fresh valuation values must occur.  Sorted
-    # so the conjunct order (hence the GPVW translation) is identical
-    # across processes regardless of hash randomization.
-    occurs_terms = [
-        lfinally(latom(OccursAtom(v)))
-        for v in sorted(set(valuation.values()), key=value_sort_key)
-        if v not in domain.constants
-    ]
-    extra = fairness_terms(composition) if fair_scheduling else []
-    nba = ltl_to_buchi(land(negated, *occurs_terms, *extra))
-    if engine is not None:
-        evaluator = InternedSnapshotEvaluator(
-            composition, domain.values, nba.aps, engine.shared
-        )
-        product = InternedProduct(engine, nba, evaluator)
-    else:
-        assert cache is not None
-        evaluator = SnapshotEvaluator(composition, domain.values, nba.aps)
-        product = ProductSystem(cache, nba, evaluator)
-    lasso_nodes, search_stats = find_accepting_lasso(product)
-    if lasso_nodes is None:
-        return ValuationOutcome(None, None, nba.num_states(),
-                                search_stats.blue_visited,
-                                search_stats.red_visited)
-    if engine is not None:
-        state_of = engine.interner.state_of
-        prefix = tuple(state_of(n[0]) for n in lasso_nodes.prefix)
-        cycle = tuple(state_of(n[0]) for n in lasso_nodes.cycle)
-    else:
-        prefix = tuple(n[0] for n in lasso_nodes.prefix)
-        cycle = tuple(n[0] for n in lasso_nodes.cycle)
-    return ValuationOutcome(prefix, cycle, nba.num_states(),
-                            search_stats.blue_visited,
-                            search_stats.red_visited)
+    shared = isinstance(space, SharedExploration)
+    stats = VerifierStats()
+    counterexample: Counterexample | None = None
+    cache_before = rule_cache_info()
+    seconds_before = phase_seconds()
+    counts_before = phase_counts()
+
+    with Stopwatch(stats):
+        for order, valuation in shard_filter(valuations, shard):
+            if shared and stats.valuations_checked == 1:
+                space.complete(strict=False)
+            started = time.perf_counter()
+            nba, evaluator = unit(valuation)
+            lasso, search = find_accepting_lasso(
+                ProductSystem(space, nba, evaluator))
+            stats.valuations_checked += 1
+            stats.nba_states_total += nba.num_states()
+            stats.merge_search(search.blue_visited, search.red_visited)
+            if shard is not None:
+                stats.per_task.append(TaskStats(
+                    order=order,
+                    wall_seconds=time.perf_counter() - started,
+                    nba_states=nba.num_states(),
+                    product_nodes=search.nodes_visited,
+                ))
+            if lasso is not None:
+                stats.decisive_order = order
+                state_of = space.state_of
+                counterexample = Counterexample(
+                    valuation={
+                        var.name: value
+                        for var, value in valuation.items()
+                    },
+                    lasso=Lasso(
+                        tuple(state_of(node[0]) for node in lasso.prefix),
+                        tuple(state_of(node[0]) for node in lasso.cycle),
+                    ),
+                    property_text=property_text,
+                )
+                break
+        stats.system_states = space.states_expanded
+        if shared:
+            space.shared.drop_letters()
+
+    stats.merge_phases(diff_numeric(phase_seconds(), seconds_before),
+                       diff_numeric(phase_counts(), counts_before))
+    stats.merge_rule_cache(rule_cache_delta(cache_before))
+
+    return VerificationResult(
+        satisfied=counterexample is None,
+        property_text=property_text,
+        counterexample=counterexample,
+        stats=stats,
+        domain_description=domain.describe(),
+        semantics_description=semantics.describe(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +432,8 @@ def verify(composition: Composition,
            domain: VerificationDomain | None = None,
            check_input_bounded: bool = True,
            budget: SearchBudget | None = None,
-           include_environment: bool = True,
-           transition_cache: TransitionCache | None = None,
            valuation_candidates: Mapping[str, Sequence[Value]] | None = None,
            env_value_domain: Sequence[Value] | None = None,
-           env_one_action_per_move: bool = True,
            fair_scheduling: bool = False,
            workers: int | None = None,
            engine: str | SharedExploration | None = None,
@@ -419,8 +445,8 @@ def verify(composition: Composition,
     ---------
     composition:
         A (normally closed) composition.  Open compositions are verified
-        against an unconstrained environment (every environment behaviour
-        over the domain is explored) unless ``include_environment=False``.
+        against an unconstrained environment: every environment behaviour
+        over the domain (or over ``env_value_domain``) is explored.
     prop:
         An :class:`LTLFOSentence` or its textual form.
     databases:
@@ -433,10 +459,6 @@ def verify(composition: Composition,
         bounded-domain estimate.
     check_input_bounded:
         Enforce the Theorem 3.4 restrictions before searching.
-    transition_cache:
-        Share one :class:`TransitionCache` across several properties of
-        the same composition/databases/semantics (a large saving when
-        checking property batches).
     valuation_candidates:
         Optional per-closure-variable value restriction (variable name ->
         values).  Restricting a variable makes the check complete only
@@ -456,18 +478,17 @@ def verify(composition: Composition,
         :func:`run_local_shards`).  Verdicts, counterexamples and node
         counts are identical to the in-process sweep.  Each child walks
         its own copy of the exploration, so a caller-supplied
-        ``transition_cache`` or :class:`SharedExploration` is not
-        filled in by the children.
+        :class:`SharedExploration` is not filled in by the children.
     engine:
         ``"shared"`` (default) runs the search over a hash-consed
         exploration shared across valuations -- the reachable graph is
-        frozen into CSR form after the first valuation and later
-        valuations are pure graph walks (see :mod:`repro.verifier.graph`).
-        ``"seed"`` is the original per-valuation engine, kept as the
-        reference oracle of the differential tests.  A
-        :class:`SharedExploration` instance reuses that exploration
-        directly (``verify_all`` and the CLI do this to share one
-        frozen graph across a property batch, see
+        completed into memoized successor rows after the first valuation
+        and later valuations are pure graph walks (see
+        :mod:`repro.verifier.graph`).  ``"seed"`` is the original
+        per-valuation engine, kept as the reference oracle of the
+        differential tests.  A :class:`SharedExploration` instance
+        reuses that exploration directly (``verify_all`` and the CLI do
+        this to share one graph across a property batch, see
         :func:`property_engines`); it must have been built over
         ``domain``.  Verdicts, counterexamples, and search node counts
         are identical either way (Theorem 3.4's graph is
@@ -499,89 +520,37 @@ def verify(composition: Composition,
             return [verify(
                 composition, sentence, databases, semantics, domain,
                 check_input_bounded=False, budget=budget,
-                include_environment=include_environment,
-                transition_cache=transition_cache,
                 valuation_candidates=valuation_candidates,
                 env_value_domain=env_value_domain,
-                env_one_action_per_move=env_one_action_per_move,
                 fair_scheduling=fair_scheduling, engine=engine,
                 shard=own_shard,
             )]
         return run_local_shards(run, n_workers, shard)[0]
 
-    valuations = _candidate_valuations(sentence, domain,
-                                       valuation_candidates)
-    stats = VerifierStats()
     if isinstance(engine, SharedExploration):
-        shared_engine: SharedExploration | None = engine
-        cache = engine.cache
+        space = engine
     else:
-        cache = transition_cache or TransitionCache(
-            composition, databases, domain.values, semantics,
-            include_environment=include_environment, budget=budget,
-            env_value_domain=env_value_domain,
-            env_one_action_per_move=env_one_action_per_move,
-        )
-        shared_engine = (SharedExploration(cache)
-                         if resolve_engine(engine) == "shared" else None)
-    result_counterexample: Counterexample | None = None
-    cache_before = rule_cache_info()
-    seconds_before = phase_seconds()
-    counts_before = phase_counts()
+        space = TransitionCache(composition, databases, domain.values,
+                                semantics, budget=budget,
+                                env_value_domain=env_value_domain)
+        if resolve_engine(engine) == "shared":
+            space = SharedExploration(space)
+    extra = fairness_terms(composition) if fair_scheduling else []
 
-    with Stopwatch(stats):
-        for order, valuation in shard_filter(valuations, shard):
-            if shared_engine is not None and stats.valuations_checked == 1:
-                # the first valuation explored lazily (it may decide the
-                # verdict without the full graph); from the second on,
-                # freeze so remaining valuations are pure graph walks
-                shared_engine.complete(strict=False)
-            started = time.perf_counter()
-            outcome = check_one_valuation(
-                composition, sentence, valuation, domain, cache,
-                fair_scheduling=fair_scheduling, engine=shared_engine,
-            )
-            stats.valuations_checked += 1
-            stats.nba_states_total += outcome.nba_states
-            stats.merge_search(outcome.blue_visited, outcome.red_visited)
-            if shard is not None:
-                stats.per_task.append(TaskStats(
-                    order=order,
-                    wall_seconds=time.perf_counter() - started,
-                    nba_states=outcome.nba_states,
-                    product_nodes=(outcome.blue_visited
-                                   + outcome.red_visited),
-                ))
-            if outcome.violated:
-                stats.decisive_order = order
-                result_counterexample = Counterexample(
-                    valuation={
-                        var.name: value
-                        for var, value in valuation.items()
-                    },
-                    lasso=Lasso(outcome.lasso_prefix, outcome.lasso_cycle),
-                    property_text=str(sentence),
-                )
-                break
-        stats.system_states = (
-            cache.states_expanded if cache is not None
-            else len(shared_engine.interner)
-        )
-        if shared_engine is not None:
-            shared_engine.shared.drop_letters()
+    def unit(valuation):
+        # the negated instantiated body, the Dom(rho) restriction and,
+        # if requested, the fairness terms
+        nba = ltl_to_buchi(land(lnot(sentence.instantiate(valuation)),
+                                *occurs_terms(valuation, domain), *extra))
+        if isinstance(space, SharedExploration):
+            return nba, InternedSnapshotEvaluator(
+                composition, domain.values, nba.aps, space.shared)
+        return nba, SnapshotEvaluator(composition, domain.values, nba.aps)
 
-    stats.merge_phases(diff_numeric(phase_seconds(), seconds_before),
-                       diff_numeric(phase_counts(), counts_before))
-    stats.merge_rule_cache(rule_cache_delta(cache_before))
-
-    return VerificationResult(
-        satisfied=result_counterexample is None,
-        property_text=str(sentence),
-        counterexample=result_counterexample,
-        stats=stats,
-        domain_description=domain.describe(),
-        semantics_description=semantics.describe(),
-    )
+    return sweep_valuations(
+        _candidate_valuations(sentence.variables, domain,
+                              valuation_candidates),
+        space, unit, str(sentence), domain, semantics, shard)
 
 
 def verify_over_databases(composition: Composition,

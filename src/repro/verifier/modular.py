@@ -33,7 +33,7 @@ it.  The violation search then looks for a run satisfying
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..errors import VerificationError
 from ..fo import formulas as fo
@@ -43,13 +43,10 @@ from ..fo.schema import (
     ENVIRONMENT_NAME, RelationKind, RelationSymbol, Schema, move_name,
     received_name,
 )
-from ..ib.checker import check_sentence
-from ..ltl.buchi import BuchiAutomaton
-from ..ltl.formulas import LAtom, LTLFormula, land, latom, lfinally, lnot
+from ..ltl.formulas import LAtom, LTLFormula, land, limplies, lnot
 from ..ltl.translate import ltl_to_buchi
 from ..ltlfo.formulas import LTLFOSentence, map_payloads, relativize
 from ..ltlfo.parser import parse_ltlfo
-from ..runtime.run import Lasso
 from ..runtime.state import GlobalState, snapshot_view
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
@@ -58,12 +55,12 @@ from .atoms import OccursAtom
 from .domain import (
     VerificationDomain, canonical_valuations, verification_domain,
 )
-from .ltlfo_verifier import _as_sentence
-from .product import SearchBudget, TransitionCache
-from .result import (
-    Counterexample, Stopwatch, VerificationResult, VerifierStats,
+from .ltlfo_verifier import (
+    _as_sentence, _candidate_valuations, _check_restrictions, occurs_terms,
+    sweep_valuations,
 )
-from .search import find_accepting_lasso
+from .product import SearchBudget, TransitionCache
+from .result import VerificationResult
 
 PREV_MARK = "@prev."
 
@@ -267,15 +264,16 @@ def translate_env_spec(spec: LTLFOSentence, composition: Composition,
     return observer_translate(relativized, composition)
 
 
-# -- pair-snapshot product ------------------------------------------------------
+# -- pair-snapshot exploration --------------------------------------------------
 
 
 class PairCache:
     """Wraps a :class:`TransitionCache`, tracking the previous snapshot.
 
-    States are ``(previous, current)`` pairs; ``prev.R`` atoms of
+    Nodes are ``(previous, current)`` pairs; ``prev.R`` atoms of
     translated payloads read the previous snapshot's view (empty relations
-    before the first step).
+    before the first step), and a counterexample run is the sequence of
+    current snapshots.
     """
 
     def __init__(self, inner: TransitionCache) -> None:
@@ -288,6 +286,9 @@ class PairCache:
     def successors_of(self, pair) -> tuple:
         _prev, cur = pair
         return tuple((cur, nxt) for nxt in self.inner.successors_of(cur))
+
+    def state_of(self, pair) -> GlobalState:
+        return pair[1]
 
     @property
     def states_expanded(self) -> int:
@@ -345,40 +346,6 @@ class PairEvaluator:
         return letter
 
 
-class PairProduct:
-    """Product of the pair-state system with an NBA (duck-typed like
-    :class:`~repro.verifier.product.ProductSystem`)."""
-
-    def __init__(self, cache: PairCache, nba: BuchiAutomaton,
-                 evaluator: PairEvaluator) -> None:
-        self.cache = cache
-        self.nba = nba
-        self.evaluator = evaluator
-
-    def initial_nodes(self) -> list:
-        return [
-            (pair, q)
-            for pair in self.cache.initial()
-            for q in self.nba.initial
-        ]
-
-    def successors(self, node) -> Iterator:
-        pair, q = node
-        letter = self.evaluator.letter(pair)
-        targets = [
-            e.dst for e in self.nba.edges_from(q)
-            if e.guard.satisfied(letter)
-        ]
-        if not targets:
-            return
-        for nxt in self.cache.successors_of(pair):
-            for dst in targets:
-                yield (nxt, dst)
-
-    def is_accepting(self, node) -> bool:
-        return node[1] in self.nba.accepting
-
-
 # -- the modular verifier -----------------------------------------------------
 
 
@@ -391,8 +358,6 @@ def verify_modular(composition: Composition,
                    allow_nonstrict: bool = False,
                    check_input_bounded: bool = True,
                    budget: SearchBudget | None = None,
-                   env_max_nested_rows: int = 1,
-                   env_one_action_per_move: bool = True,
                    env_value_domain=None,
                    valuation_candidates: Mapping[str, Sequence] | None = None,
                    observer: str = "recipient",
@@ -413,16 +378,7 @@ def verify_modular(composition: Composition,
     spec = (parse_env_spec(env_spec, composition)
             if isinstance(env_spec, str) else env_spec)
 
-    if check_input_bounded:
-        from ..errors import InputBoundednessError
-        from ..ib.checker import check_composition
-        violations = check_composition(composition)
-        violations += check_sentence(sentence, composition.schema)
-        if violations:
-            lines = "\n".join(str(v) for v in violations)
-            raise InputBoundednessError(
-                f"not input-bounded:\n{lines}", tuple(violations)
-            )
+    _check_restrictions(composition, sentence, check_input_bounded)
 
     # Theorem 5.4 restricts environment *specs* to flat environment
     # channels; nested environment channels may exist but may not be
@@ -465,74 +421,26 @@ def verify_modular(composition: Composition,
             translated = translate_env_spec(
                 LTLFOSentence((), inst_body), composition, observer
             )
-            occurs = [
-                lfinally(latom(OccursAtom(v)))
-                for v in set(val.values()) if v not in domain.constants
-            ]
+            occurs = occurs_terms(val, domain)
             # Dom(rho)-restricted universal premise: valuations whose
             # fresh values never occur impose nothing
-            from ..ltl.formulas import limplies
             conjuncts.append(limplies(land(*occurs), translated)
                              if occurs else translated)
         premise = land(*conjuncts)
 
-    stats = VerifierStats()
-    inner_cache = TransitionCache(
-        composition, databases, domain.values, semantics,
-        include_environment=True, budget=budget,
-        env_max_nested_rows=env_max_nested_rows,
-        env_one_action_per_move=env_one_action_per_move,
+    cache = PairCache(TransitionCache(
+        composition, databases, domain.values, semantics, budget=budget,
         env_value_domain=env_value_domain,
-    )
-    cache = PairCache(inner_cache)
-
-    counterexample: Counterexample | None = None
+    ))
     text = f"{sentence}  under env spec  {spec}"
-    valuations = canonical_valuations(sentence.variables, domain)
-    if valuation_candidates:
-        valuations = [
-            v for v in valuations
-            if all(
-                var.name not in valuation_candidates
-                or v[var] in valuation_candidates[var.name]
-                for var in sentence.variables
-            )
-        ]
-    with Stopwatch(stats):
-        for valuation in valuations:
-            stats.valuations_checked += 1
-            negated = lnot(sentence.instantiate(valuation))
-            occurs = [
-                lfinally(latom(OccursAtom(v)))
-                for v in set(valuation.values())
-                if v not in domain.constants
-            ]
-            nba = ltl_to_buchi(land(premise, negated, *occurs))
-            stats.nba_states_total += nba.num_states()
-            evaluator = PairEvaluator(composition, domain.values, nba.aps)
-            product = PairProduct(cache, nba, evaluator)
-            lasso_nodes, search_stats = find_accepting_lasso(product)
-            stats.merge_search(search_stats.blue_visited,
-                               search_stats.red_visited)
-            if lasso_nodes is not None:
-                prefix = tuple(n[0][1] for n in lasso_nodes.prefix)
-                cycle = tuple(n[0][1] for n in lasso_nodes.cycle)
-                counterexample = Counterexample(
-                    valuation={
-                        var.name: value
-                        for var, value in valuation.items()
-                    },
-                    lasso=Lasso(prefix, cycle),
-                    property_text=text,
-                )
-                break
-        stats.system_states = cache.states_expanded
 
-    return VerificationResult(
-        satisfied=counterexample is None,
-        property_text=text,
-        counterexample=counterexample,
-        stats=stats,
-        domain_description=domain.describe(),
-        semantics_description=semantics.describe(),
-    )
+    def unit(valuation):
+        negated = lnot(sentence.instantiate(valuation))
+        nba = ltl_to_buchi(land(premise, negated,
+                                *occurs_terms(valuation, domain)))
+        return nba, PairEvaluator(composition, domain.values, nba.aps)
+
+    return sweep_valuations(
+        _candidate_valuations(sentence.variables, domain,
+                              valuation_candidates),
+        cache, unit, text, domain, semantics)

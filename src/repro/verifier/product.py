@@ -4,7 +4,8 @@ The composition's reachable snapshot graph is finite once the data domain
 and the queue bound are fixed (the computational content of Theorem 3.4's
 reduction).  :class:`TransitionCache` memoizes successor computation so
 multiple property valuations share one exploration;
-:class:`ProductSystem` lazily pairs snapshots with Büchi states.
+:class:`ProductSystem` lazily pairs the nodes of an exploration with
+Büchi states.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from ..spec.channels import ChannelSemantics
 from ..spec.composition import Composition
 from ..runtime.state import GlobalState
 from ..runtime.step import initial_states, successors
-from .atoms import SnapshotEvaluator
 
 
 @dataclass
@@ -39,10 +39,7 @@ class TransitionCache:
                  databases: Mapping[str, Instance],
                  domain: Sequence[Value],
                  semantics: ChannelSemantics,
-                 include_environment: bool = True,
                  budget: SearchBudget | None = None,
-                 env_max_nested_rows: int = 1,
-                 env_one_action_per_move: bool = True,
                  env_value_domain: Sequence[Value] | None = None) -> None:
         if semantics.queue_bound is None:
             raise VerificationError(
@@ -54,9 +51,6 @@ class TransitionCache:
         self.databases = dict(databases)
         self.domain = tuple(domain)
         self.semantics = semantics
-        self.include_environment = include_environment
-        self.env_max_nested_rows = env_max_nested_rows
-        self.env_one_action_per_move = env_one_action_per_move
         self.env_value_domain = env_value_domain
         self.budget = budget or SearchBudget()
         self._initial: tuple[GlobalState, ...] | None = None
@@ -82,10 +76,7 @@ class TransitionCache:
                 cached = tuple(
                     successors(
                         self.composition, state, self.domain,
-                        self.semantics,
-                        include_environment=self.include_environment,
-                        env_max_nested_rows=self.env_max_nested_rows,
-                        env_one_action_per_move=self.env_one_action_per_move,
+                        self.semantics, env_one_action_per_move=True,
                         env_value_domain=self.env_value_domain,
                     )
                 )
@@ -96,48 +87,59 @@ class TransitionCache:
                       ).observe(len(cached))
         return cached
 
+    def state_of(self, state: GlobalState) -> GlobalState:
+        """The snapshot of a node: this cache's nodes are the snapshots."""
+        return state
+
     @property
     def states_expanded(self) -> int:
         return len(self._successors)
 
 
-#: A product node: (system snapshot, Büchi state).
+#: A product node: (exploration node, Büchi state).
 ProductNode = tuple
 
 
 class ProductSystem:
     """The synchronous product used by the emptiness search.
 
+    ``cache`` is any exploration with ``initial()``,
+    ``successors_of(node)``, a ``budget`` and ``state_of(node)``: a
+    :class:`TransitionCache` (nodes are snapshots), a
+    :class:`~repro.verifier.graph.SharedExploration` (interned ids) or
+    modular's :class:`~repro.verifier.modular.PairCache`
+    (previous/current pairs).  The evaluator reads letters off the same
+    nodes, and ``state_of`` maps a lasso's nodes back to snapshots.
+
     The NBA reads, on each transition, the letter (AP valuation) of the
-    *source* system snapshot; the automaton's distinguished pre-initial
-    state (from the GPVW translation) therefore reads the initial
-    snapshot's letter on its outgoing edges, matching the LTL convention
-    that position 0 is the initial snapshot.
+    *source* node; the automaton's distinguished pre-initial state (from
+    the GPVW translation) therefore reads the initial snapshot's letter
+    on its outgoing edges, matching the LTL convention that position 0
+    is the initial snapshot.
     """
 
-    def __init__(self, cache: TransitionCache, nba: BuchiAutomaton,
-                 evaluator: SnapshotEvaluator) -> None:
+    def __init__(self, cache, nba: BuchiAutomaton, evaluator) -> None:
         self.cache = cache
         self.nba = nba
         self.evaluator = evaluator
 
     def initial_nodes(self) -> list[ProductNode]:
         return [
-            (state, q)
-            for state in self.cache.initial()
+            (node, q)
+            for node in self.cache.initial()
             for q in self.nba.initial
         ]
 
     def successors(self, node: ProductNode) -> Iterator[ProductNode]:
-        state, q = node
-        letter = self.evaluator.letter(state)
+        source, q = node
+        letter = self.evaluator.letter(source)
         targets = [
             edge.dst for edge in self.nba.edges_from(q)
             if edge.guard.satisfied(letter)
         ]
         if not targets:
             return
-        for nxt in self.cache.successors_of(state):
+        for nxt in self.cache.successors_of(source):
             for dst in targets:
                 yield (nxt, dst)
 

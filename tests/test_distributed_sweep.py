@@ -195,14 +195,15 @@ def test_workers_and_shards_agree(prop, expected):
 def test_shard_combines_with_supplied_cache():
     """The graph does not depend on the valuation: a shard may reuse one."""
     comp, dbs = sender_receiver_case()
-    from repro.verifier import TransitionCache
+    from repro.verifier import SharedExploration, TransitionCache
     from repro.spec.channels import DECIDABLE_DEFAULT
     dom = verification_domain(comp, [], dbs, fresh_count=1)
     reference = _verify(comp, dbs, LIVENESS, workers=1)
     cache = TransitionCache(comp, dbs, dom.values, DECIDABLE_DEFAULT)
     fragments = [
         shard_fragment([verify(comp, LIVENESS, dbs, domain=dom,
-                               shard=(index, 2), transition_cache=cache)],
+                               shard=(index, 2),
+                               engine=SharedExploration(cache))],
                        (index, 2), composition=comp)
         for index in range(2)
     ]

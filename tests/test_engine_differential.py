@@ -18,11 +18,9 @@ can block before the composition frontier is exhausted).
 
 Alongside the library/synthetic grid, a hypothesis suite fuzzes the
 sender/receiver database contents and property choice, and unit tests
-pin the graph machinery itself (interner stability, CSR consistency,
-pickled-graph serving, budget fallback).
+pin the graph machinery itself (interner stability, completed rows,
+budget fallback).
 """
-
-import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,8 +30,7 @@ from repro.library import ecommerce, loan, synthetic, travel
 from repro.runtime import validate_lasso
 from repro.spec import Composition, DECIDABLE_DEFAULT, PeerBuilder
 from repro.verifier import (
-    ExploredGraph, SharedExploration, TransitionCache,
-    verification_domain, verify,
+    SharedExploration, TransitionCache, verification_domain, verify,
 )
 
 
@@ -193,7 +190,7 @@ class TestHypothesisDifferential:
 
 
 class TestGraphMachinery:
-    """Unit tests for the interner / frozen-graph substrate."""
+    """Unit tests for the interner / memoized-graph substrate."""
 
     def _exploration(self, rows=(("a",), ("b",))):
         comp, dbs = sender_receiver_case(rows)
@@ -203,53 +200,31 @@ class TestGraphMachinery:
 
     def test_interning_is_stable(self):
         _, engine = self._exploration()
-        roots = engine.initial_ids()
+        roots = engine.initial()
         for sid in roots:
             state = engine.interner.state_of(sid)
             assert engine.interner.intern(state) == sid
 
-    def test_frozen_successors_match_lazy(self):
-        comp, engine = self._exploration()
+    def test_completed_rows_match_lazy(self):
+        _, engine = self._exploration()
         # force some lazy exploration first
-        lazy = {
-            sid: engine.successors_of(sid) for sid in engine.initial_ids()
-        }
-        graph = engine.complete()
-        assert isinstance(graph, ExploredGraph)
-        # every row served from the CSR must equal the lazy row
-        fresh = SharedExploration.from_graph(graph, comp)
-        for sid in range(graph.num_states):
-            assert fresh.successors_of(sid) == engine.successors_of(sid)
+        lazy = {sid: engine.successors_of(sid) for sid in engine.initial()}
+        assert engine.complete()
         for sid, row in lazy.items():
-            assert fresh.successors_of(sid) == row
+            assert engine.successors_of(sid) == row
+        # every row is the cache's successor list, interned in order
+        for sid in range(len(engine.interner)):
+            row = engine.successors_of(sid)
+            assert tuple(map(engine.state_of, row)) == \
+                engine.cache.successors_of(engine.state_of(sid))
 
     def test_complete_is_idempotent(self):
         _, engine = self._exploration()
-        graph = engine.complete()
-        assert engine.complete() is graph
-
-    def test_graph_pickle_roundtrip(self):
-        comp, engine = self._exploration()
-        graph = engine.complete()
-        clone = pickle.loads(pickle.dumps(graph))
-        assert clone.num_states == graph.num_states
-        assert clone.num_edges == graph.num_edges
-        assert clone.initial_ids == graph.initial_ids
-        assert clone.offsets == graph.offsets
-        assert clone.targets == graph.targets
-        assert clone.states == graph.states
-        served = SharedExploration.from_graph(clone, comp)
-        for sid in range(graph.num_states):
-            assert served.successors_of(sid) == engine.successors_of(sid)
-
-    def test_from_graph_reports_zero_expansions(self):
-        comp, engine = self._exploration()
-        graph = engine.complete()
-        worker = SharedExploration.from_graph(graph, comp)
-        for sid in worker.initial_ids():
-            worker.successors_of(sid)
-        assert worker.states_expanded == 0
-        assert engine.states_expanded == graph.num_states
+        assert engine.complete()
+        expanded, rows = engine.states_expanded, dict(engine._succ)
+        assert engine.complete()
+        assert engine.states_expanded == expanded == len(engine.interner)
+        assert engine._succ == rows
 
     def test_complete_budget_fallback(self):
         from repro.errors import VerificationError
@@ -259,6 +234,6 @@ class TestGraphMachinery:
         cache = TransitionCache(comp, dbs, dom.values, DECIDABLE_DEFAULT,
                                 budget=SearchBudget(max_system_states=3))
         engine = SharedExploration(cache)
-        assert engine.complete(strict=False) is None
+        assert engine.complete(strict=False) is False
         with pytest.raises(VerificationError):
             engine.complete(strict=True)

@@ -13,7 +13,8 @@ from repro.spec import (
     ChannelSemantics, DECIDABLE_DEFAULT, PERFECT_BOUNDED,
 )
 from repro.verifier import (
-    SnapshotEvaluator, TransitionCache, verification_domain, verify,
+    SharedExploration, SnapshotEvaluator, TransitionCache,
+    verification_domain, verify,
 )
 
 DB = {"S": Instance({"items": [("a",)]})}
@@ -122,10 +123,60 @@ class TestSharedTransitionCache:
         cache = TransitionCache(sender_receiver, DB, dom.values,
                                 DECIDABLE_DEFAULT)
         r1 = verify(sender_receiver, "G true", DB, domain=dom,
-                    transition_cache=cache)
+                    engine=SharedExploration(cache))
         states_after_first = cache.states_expanded
         r2 = verify(sender_receiver,
                     "forall x: G( R.got(x) -> S.items(x) )", DB,
-                    domain=dom, transition_cache=cache)
+                    domain=dom, engine=SharedExploration(cache))
         assert r1.satisfied and r2.satisfied
         assert cache.states_expanded >= states_after_first
+
+
+class TestProcedureStats:
+    """Protocol and modular results carry the statistics verify() does."""
+
+    @staticmethod
+    def _assert_sweep_stats(result, valuations):
+        assert not result.satisfied
+        stats = result.stats
+        assert stats.phase_seconds.get("search", 0) > 0
+        cache = stats.rule_cache
+        assert cache.get("hits", 0) + cache.get("misses", 0) > 0
+        # the decisive valuation's index in the sweep order
+        by_name = [{var.name: value for var, value in valuation.items()}
+                   for valuation in valuations]
+        assert stats.decisive_order == by_name.index(
+            result.counterexample.valuation)
+
+    def test_aware_and_modular_results(self, sender_receiver, open_relay):
+        from repro.fo import parse_fo
+        from repro.ltl import latom, lglobally
+        from repro.protocols import DataAwareProtocol, verify_aware
+        from repro.verifier import canonical_valuations, verify_modular
+        from repro.verifier.domain import VerificationDomain
+
+        dbs = {"S": Instance({"items": [("a",), ("b",)]})}
+        domain = verification_domain(sender_receiver, [], dbs)
+        # only a message other than "a" violates: not the first valuation
+        protocol = DataAwareProtocol(
+            symbols={"m": parse_fo('S.msg(x) & ~(x = "a")',
+                                   sender_receiver.schema)},
+            ltl=lglobally(lnot(latom("m"))),
+        )
+        aware = verify_aware(sender_receiver, protocol, dbs, domain=domain)
+        valuations = canonical_valuations(protocol.free_variables(), domain)
+        self._assert_sweep_stats(aware, valuations)
+        assert aware.stats.decisive_order > 0
+
+        prop = parse_ltlfo('forall x: G( P1.seen(x) -> x = "a" )',
+                           open_relay.schema)
+        relay_domain = VerificationDomain(("a",), ("$f0",))
+        modular = verify_modular(
+            open_relay, prop, "G forall x: ?outbound(x) -> !inbound(x)",
+            {"P0": Instance({"items": [("a",)]})}, domain=relay_domain,
+            observer="recipient", valuation_candidates={"x": ("a", "$f0")})
+        valuations = [
+            v for v in canonical_valuations(prop.variables, relay_domain)
+            if all(value in ("a", "$f0") for value in v.values())]
+        self._assert_sweep_stats(modular, valuations)
+        assert modular.stats.decisive_order > 0

@@ -75,9 +75,10 @@ def run_cli(argv):
 
 def distinct_states(composition, databases, domain, semantics) -> int:
     """States of the full reachable graph, from a fresh exploration."""
-    cache = TransitionCache(composition, databases, domain.values,
-                            semantics)
-    return SharedExploration(cache).complete().num_states
+    exploration = SharedExploration(TransitionCache(
+        composition, databases, domain.values, semantics))
+    assert exploration.complete()
+    return len(exploration.interner)
 
 
 def check_batch(calls, expansions, *, own_domains: bool) -> dict:
@@ -206,8 +207,10 @@ def test_letter_memo_dropped_for_supplied_exploration():
                     engine=engine)
     assert result.satisfied
     assert engine.shared._letters == {}
-    # the graph and the per-state caches stay for the next property
-    assert engine.frozen is not None and engine.shared._views
+    # the graph (every interned state's successor row) and the
+    # per-state caches stay for the next property
+    assert len(engine._succ) == len(engine.interner)
+    assert engine.shared._views
 
 
 def test_property_engines_share_per_domain():

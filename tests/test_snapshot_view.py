@@ -93,10 +93,12 @@ def reachable(request):
     """(composition, every reachable state) of one set-up."""
     (composition, databases, domain, env_values,
      semantics) = SETUPS[request.param]()
-    graph = SharedExploration(TransitionCache(
+    exploration = SharedExploration(TransitionCache(
         composition, databases, domain.values, semantics,
-        env_value_domain=env_values)).complete()
-    return composition, graph.states
+        env_value_domain=env_values))
+    assert exploration.complete()
+    return composition, [exploration.state_of(sid)
+                         for sid in range(len(exploration.interner))]
 
 
 def test_relations_read_one_by_one(reachable):
