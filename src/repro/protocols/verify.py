@@ -23,7 +23,7 @@ from ..runtime.run import Lasso
 from ..runtime.state import GlobalState, snapshot_view
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
-from ..verifier.atoms import OccursAtom
+from ..verifier.atoms import OccursAtom, bit_table
 from ..verifier.domain import (
     VerificationDomain, canonical_valuations, verification_domain,
 )
@@ -38,21 +38,24 @@ class CallbackEvaluator:
 
     Duck-type compatible with
     :class:`~repro.verifier.atoms.SnapshotEvaluator` as used by
-    :class:`~repro.verifier.product.ProductSystem`.
+    :class:`~repro.verifier.product.ProductSystem`: ``bits`` is its bit
+    table and ``letter`` returns the mask of the APs ``truth`` holds of.
     """
 
     def __init__(self, aps: frozenset,
                  truth: Callable[[Hashable, GlobalState], bool]) -> None:
         self.aps = aps
+        self.bits = bit_table(aps)
         self._truth = truth
-        self._cache: dict[GlobalState, frozenset] = {}
+        self._cache: dict[GlobalState, int] = {}
 
-    def letter(self, state: GlobalState) -> frozenset:
+    def letter(self, state: GlobalState) -> int:
         cached = self._cache.get(state)
         if cached is None:
-            cached = frozenset(
-                ap for ap in self.aps if self._truth(ap, state)
-            )
+            cached = 0
+            for ap, bit in self.bits.items():
+                if self._truth(ap, state):
+                    cached |= bit
             self._cache[state] = cached
         return cached
 

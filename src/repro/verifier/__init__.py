@@ -3,7 +3,7 @@ modular (assume-guarantee) verification."""
 
 from .atoms import (
     InternedSnapshotEvaluator, OccursAtom, SharedSnapshotContext,
-    SnapshotEvaluator,
+    SnapshotEvaluator, bit_table, decode_letter,
 )
 from .domain import (
     VerificationDomain, canonical_valuations, canonicalize_valuation,
@@ -36,8 +36,9 @@ __all__ = [
     "SearchBudget", "SearchStats", "SharedExploration",
     "SharedSnapshotContext", "SnapshotEvaluator", "StateInterner",
     "TaskStats", "TransitionCache", "VerificationDomain",
-    "VerificationResult", "VerifierStats", "canonical_valuations",
-    "canonicalize_valuation", "enumerate_databases",
+    "VerificationResult", "VerifierStats", "bit_table",
+    "canonical_valuations", "canonicalize_valuation", "decode_letter",
+    "enumerate_databases",
     "environment_schema", "find_accepting_lasso", "fresh_values",
     "local_shards", "merge_fragments", "merge_metrics_snapshots",
     "observer_translate", "parse_env_spec", "preflight",

@@ -13,17 +13,23 @@ atomic propositions.  Two kinds of APs arise:
   fresh value ``v`` in the valuation, the verifier conjoins
   ``F occurs(v)`` to the negated property; ``occurs(v)`` holds at a
   snapshot iff ``v`` appears in some relation or queued message.
+
+A letter is an int: every evaluator gives each of its APs one bit
+(:func:`bit_table`), and ``letter(node)`` is the OR of the bits of the
+APs true at that node.  :class:`~repro.verifier.product.ProductSystem`
+compiles the automaton's guards against the same table, so the search
+compares ints, never AP formula trees; :func:`decode_letter` turns a
+mask back into the set of true APs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Mapping
 
 from ..fo.evaluator import evaluate
-from ..fo.formulas import Formula
+from ..fo.formulas import Formula, relations
 from ..fo.instance import Instance
-from ..obs import counter
 from ..fo.terms import Value
 from ..spec.composition import Composition
 from ..runtime.state import GlobalState, snapshot_view
@@ -39,12 +45,22 @@ class OccursAtom:
         return f"occurs({self.value!r})"
 
 
+def bit_table(aps: Iterable[Hashable]) -> dict:
+    """Each AP's letter bit: ``1 << i`` in the iteration order of *aps*."""
+    return {ap: 1 << i for i, ap in enumerate(aps)}
+
+
+def decode_letter(bits: Mapping, mask: int) -> frozenset:
+    """The APs a letter *mask* sets, read through the bit table *bits*."""
+    return frozenset(ap for ap, bit in bits.items() if mask & bit)
+
+
 class SnapshotEvaluator:
     """Evaluates AP valuations over snapshots, with caching.
 
     The snapshot *view* (queue readings, move flags, ...) is cached per
-    state and shared across property valuations; the letter (the set of
-    true APs) is cached per (state) for this evaluator's fixed AP set.
+    state; the letter (the mask of true APs) is cached per state for
+    this evaluator's fixed AP set.
     """
 
     def __init__(self, composition: Composition, domain: Iterable[Value],
@@ -52,12 +68,12 @@ class SnapshotEvaluator:
         self.composition = composition
         self.domain = tuple(domain)
         self.aps = aps
+        self.bits = bit_table(aps)
         self._view_cache: dict[GlobalState, Instance] = {}
-        self._letter_cache: dict[GlobalState, frozenset] = {}
+        self._letter_cache: dict[GlobalState, int] = {}
         # projection cache: the truth of an FO sentence depends only on
         # the extensions of the relations it mentions, which repeat
         # heavily across snapshots
-        from ..fo.formulas import Formula, relations
         self._relevant: dict = {
             ap: tuple(sorted(relations(ap)))
             for ap in aps if not isinstance(ap, OccursAtom)
@@ -71,23 +87,19 @@ class SnapshotEvaluator:
             self._view_cache[state] = cached
         return cached
 
-    def letter(self, state: GlobalState) -> frozenset:
+    def letter(self, state: GlobalState) -> int:
         cached = self._letter_cache.get(state)
         if cached is not None:
             return cached
-        true_aps: set[Hashable] = set()
-        occurs_needed = [
-            ap for ap in self.aps if isinstance(ap, OccursAtom)
-        ]
+        mask = 0
         snapshot_domain: frozenset[Value] | None = None
-        if occurs_needed:
-            snapshot_domain = state.active_domain()
         view = None
-        for ap in self.aps:
+        for ap, bit in self.bits.items():
             if isinstance(ap, OccursAtom):
-                assert snapshot_domain is not None
+                if snapshot_domain is None:
+                    snapshot_domain = state.active_domain()
                 if ap.value in snapshot_domain:
-                    true_aps.add(ap)
+                    mask |= bit
             else:
                 if view is None:
                     view = self.view(state)
@@ -99,24 +111,23 @@ class SnapshotEvaluator:
                     truth = evaluate(ap, view, self.domain)
                     self._truth_cache[key] = truth
                 if truth:
-                    true_aps.add(ap)
-        letter = frozenset(true_aps)
-        self._letter_cache[state] = letter
-        return letter
+                    mask |= bit
+        self._letter_cache[state] = mask
+        return mask
 
 
 class SharedSnapshotContext:
-    """Per-exploration caches keyed on interned state ids.
+    """Per-exploration caches keyed on interned ids.
 
     Owned by a :class:`~repro.verifier.graph.SharedExploration` and
     shared by every valuation's :class:`InternedSnapshotEvaluator`:
     snapshot views and active domains are computed once per state for
     the whole sweep (the seed engine recomputes them once per state
-    *per valuation*), FO truths are shared across valuations whose APs
-    coincide (occurs-atoms and closure-variable-free subformulas), and
-    whole letters are memoized per (AP set, state) until
-    :meth:`drop_letters` (``verify`` calls it as it returns, since the
-    next property's AP sets differ).
+    *per valuation*).  FO truths are shared across valuations and
+    properties, keyed on two ints: the AP's id (:meth:`ap_id`, one per
+    distinct formula) and an id of the extensions its relations have at
+    the state (:meth:`extension_id`, computed once per state and
+    relation set).
 
     FO truths are keyed without the domain, so one context serves one
     verification domain only.
@@ -127,12 +138,11 @@ class SharedSnapshotContext:
         self.interner = interner
         self._views: dict[int, Instance] = {}
         self._domains: dict[int, frozenset] = {}
-        self._truths: dict = {}
-        self._letters: dict = {}
-
-    def drop_letters(self) -> None:
-        """Forget the per-(AP set, state) letter memo."""
-        self._letters.clear()
+        self._ap_ids: dict[Formula, int] = {}
+        self._extension_ids: dict[tuple, int] = {}
+        #: relation set -> {state id: extension id}
+        self._extensions_at: dict[tuple[str, ...], dict[int, int]] = {}
+        self._truths: dict[tuple[int, int], bool] = {}
 
     def view(self, sid: int) -> Instance:
         cached = self._views.get(sid)
@@ -149,15 +159,35 @@ class SharedSnapshotContext:
             self._domains[sid] = cached
         return cached
 
+    def ap_id(self, ap: Formula) -> int:
+        """The id of an FO AP, equal for equal formulas."""
+        return self._ap_ids.setdefault(ap, len(self._ap_ids))
+
+    def extensions_at(self, rels: tuple[str, ...]) -> dict[int, int]:
+        """The ``{state id: extension id}`` memo of one relation set."""
+        return self._extensions_at.setdefault(rels, {})
+
+    def extension_id(self, sid: int, rels: tuple[str, ...]) -> int:
+        """The id of *rels*' extensions at *sid*, memoized per state."""
+        view = self.view(sid)
+        extensions = tuple(view[rel] for rel in rels)
+        eid = self._extension_ids.setdefault(extensions,
+                                             len(self._extension_ids))
+        self._extensions_at[rels][sid] = eid
+        return eid
+
 
 class InternedSnapshotEvaluator:
     """Letter evaluation over interned state ids, with shared caches.
 
     The interned twin of :class:`SnapshotEvaluator`: same AP semantics,
-    but ``letter`` takes a dense state id and every cache outlives this
-    evaluator (they belong to the exploration's
-    :class:`SharedSnapshotContext`), so valuations 2..N of a sweep
-    mostly re-read memoized truths instead of re-evaluating formulas.
+    but ``letter`` takes a dense state id, and the views, active
+    domains and FO truths belong to the exploration's
+    :class:`SharedSnapshotContext`, so valuations 2..N of a sweep mostly
+    re-read memoized truths instead of re-evaluating formulas.  Each AP
+    is hashed once, here; ``letter`` looks truths up by
+    ``(ap_id, extension id)`` and memoizes this evaluator's letters per
+    state.
     """
 
     def __init__(self, composition: Composition, domain: Iterable[Value],
@@ -166,41 +196,42 @@ class InternedSnapshotEvaluator:
         self.domain = tuple(domain)
         self.aps = aps
         self.shared = shared
-        from ..fo.formulas import relations
-        self._relevant: dict = {
-            ap: tuple(sorted(relations(ap)))
-            for ap in aps if not isinstance(ap, OccursAtom)
-        }
-        self._memo_hits = counter("atoms.letters_memoized")
+        self.bits = bit_table(aps)
+        self._occurs = [(bit, ap.value) for ap, bit in self.bits.items()
+                        if isinstance(ap, OccursAtom)]
+        self._fo = []
+        for ap, bit in self.bits.items():
+            if not isinstance(ap, OccursAtom):
+                rels = tuple(sorted(relations(ap)))
+                self._fo.append((bit, shared.ap_id(ap), ap, rels,
+                                 shared.extensions_at(rels)))
+        self._letters: dict[int, int] = {}
 
-    def letter(self, sid: int) -> frozenset:
+    def letter(self, sid: int) -> int:
+        mask = self._letters.get(sid)
+        if mask is not None:
+            return mask
         shared = self.shared
-        key = (self.aps, sid)
-        cached = shared._letters.get(key)
-        if cached is not None:
-            self._memo_hits.inc()
-            return cached
-        true_aps: set[Hashable] = set()
-        view = None
-        for ap in self.aps:
-            if isinstance(ap, OccursAtom):
-                if ap.value in shared.active_domain(sid):
-                    true_aps.add(ap)
-            else:
-                if view is None:
-                    view = shared.view(sid)
-                truth_key = (ap, tuple(
-                    view[rel] for rel in self._relevant[ap]
-                ))
-                truth = shared._truths.get(truth_key)
-                if truth is None:
-                    truth = evaluate(ap, view, self.domain)
-                    shared._truths[truth_key] = truth
-                if truth:
-                    true_aps.add(ap)
-        letter = frozenset(true_aps)
-        shared._letters[key] = letter
-        return letter
+        mask = 0
+        if self._occurs:
+            present = shared.active_domain(sid)
+            for bit, value in self._occurs:
+                if value in present:
+                    mask |= bit
+        truths = shared._truths
+        for bit, ap_id, ap, rels, extensions in self._fo:
+            eid = extensions.get(sid)
+            if eid is None:
+                eid = shared.extension_id(sid, rels)
+            key = (ap_id, eid)
+            truth = truths.get(key)
+            if truth is None:
+                truth = evaluate(ap, shared.view(sid), self.domain)
+                truths[key] = truth
+            if truth:
+                mask |= bit
+        self._letters[sid] = mask
+        return mask
 
 
 def evaluate_sentence_on_snapshot(formula: Formula, state: GlobalState,

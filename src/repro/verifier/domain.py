@@ -103,7 +103,8 @@ def verification_domain(
 
 
 def canonical_valuations(
-    variables: Sequence, domain: VerificationDomain
+    variables: Sequence, domain: VerificationDomain,
+    candidates: Mapping[str, Sequence[Value]] | None = None,
 ) -> list[dict]:
     """Valuations of the closure variables, up to fresh-value symmetry.
 
@@ -112,23 +113,32 @@ def canonical_valuations(
     values it uses are the first ones, introduced in order of first use.
     This prunes the ``|domain|^k`` enumeration substantially without
     losing completeness.
+
+    ``candidates`` (variable name -> values) restricts each variable it
+    names to those values, skipped while enumerating: the result is the
+    unrestricted enumeration with every valuation outside the candidates
+    left out, in the same order.
     """
     results: list[dict] = []
+    candidates = candidates or {}
 
     def extend(idx: int, current: dict, used_fresh: int) -> None:
         if idx == len(variables):
             results.append(dict(current))
             return
         var = variables[idx]
+        allowed = candidates.get(var.name)
         for value in domain.constants:
-            current[var] = value
-            extend(idx + 1, current, used_fresh)
+            if allowed is None or value in allowed:
+                current[var] = value
+                extend(idx + 1, current, used_fresh)
         # fresh choices: reuse any already-used fresh value, or take the
         # next unused one (introducing fresh values in order)
         limit = min(used_fresh + 1, len(domain.fresh))
         for j in range(limit):
-            current[var] = domain.fresh[j]
-            extend(idx + 1, current, max(used_fresh, j + 1))
+            if allowed is None or domain.fresh[j] in allowed:
+                current[var] = domain.fresh[j]
+                extend(idx + 1, current, max(used_fresh, j + 1))
         current.pop(var, None)
 
     with phase(PHASE_VALUATIONS):

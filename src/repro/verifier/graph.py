@@ -12,7 +12,8 @@ Two pieces remove the redundancy:
 * :class:`StateInterner` hash-conses :class:`GlobalState` snapshots into
   dense integer ids, so visited-set membership during the nested DFS is
   an int hash instead of a deep nested-tuple hash, and product nodes are
-  ``(int, buchi_state)`` pairs.
+  ``(int, int)`` pairs (the Büchi state is compiled to an int too, see
+  :class:`~repro.verifier.product.ProductSystem`).
 * :class:`SharedExploration` wraps one :class:`TransitionCache` behind
   the interner and memoizes each successor row as a tuple of ids.
   :meth:`~SharedExploration.complete` expands the whole reachable graph

@@ -74,21 +74,6 @@ def _as_sentence(prop: LTLFOSentence | str,
     return prop
 
 
-def _candidate_valuations(variables: Sequence[Var],
-                          domain: VerificationDomain,
-                          candidates: Mapping[str, Sequence[Value]] | None
-                          ) -> list[dict]:
-    """The canonical valuations of *variables*, restricted to *candidates*."""
-    valuations = canonical_valuations(variables, domain)
-    if not candidates:
-        return valuations
-    return [
-        v for v in valuations
-        if all(var.name not in candidates or v[var] in candidates[var.name]
-               for var in variables)
-    ]
-
-
 def occurs_terms(valuation: Mapping[Var, Value],
                  domain: VerificationDomain) -> list:
     """``F occurs(v)`` for each fresh value of *valuation*.
@@ -244,8 +229,7 @@ def sweep_valuations(valuations: Sequence[Mapping[Var, Value]],
     Over a :class:`SharedExploration` the first valuation explores
     lazily (it may decide the verdict without the full graph); from the
     second on the graph is completed, so the remaining valuations are
-    pure graph walks.  The exploration's letter memo is per-AP-set, so
-    it is dropped when the loop ends.
+    pure graph walks.
     """
     shared = isinstance(space, SharedExploration)
     stats = VerifierStats()
@@ -288,8 +272,6 @@ def sweep_valuations(valuations: Sequence[Mapping[Var, Value]],
                 )
                 break
         stats.system_states = space.states_expanded
-        if shared:
-            space.shared.drop_letters()
 
     stats.merge_phases(diff_numeric(phase_seconds(), seconds_before),
                        diff_numeric(phase_counts(), counts_before))
@@ -489,13 +471,13 @@ def verify(composition: Composition,
         differential tests.  A :class:`SharedExploration` instance
         reuses that exploration directly (``verify_all`` and the CLI do
         this to share one graph across a property batch, see
-        :func:`property_engines`); it must have been built over
-        ``domain``.  Verdicts, counterexamples, and search node counts
-        are identical either way (Theorem 3.4's graph is
-        valuation-independent).  The exploration's letter memo is
-        per-AP-set, so it is dropped when this call returns; views,
-        active domains, FO truths and the graph stay for the next
-        property.
+        :func:`property_engines`); it must have been built for this
+        call's composition, databases, domain values, semantics and
+        ``env_value_domain``, else :class:`VerificationError` names the
+        first that differs.  Verdicts, counterexamples, and search node
+        counts are identical either way (Theorem 3.4's graph is
+        valuation-independent).  The graph, views, active domains and
+        FO truths stay on the exploration for the next property.
     shard:
         ``(index, count)`` restricts the sweep to the valuations whose
         global order falls in this shard's residue class
@@ -513,6 +495,9 @@ def verify(composition: Composition,
             composition, [sentence], databases
         )
     shard = resolve_shard(shard)
+    if isinstance(engine, SharedExploration):
+        _check_exploration(engine, composition, databases, domain,
+                           semantics, env_value_domain)
 
     n_workers = resolve_workers(workers)
     if n_workers > 1:
@@ -548,9 +533,40 @@ def verify(composition: Composition,
         return nba, SnapshotEvaluator(composition, domain.values, nba.aps)
 
     return sweep_valuations(
-        _candidate_valuations(sentence.variables, domain,
-                              valuation_candidates),
+        canonical_valuations(sentence.variables, domain,
+                             valuation_candidates),
         space, unit, str(sentence), domain, semantics, shard)
+
+
+def _check_exploration(exploration: SharedExploration,
+                       composition: Composition,
+                       databases: Mapping[str, Instance],
+                       domain: VerificationDomain,
+                       semantics: ChannelSemantics,
+                       env_value_domain: Sequence[Value] | None) -> None:
+    """Refuse an exploration built for other inputs than a call's.
+
+    Its graph, and the FO truths it memoises without the domain, hold
+    only for the composition, databases, domain values, semantics and
+    environment values it was built with.
+    """
+    cache = exploration.cache
+
+    def values(seq):
+        return None if seq is None else tuple(seq)
+
+    for field, built, called in (
+        ("composition", cache.composition, composition),
+        ("databases", cache.databases, dict(databases)),
+        ("domain values", cache.domain, tuple(domain.values)),
+        ("semantics", cache.semantics, semantics),
+        ("env_value_domain", values(cache.env_value_domain),
+         values(env_value_domain)),
+    ):
+        if built != called:
+            raise VerificationError(
+                f"the supplied exploration does not match this call's "
+                f"{field}")
 
 
 def verify_over_databases(composition: Composition,

@@ -51,13 +51,12 @@ from ..runtime.state import GlobalState, snapshot_view
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
 from ..spec.rules import rename_formula_relations
-from .atoms import OccursAtom
+from .atoms import OccursAtom, bit_table
 from .domain import (
     VerificationDomain, canonical_valuations, verification_domain,
 )
 from .ltlfo_verifier import (
-    _as_sentence, _candidate_valuations, _check_restrictions, occurs_terms,
-    sweep_valuations,
+    _as_sentence, _check_restrictions, occurs_terms, sweep_valuations,
 )
 from .product import SearchBudget, TransitionCache
 from .result import VerificationResult
@@ -296,15 +295,16 @@ class PairCache:
 
 
 class PairEvaluator:
-    """AP valuation over (previous, current) snapshot pairs."""
+    """AP valuation over (previous, current) snapshot pairs, as masks."""
 
     def __init__(self, composition: Composition,
                  domain: Sequence, aps: frozenset) -> None:
         self.composition = composition
         self.domain = tuple(domain)
         self.aps = aps
+        self.bits = bit_table(aps)
         self._view_cache: dict[GlobalState, Instance] = {}
-        self._letter_cache: dict[tuple, frozenset] = {}
+        self._letter_cache: dict[tuple, int] = {}
 
     def _view(self, state: GlobalState) -> Instance:
         view = self._view_cache.get(state)
@@ -325,25 +325,24 @@ class PairEvaluator:
             view = view.merged(marked)
         return view
 
-    def letter(self, pair) -> frozenset:
+    def letter(self, pair) -> int:
         cached = self._letter_cache.get(pair)
         if cached is not None:
             return cached
         prev, cur = pair
-        true_aps = set()
+        mask = 0
         pair_view: Instance | None = None
-        for ap in self.aps:
+        for ap, bit in self.bits.items():
             if isinstance(ap, OccursAtom):
                 if ap.value in cur.active_domain():
-                    true_aps.add(ap)
+                    mask |= bit
                 continue
             if pair_view is None:
                 pair_view = self._pair_view(prev, cur)
             if evaluate(ap, pair_view, self.domain):
-                true_aps.add(ap)
-        letter = frozenset(true_aps)
-        self._letter_cache[pair] = letter
-        return letter
+                mask |= bit
+        self._letter_cache[pair] = mask
+        return mask
 
 
 # -- the modular verifier -----------------------------------------------------
@@ -441,6 +440,6 @@ def verify_modular(composition: Composition,
         return nba, PairEvaluator(composition, domain.values, nba.aps)
 
     return sweep_valuations(
-        _candidate_valuations(sentence.variables, domain,
-                              valuation_candidates),
+        canonical_valuations(sentence.variables, domain,
+                             valuation_candidates),
         cache, unit, text, domain, semantics)

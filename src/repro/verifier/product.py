@@ -96,8 +96,41 @@ class TransitionCache:
         return len(self._successors)
 
 
-#: A product node: (exploration node, Büchi state).
+#: A product node: (exploration node, dense Büchi state number).
 ProductNode = tuple
+
+
+def compile_guards(nba: BuchiAutomaton, bits: Mapping
+                   ) -> tuple[list, list[int], list[bool]]:
+    """The automaton as dense int states, its guards as letter masks.
+
+    States are numbered in the iteration order of ``nba.states``.
+    Returns ``(rows, initial, accepting)``: ``rows[i]`` holds one
+    ``(pos_mask, neg_mask, dst)`` triple per edge of state *i*, in
+    ``edges_from`` order; ``initial`` lists the initial states in
+    ``nba.initial`` order; ``accepting[i]`` flags state *i*.  A letter
+    *m* (over the bit table *bits*) satisfies a row iff
+    ``m & pos == pos and not m & neg`` -- exactly when the edge's guard
+    is satisfied by the set of APs *m* encodes.  A positive literal
+    outside *bits* compiles to a bit no letter sets, a negative one to
+    no bit.
+    """
+    number = {q: i for i, q in enumerate(nba.states)}
+    never = 1 << len(bits)
+    rows = []
+    for q in nba.states:
+        row = []
+        for edge in nba.edges_from(q):
+            pos = neg = 0
+            for ap in edge.guard.pos:
+                pos |= bits.get(ap, never)
+            for ap in edge.guard.neg:
+                neg |= bits.get(ap, 0)
+            row.append((pos, neg, number[edge.dst]))
+        rows.append(tuple(row))
+    initial = [number[q] for q in nba.initial]
+    accepting = [q in nba.accepting for q in nba.states]
+    return rows, initial, accepting
 
 
 class ProductSystem:
@@ -109,7 +142,11 @@ class ProductSystem:
     :class:`~repro.verifier.graph.SharedExploration` (interned ids) or
     modular's :class:`~repro.verifier.modular.PairCache`
     (previous/current pairs).  The evaluator reads letters off the same
-    nodes, and ``state_of`` maps a lasso's nodes back to snapshots.
+    nodes as int masks over its bit table ``evaluator.bits``, and
+    ``state_of`` maps a lasso's nodes back to snapshots.  The automaton
+    is compiled once, against that table (:func:`compile_guards`), so
+    product nodes are ``(node, int)`` pairs and a transition test is
+    two int operations.
 
     The NBA reads, on each transition, the letter (AP valuation) of the
     *source* node; the automaton's distinguished pre-initial state (from
@@ -120,22 +157,23 @@ class ProductSystem:
 
     def __init__(self, cache, nba: BuchiAutomaton, evaluator) -> None:
         self.cache = cache
-        self.nba = nba
         self.evaluator = evaluator
+        self._rows, self._initial, self._accepting = compile_guards(
+            nba, evaluator.bits)
 
     def initial_nodes(self) -> list[ProductNode]:
         return [
             (node, q)
             for node in self.cache.initial()
-            for q in self.nba.initial
+            for q in self._initial
         ]
 
     def successors(self, node: ProductNode) -> Iterator[ProductNode]:
         source, q = node
         letter = self.evaluator.letter(source)
         targets = [
-            edge.dst for edge in self.nba.edges_from(q)
-            if edge.guard.satisfied(letter)
+            dst for pos, neg, dst in self._rows[q]
+            if letter & pos == pos and not letter & neg
         ]
         if not targets:
             return
@@ -144,4 +182,4 @@ class ProductSystem:
                 yield (nxt, dst)
 
     def is_accepting(self, node: ProductNode) -> bool:
-        return node[1] in self.nba.accepting
+        return self._accepting[node[1]]

@@ -12,9 +12,10 @@ from repro.runtime import reachable_states, simulate, snapshot_view
 from repro.spec import (
     ChannelSemantics, DECIDABLE_DEFAULT, PERFECT_BOUNDED,
 )
+from repro.errors import VerificationError
 from repro.verifier import (
-    SharedExploration, SnapshotEvaluator, TransitionCache,
-    verification_domain, verify,
+    SharedExploration, SnapshotEvaluator, TransitionCache, decode_letter,
+    property_engines, verification_domain, verify,
 )
 
 DB = {"S": Instance({"items": [("a",)]})}
@@ -54,8 +55,10 @@ class TestVerifierVsSimulation:
             sender_receiver, dom.values,
             frozenset(a for a in _payloads(body)),
         )
-        prefix = [evaluator.letter(s) for s in cex.lasso.prefix]
-        cycle = [evaluator.letter(s) for s in cex.lasso.cycle]
+        prefix = [decode_letter(evaluator.bits, evaluator.letter(s))
+                  for s in cex.lasso.prefix]
+        cycle = [decode_letter(evaluator.bits, evaluator.letter(s))
+                 for s in cex.lasso.cycle]
         assert evaluate_on_word(lnot(body), prefix, cycle)
 
 
@@ -130,6 +133,33 @@ class TestSharedTransitionCache:
                     domain=dom, engine=SharedExploration(cache))
         assert r1.satisfied and r2.satisfied
         assert cache.states_expanded >= states_after_first
+
+    def test_refuses_exploration_built_for_other_semantics(
+            self, sender_receiver):
+        sentence = parse_ltlfo("forall x: G( S.pick(x) -> F R.got(x) )",
+                               sender_receiver.schema)
+        dom = verification_domain(sender_receiver, [sentence], DB)
+        perfect = verify(sender_receiver, sentence, DB,
+                         semantics=PERFECT_BOUNDED, domain=dom,
+                         fair_scheduling=True)
+        assert perfect.satisfied
+        [(_dom, lossy)] = property_engines(
+            sender_receiver, [sentence], DB, DECIDABLE_DEFAULT, dom)
+        with pytest.raises(VerificationError, match="semantics"):
+            verify(sender_receiver, sentence, DB,
+                   semantics=PERFECT_BOUNDED, domain=dom,
+                   fair_scheduling=True, engine=lossy)
+
+    def test_refuses_exploration_built_for_other_domain(
+            self, sender_receiver):
+        prop = "forall x: G( R.got(x) -> S.items(x) )"
+        two = verification_domain(sender_receiver, [], DB, fresh_count=2)
+        three = verification_domain(sender_receiver, [], DB, fresh_count=3)
+        [(_dom, engine)] = property_engines(
+            sender_receiver, [parse_ltlfo(prop, sender_receiver.schema)],
+            DB, domain=two)
+        with pytest.raises(VerificationError, match="domain values"):
+            verify(sender_receiver, prop, DB, domain=three, engine=engine)
 
 
 class TestProcedureStats:

@@ -13,8 +13,8 @@ stop early), as in ``tests/test_engine_differential.py``.
 
 Two further properties are pinned: each distinct state of each domain
 is expanded exactly once per run (the ``expand`` phase count equals the
-states of the completed graphs), and ``verify()`` drops the letter memo
-of a caller-supplied exploration when it returns.
+states of the completed graphs), and a caller-supplied exploration
+keeps its graph and per-state caches for the next property.
 
 The inputs are ``examples/specs/auction.dws`` (two properties, one
 domain), ``repro profile loan`` (a library batch over a fixed domain
@@ -47,19 +47,13 @@ BATCH = Path(__file__).resolve().parent / "fixtures" / "batch.dws"
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Every ``verify`` call the CLI makes: (args, kwargs, result, letters).
-
-    ``letters`` is the exploration's letter memo as the call returned.
-    """
+    """Every ``verify`` call the CLI makes: (args, kwargs, result)."""
     recorded = []
     inner = cli.verify
 
     def spy(*args, **kwargs):
         result = inner(*args, **kwargs)
-        engine = kwargs["engine"]
-        letters = (dict(engine.shared._letters)
-                   if isinstance(engine, SharedExploration) else None)
-        recorded.append((args, kwargs, result, letters))
+        recorded.append((args, kwargs, result))
         return result
 
     monkeypatch.setattr(cli, "verify", spy)
@@ -88,12 +82,11 @@ def check_batch(calls, expansions, *, own_domains: bool) -> dict:
     property's domain must be its own ``verification_domain``.
     """
     explorations = {}
-    for args, kwargs, result, letters in calls:
+    for args, kwargs, result in calls:
         composition, sentence, databases = args
         domain, engine = kwargs["domain"], kwargs["engine"]
         semantics = kwargs["semantics"]
         assert isinstance(engine, SharedExploration)
-        assert letters == {}, "letter memo kept after verify() returned"
         if own_domains:
             assert domain == verification_domain(composition, [sentence],
                                                  databases)
@@ -137,7 +130,7 @@ def check_batch(calls, expansions, *, own_domains: bool) -> dict:
 def test_auction_shares_one_exploration(calls, capsys):
     code, expansions = run_cli(["verify", "--workers", "1", str(AUCTION)])
     assert code == 0
-    assert [r.satisfied for _a, _k, r, _l in calls] == [True, True]
+    assert [r.satisfied for _a, _k, r in calls] == [True, True]
     explorations = check_batch(calls, expansions, own_domains=True)
     assert len(explorations) == 1
 
@@ -148,7 +141,7 @@ def test_batch_fixture_splits_on_the_extra_constant(calls, capsys):
     out = capsys.readouterr().out
     assert [line.split(":")[0] for line in out.splitlines()] == [
         "delivered", "got_from_items", "never_got_z", "nothing_arrives"]
-    assert [r.satisfied for _a, _k, r, _l in calls] == [
+    assert [r.satisfied for _a, _k, r in calls] == [
         False, True, True, False]
     explorations = check_batch(calls, expansions, own_domains=True)
     assert len(explorations) == 2
@@ -162,7 +155,7 @@ def test_profile_loan_matches_solo_runs(calls, capsys):
     code, expansions = run_cli(["profile", "loan", "--workers", "1"])
     assert code == 0
     assert all(kwargs["valuation_candidates"] == loan.STANDARD_CANDIDATES
-               for _a, kwargs, _r, _l in calls)
+               for _a, kwargs, _r in calls)
     explorations = check_batch(calls, expansions, own_domains=False)
     assert len(explorations) == 1
     out = capsys.readouterr()
@@ -206,7 +199,6 @@ def test_letter_memo_dropped_for_supplied_exploration():
     result = verify(composition, sentence, databases, domain=domain,
                     engine=engine)
     assert result.satisfied
-    assert engine.shared._letters == {}
     # the graph (every interned state's successor row) and the
     # per-state caches stay for the next property
     assert len(engine._succ) == len(engine.interner)

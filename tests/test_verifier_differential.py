@@ -21,7 +21,8 @@ from repro.ltlfo import parse_ltlfo
 from repro.runtime import initial_states, successors
 from repro.spec import DECIDABLE_DEFAULT, PERFECT_BOUNDED
 from repro.verifier import (
-    SnapshotEvaluator, canonical_valuations, verification_domain, verify,
+    SnapshotEvaluator, canonical_valuations, decode_letter,
+    verification_domain, verify,
 )
 from repro.ltl import evaluate_on_word, lnot
 
@@ -57,9 +58,11 @@ def sample_lasso(composition, databases, domain, seed, semantics,
 
 def lasso_word(composition, domain, lasso, aps):
     evaluator = SnapshotEvaluator(composition, domain, frozenset(aps))
-    prefix = [evaluator.letter(s) for s in lasso[0]]
-    cycle = [evaluator.letter(s) for s in lasso[1]]
-    return prefix, cycle
+
+    def letter(state):
+        return decode_letter(evaluator.bits, evaluator.letter(state))
+
+    return [letter(s) for s in lasso[0]], [letter(s) for s in lasso[1]]
 
 
 def payloads_of(body):

@@ -1,5 +1,7 @@
 """Tests for verification-domain computation and valuation enumeration."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.fo import Instance
 from repro.ltlfo import parse_ltlfo
 from repro.fo.terms import Var
@@ -67,6 +69,54 @@ class TestCanonicalValuations:
         # constants fully enumerated
         pairs = {(v[Var("x")], v[Var("y")]) for v in vals}
         assert ("a", "b") in pairs and ("b", "a") in pairs
+
+
+def _filtered(variables, domain, candidates):
+    """The full enumeration, restricted to *candidates* after the fact."""
+    valuations = canonical_valuations(variables, domain)
+    if not candidates:
+        return valuations
+    return [
+        v for v in valuations
+        if all(var.name not in candidates or v[var] in candidates[var.name]
+               for var in variables)
+    ]
+
+
+@st.composite
+def _candidate_cases(draw):
+    constants = tuple(f"c{i}" for i in range(draw(st.integers(0, 4))))
+    fresh = tuple(f"$v{i}" for i in range(draw(st.integers(0, 3))))
+    domain = VerificationDomain(constants, fresh)
+    names = ["x", "y", "z", "w"][:draw(st.integers(1, 4))]
+    variables = [Var(name) for name in names]
+    # values from the domain, a fresh value the domain lacks, and
+    # values outside it
+    pool = list(domain.values) + ["$v3", "outside", 7]
+    keys = st.sampled_from(names + ["not_a_variable"])
+    candidates = draw(st.one_of(
+        st.none(),
+        st.just({}),
+        st.dictionaries(keys, st.lists(st.sampled_from(pool), max_size=5),
+                        max_size=5),
+    ))
+    return variables, domain, candidates
+
+
+class TestCandidateEnumeration:
+    @given(case=_candidate_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_filtered_enumeration(self, case):
+        variables, domain, candidates = case
+        assert canonical_valuations(variables, domain, candidates) == \
+            _filtered(variables, domain, candidates)
+
+    def test_skips_non_candidates(self):
+        dom = VerificationDomain(("a", "b"), ("f0", "f1"))
+        x, y = Var("x"), Var("y")
+        vals = canonical_valuations([x, y], dom, {"x": ["b", "f0"],
+                                                  "y": ["f1"]})
+        assert vals == [{x: "f0", y: "f1"}]
 
 
 class TestEnumerateDatabases:
