@@ -90,9 +90,8 @@ from pathlib import Path
 from .errors import ReproError
 from .ib import check_composition, summarize
 from .obs import (
-    REGISTRY, begin_run, configure_tracing, diff_numeric, end_run,
-    phase_counts,
-    phase_seconds, set_shard,
+    REGISTRY, begin_run, configure_tracing, counters_snapshot,
+    diff_numeric, end_run, phase_counts, phase_seconds, set_shard,
 )
 from .obs.metrics import SCHEMA as METRICS_SCHEMA
 from .runtime import simulate
@@ -521,15 +520,23 @@ _PHASE_ORDER = (
 )
 
 
-def _layer_rates(results: list) -> list[str]:
+def _layer_rates(results: list, counters: dict) -> list[str]:
     """The per-layer rates: ``expand`` time per expansion, ``search`` time
-    per product node, over every result's phases (workers included)."""
+    per product node searched, over every result's phases (workers
+    included).
+
+    Nodes searched come from the run's registry delta *counters*
+    (``search.blue_visited`` + ``search.red_visited``, children folded
+    in), not from ``product_nodes_visited``, which charges every
+    valuation its letter class's search whether or not it ran.
+    """
     seconds: Counter = Counter()
     counts: Counter = Counter()
     for r in results:
         seconds.update(r.stats.phase_seconds)
         counts.update(r.stats.phase_counts)
-    nodes = sum(r.stats.product_nodes_visited for r in results)
+    nodes = (counters.get("search.blue_visited", 0)
+             + counters.get("search.red_visited", 0))
     rates = []
     if counts["expand"]:
         rates.append(f"  expand rate: "
@@ -590,6 +597,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     seconds_before = phase_seconds()
     counts_before = phase_counts()
+    counters_before = counters_snapshot()
     t0 = time.perf_counter()
     runs = []
     for run in _verify_each(args, composition,
@@ -599,6 +607,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         name, _domain, result = run
         print(f"{name}: {result.verdict}  "
               f"(valuations={result.stats.valuations_checked}, "
+              f"classes={result.stats.valuation_classes}, "
               f"states={result.stats.system_states}, "
               f"product nodes={result.stats.product_nodes_visited}, "
               f"{result.stats.wall_seconds:.3f}s)")
@@ -615,7 +624,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print(row)
     print(f"  {'total (wall)':12s} {'':>8s} {wall:>10.3f}s {100.0:>6.1f}%")
 
-    for line in _layer_rates(results):
+    for line in _layer_rates(
+            results, diff_numeric(counters_snapshot(), counters_before)):
         print(line)
 
     compute = sum(r.stats.task_seconds + r.stats.cancelled_task_seconds

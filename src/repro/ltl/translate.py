@@ -10,6 +10,10 @@ degeneralized.
 The produced automaton reads words over valuations of the formula's atomic
 propositions; guards on edges record the positive/negative literals a node
 committed to.
+
+The expansion keeps its formula sets in insertion order, so states,
+edge order and acceptance sets are a function of the formula alone, the
+same under every ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -25,18 +29,25 @@ from .formulas import (
     LTLFormula, atom_payloads, to_nnf,
 )
 
-_INIT = "__init__"
+#: The distinguished pre-initial state.  Tableau nodes are numbered from
+#: 1, so every state name is an int.
+_INIT = 0
 
 
 @dataclass
 class _Node:
-    """A GPVW tableau node under construction."""
+    """A GPVW tableau node under construction.
+
+    The formula sets are dicts used as insertion-ordered sets: a
+    ``set`` pops in string-hash order, which would make node numbering
+    and edge order follow ``PYTHONHASHSEED``.
+    """
 
     name: int
-    incoming: set
-    new: set
-    old: set
-    next: set
+    incoming: dict
+    new: dict
+    old: dict
+    next: dict
 
 
 def _is_literal(f: LTLFormula) -> bool:
@@ -58,7 +69,10 @@ def _negated(f: LTLFormula) -> LTLFormula:
 
 def _expand(node: _Node, nodes: list[_Node],
             counter: "itertools.count") -> None:
-    """The GPVW expand() procedure, iterative over an explicit stack."""
+    """The GPVW expand() procedure, iterative over an explicit stack.
+
+    Each step expands the formula added to ``new`` last.
+    """
     stack = [node]
     while stack:
         cur = stack.pop()
@@ -67,7 +81,7 @@ def _expand(node: _Node, nodes: list[_Node],
             merged = False
             for existing in nodes:
                 if existing.old == cur.old and existing.next == cur.next:
-                    existing.incoming |= cur.incoming
+                    existing.incoming.update(cur.incoming)
                     merged = True
                     break
             if merged:
@@ -75,57 +89,53 @@ def _expand(node: _Node, nodes: list[_Node],
             nodes.append(cur)
             successor = _Node(
                 name=next(counter),
-                incoming={cur.name},
-                new=set(cur.next),
-                old=set(),
-                next=set(),
+                incoming={cur.name: None},
+                new=dict(cur.next),
+                old={},
+                next={},
             )
             stack.append(successor)
             continue
 
-        eta = cur.new.pop()
+        eta, _ = cur.new.popitem()
         if _is_literal(eta):
             if isinstance(eta, LFalse) or _negated(eta) in cur.old:
                 continue  # contradictory node: discard
             if not isinstance(eta, LTrue):
-                cur.old.add(eta)
+                cur.old[eta] = None
             stack.append(cur)
         elif isinstance(eta, LAnd):
             for part in (eta.left, eta.right):
                 if part not in cur.old:
-                    cur.new.add(part)
-            cur.old.add(eta)
+                    cur.new[part] = None
+            cur.old[eta] = None
             stack.append(cur)
         elif isinstance(eta, LNext):
-            cur.next.add(eta.body)
-            cur.old.add(eta)
+            cur.next[eta.body] = None
+            cur.old[eta] = None
             stack.append(cur)
         elif isinstance(eta, (LOr, LUntil, LRelease)):
             if isinstance(eta, LOr):
-                new1 = {eta.left}
-                new2 = {eta.right}
-                next1: set = set()
+                new1, new2, next1 = (eta.left,), (eta.right,), ()
             elif isinstance(eta, LUntil):
-                new1 = {eta.left}
-                new2 = {eta.right}
-                next1 = {eta}
+                new1, new2, next1 = (eta.left,), (eta.right,), (eta,)
             else:  # LRelease
-                new1 = {eta.right}
-                new2 = {eta.left, eta.right}
-                next1 = {eta}
+                new1, new2, next1 = (eta.right,), (eta.left, eta.right), (eta,)
             node1 = _Node(
                 name=next(counter),
-                incoming=set(cur.incoming),
-                new=cur.new | (new1 - cur.old),
-                old=cur.old | {eta},
-                next=cur.next | next1,
+                incoming=dict(cur.incoming),
+                new=cur.new | dict.fromkeys(
+                    f for f in new1 if f not in cur.old),
+                old=cur.old | {eta: None},
+                next=cur.next | dict.fromkeys(next1),
             )
             node2 = _Node(
                 name=next(counter),
-                incoming=set(cur.incoming),
-                new=cur.new | (new2 - cur.old),
-                old=cur.old | {eta},
-                next=set(cur.next),
+                incoming=dict(cur.incoming),
+                new=cur.new | dict.fromkeys(
+                    f for f in new2 if f not in cur.old),
+                old=cur.old | {eta: None},
+                next=dict(cur.next),
             )
             stack.append(node2)
             stack.append(node1)
@@ -133,7 +143,7 @@ def _expand(node: _Node, nodes: list[_Node],
             raise FormulaError(f"formula not in NNF: {eta}")
 
 
-def _guard_of(old: set) -> Guard:
+def _guard_of(old: dict) -> Guard:
     pos = frozenset(f.ap for f in old if isinstance(f, LAtom))
     neg = frozenset(
         f.body.ap for f in old
@@ -154,10 +164,10 @@ def ltl_to_generalized_buchi(formula: LTLFormula) -> GeneralizedBuchi:
     nodes: list[_Node] = []
     root = _Node(
         name=next(counter),
-        incoming={_INIT},
-        new={nnf},
-        old=set(),
-        next=set(),
+        incoming={_INIT: None},
+        new={nnf: None},
+        old={},
+        next={},
     )
     _expand(root, nodes, counter)
 
@@ -169,21 +179,14 @@ def ltl_to_generalized_buchi(formula: LTLFormula) -> GeneralizedBuchi:
         for src in target.incoming:
             edges.append(Edge(src, guard, target.name))
 
-    # one acceptance set per Until subformula
-    untils = [
-        f for n in nodes for f in n.old if isinstance(f, LUntil)
+    # one acceptance set per Until subformula, in first-seen order
+    untils = dict.fromkeys(
+        f for n in nodes for f in n.old if isinstance(f, LUntil))
+    acceptance_sets = [
+        frozenset(n.name for n in nodes
+                  if u.right in n.old or u not in n.old)
+        for u in untils
     ]
-    unique_untils: list[LUntil] = []
-    for u in untils:
-        if u not in unique_untils:
-            unique_untils.append(u)
-    acceptance_sets = []
-    for u in unique_untils:
-        sat = frozenset(
-            n.name for n in nodes
-            if u.right in n.old or u not in n.old
-        )
-        acceptance_sets.append(sat)
     if not acceptance_sets:
         acceptance_sets.append(frozenset(n.name for n in nodes))
 

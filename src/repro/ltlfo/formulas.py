@@ -24,7 +24,7 @@ from ..errors import FormulaError
 from ..fo import formulas as fo
 from ..fo.terms import Value, Var
 from ..ltl.formulas import (
-    LAtom, LTLFormula, atom_payloads, lnot, lwalk,
+    LAtom, LTLFormula, lnot, lwalk,
 )
 
 
@@ -55,12 +55,12 @@ class LTLFOSentence:
     # -- queries ----------------------------------------------------------
 
     def fo_payloads(self) -> tuple[fo.Formula, ...]:
-        """The maximal FO subformulas (the temporal skeleton's atoms)."""
-        seen: list[fo.Formula] = []
-        for payload in atom_payloads(self.body):
-            if payload not in seen:
-                seen.append(payload)
-        return tuple(seen)
+        """The maximal FO subformulas (the temporal skeleton's atoms),
+        distinct, in the order a left-to-right walk of the body meets
+        them."""
+        return tuple(dict.fromkeys(
+            node.ap for node in lwalk(self.body) if isinstance(node, LAtom)
+        ))
 
     def free_payload_vars(self) -> frozenset[Var]:
         out: set[Var] = set()

@@ -20,6 +20,12 @@ APs true at that node.  :class:`~repro.verifier.product.ProductSystem`
 compiles the automaton's guards against the same table, so the search
 compares ints, never AP formula trees; :func:`decode_letter` turns a
 mask back into the set of true APs.
+
+An automaton AP is read through a *binding* (:func:`bindings`).  The
+LTL-FO verifier translates each sentence once, as a template whose APs
+are payload positions (:class:`PayloadAtom`); a valuation's evaluator
+binds position *i* to payload *i* instantiated under the valuation, and
+occurs and fairness atoms to themselves.
 """
 
 from __future__ import annotations
@@ -45,6 +51,29 @@ class OccursAtom:
         return f"occurs({self.value!r})"
 
 
+@dataclass(frozen=True, slots=True)
+class PayloadAtom:
+    """AP of a template automaton: the sentence's FO payload at *index*
+    (in ``LTLFOSentence.fo_payloads()`` order)."""
+
+    index: int
+
+    def __str__(self) -> str:
+        return f"payload[{self.index}]"
+
+
+def bindings(aps: Iterable[Hashable] | Mapping) -> dict:
+    """Each AP with what its truth is read from: an FO sentence or an
+    :class:`OccursAtom`.
+
+    A mapping is taken as the binding, in its order; any other iterable
+    binds each of its APs to itself.
+    """
+    if isinstance(aps, Mapping):
+        return dict(aps)
+    return {ap: ap for ap in aps}
+
+
 def bit_table(aps: Iterable[Hashable]) -> dict:
     """Each AP's letter bit: ``1 << i`` in the iteration order of *aps*."""
     return {ap: 1 << i for i, ap in enumerate(aps)}
@@ -58,25 +87,28 @@ def decode_letter(bits: Mapping, mask: int) -> frozenset:
 class SnapshotEvaluator:
     """Evaluates AP valuations over snapshots, with caching.
 
-    The snapshot *view* (queue readings, move flags, ...) is cached per
-    state; the letter (the mask of true APs) is cached per state for
-    this evaluator's fixed AP set.
+    *aps* are the automaton's APs, or their binding (:func:`bindings`);
+    bits follow its order.  The snapshot *view* (queue readings, move
+    flags, ...) is cached per state; the letter (the mask of true APs)
+    is cached per state for this evaluator's fixed AP set.
     """
 
     def __init__(self, composition: Composition, domain: Iterable[Value],
-                 aps: frozenset) -> None:
+                 aps: Iterable[Hashable] | Mapping) -> None:
         self.composition = composition
         self.domain = tuple(domain)
-        self.aps = aps
-        self.bits = bit_table(aps)
+        self.binding = bindings(aps)
+        self.aps = frozenset(self.binding)
+        self.bits = bit_table(self.binding)
         self._view_cache: dict[GlobalState, Instance] = {}
         self._letter_cache: dict[GlobalState, int] = {}
         # projection cache: the truth of an FO sentence depends only on
         # the extensions of the relations it mentions, which repeat
         # heavily across snapshots
         self._relevant: dict = {
-            ap: tuple(sorted(relations(ap)))
-            for ap in aps if not isinstance(ap, OccursAtom)
+            formula: tuple(sorted(relations(formula)))
+            for formula in self.binding.values()
+            if not isinstance(formula, OccursAtom)
         }
         self._truth_cache: dict = {}
 
@@ -95,20 +127,21 @@ class SnapshotEvaluator:
         snapshot_domain: frozenset[Value] | None = None
         view = None
         for ap, bit in self.bits.items():
-            if isinstance(ap, OccursAtom):
+            formula = self.binding[ap]
+            if isinstance(formula, OccursAtom):
                 if snapshot_domain is None:
                     snapshot_domain = state.active_domain()
-                if ap.value in snapshot_domain:
+                if formula.value in snapshot_domain:
                     mask |= bit
             else:
                 if view is None:
                     view = self.view(state)
-                key = (ap, tuple(
-                    view[rel] for rel in self._relevant[ap]
+                key = (formula, tuple(
+                    view[rel] for rel in self._relevant[formula]
                 ))
                 truth = self._truth_cache.get(key)
                 if truth is None:
-                    truth = evaluate(ap, view, self.domain)
+                    truth = evaluate(formula, view, self.domain)
                     self._truth_cache[key] = truth
                 if truth:
                     mask |= bit
@@ -130,7 +163,9 @@ class SharedSnapshotContext:
     relation set).
 
     FO truths are keyed without the domain, so one context serves one
-    verification domain only.
+    verification domain only.  Over a completed exploration,
+    :meth:`extension_classes` lists the distinct extensions a relation
+    set takes across the graph, which letter classes are read on.
     """
 
     def __init__(self, composition: Composition, interner) -> None:
@@ -143,6 +178,8 @@ class SharedSnapshotContext:
         #: relation set -> {state id: extension id}
         self._extensions_at: dict[tuple[str, ...], dict[int, int]] = {}
         self._truths: dict[tuple[int, int], bool] = {}
+        #: relation set -> ((extension id, first state id with it), ...)
+        self._classes: dict[tuple[str, ...], tuple] = {}
 
     def view(self, sid: int) -> Instance:
         cached = self._views.get(sid)
@@ -176,34 +213,68 @@ class SharedSnapshotContext:
         self._extensions_at[rels][sid] = eid
         return eid
 
+    def extension_classes(self, rels: tuple[str, ...]) -> tuple:
+        """``(extension id, first state id)`` per distinct extension of
+        *rels* across every interned state, in first-seen order.
+
+        Memoized per relation set, so call it only on a completed
+        exploration, whose interned states are the whole reachable graph.
+        """
+        classes = self._classes.get(rels)
+        if classes is None:
+            known = self.extensions_at(rels)
+            first: dict[int, int] = {}
+            for sid in range(len(self.interner)):
+                eid = known.get(sid)
+                if eid is None:
+                    eid = self.extension_id(sid, rels)
+                first.setdefault(eid, sid)
+            classes = self._classes[rels] = tuple(first.items())
+        return classes
+
+    def truth(self, ap_id: int, formula: Formula, eid: int, sid: int,
+              domain: tuple) -> bool:
+        """The FO AP *ap_id*'s truth on extension *eid*, read at *sid*
+        (a state with that extension) and memoized."""
+        key = (ap_id, eid)
+        truth = self._truths.get(key)
+        if truth is None:
+            truth = self._truths[key] = evaluate(formula, self.view(sid),
+                                                 domain)
+        return truth
+
 
 class InternedSnapshotEvaluator:
     """Letter evaluation over interned state ids, with shared caches.
 
-    The interned twin of :class:`SnapshotEvaluator`: same AP semantics,
-    but ``letter`` takes a dense state id, and the views, active
-    domains and FO truths belong to the exploration's
+    The interned twin of :class:`SnapshotEvaluator`: same AP semantics
+    and binding, but ``letter`` takes a dense state id, and the views,
+    active domains and FO truths belong to the exploration's
     :class:`SharedSnapshotContext`, so valuations 2..N of a sweep mostly
-    re-read memoized truths instead of re-evaluating formulas.  Each AP
-    is hashed once, here; ``letter`` looks truths up by
+    re-read memoized truths instead of re-evaluating formulas.  Each
+    bound formula is hashed once, here; ``letter`` looks truths up by
     ``(ap_id, extension id)`` and memoizes this evaluator's letters per
     state.
     """
 
     def __init__(self, composition: Composition, domain: Iterable[Value],
-                 aps: frozenset, shared: SharedSnapshotContext) -> None:
+                 aps: Iterable[Hashable] | Mapping,
+                 shared: SharedSnapshotContext) -> None:
         self.composition = composition
         self.domain = tuple(domain)
-        self.aps = aps
+        self.binding = bindings(aps)
+        self.aps = frozenset(self.binding)
         self.shared = shared
-        self.bits = bit_table(aps)
-        self._occurs = [(bit, ap.value) for ap, bit in self.bits.items()
-                        if isinstance(ap, OccursAtom)]
+        self.bits = bit_table(self.binding)
+        self._occurs = []
         self._fo = []
         for ap, bit in self.bits.items():
-            if not isinstance(ap, OccursAtom):
-                rels = tuple(sorted(relations(ap)))
-                self._fo.append((bit, shared.ap_id(ap), ap, rels,
+            formula = self.binding[ap]
+            if isinstance(formula, OccursAtom):
+                self._occurs.append((bit, formula.value))
+            else:
+                rels = tuple(sorted(relations(formula)))
+                self._fo.append((bit, shared.ap_id(formula), formula, rels,
                                  shared.extensions_at(rels)))
         self._letters: dict[int, int] = {}
 
@@ -218,20 +289,35 @@ class InternedSnapshotEvaluator:
             for bit, value in self._occurs:
                 if value in present:
                     mask |= bit
-        truths = shared._truths
-        for bit, ap_id, ap, rels, extensions in self._fo:
+        for bit, ap_id, formula, rels, extensions in self._fo:
             eid = extensions.get(sid)
             if eid is None:
                 eid = shared.extension_id(sid, rels)
-            key = (ap_id, eid)
-            truth = truths.get(key)
-            if truth is None:
-                truth = evaluate(ap, shared.view(sid), self.domain)
-                truths[key] = truth
-            if truth:
+            if shared.truth(ap_id, formula, eid, sid, self.domain):
                 mask |= bit
         self._letters[sid] = mask
         return mask
+
+    def signature(self) -> tuple[int, ...]:
+        """The FO part of this evaluator's letters on every state.
+
+        For each FO AP in bit order, the mask of its truths on the
+        distinct extensions its relations take across the graph
+        (:meth:`SharedSnapshotContext.extension_classes`): an FO AP's
+        truth at a state is its truth on the state's extension.  Two
+        evaluators of one template automaton with equal signatures read
+        the same letter on every state, since their occurs atoms are the
+        template's.  Call it only on a completed exploration.
+        """
+        shared = self.shared
+        signature = []
+        for _bit, ap_id, formula, rels, _extensions in self._fo:
+            mask = 0
+            for i, (eid, sid) in enumerate(shared.extension_classes(rels)):
+                if shared.truth(ap_id, formula, eid, sid, self.domain):
+                    mask |= 1 << i
+            signature.append(mask)
+        return tuple(signature)
 
 
 def evaluate_sentence_on_snapshot(formula: Formula, state: GlobalState,

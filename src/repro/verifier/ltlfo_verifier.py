@@ -7,14 +7,18 @@ sentence, by exhaustive search over the bounded verification domain:
 1. The property's universal closure is expanded into finitely many
    valuations over the verification domain (canonicalized up to
    fresh-value symmetry).
-2. For each valuation, the negated instantiated body -- conjoined with
-   ``F occurs(v)`` for each fresh value used, implementing the ``Dom(rho)``
-   restriction of the closure semantics -- is translated to a Büchi
-   automaton (GPVW).
+2. The negated body, as a *template* whose APs are payload positions,
+   conjoined with ``F occurs(v)`` for each fresh value a valuation uses
+   (the ``Dom(rho)`` restriction of the closure semantics), is
+   translated to a Büchi automaton (GPVW) once per occurs tuple; a
+   valuation's letters read position *i* as payload *i* instantiated
+   under it.
 3. The on-the-fly product with the composition's snapshot graph is
    searched for an accepting lasso (nested DFS).  A lasso is a genuine
    infinite counterexample run; none anywhere means the property holds
-   over the explored domain.
+   over the explored domain.  Over a completed shared graph, valuations
+   whose letters agree on every state (one *letter class*) share one
+   search.
 
 Completeness beyond the fixed databases follows the bounded-domain
 principle: callers either supply the databases of interest or enumerate
@@ -37,13 +41,16 @@ import time
 from typing import Callable, Mapping, Sequence
 
 from ..errors import InputBoundednessError, VerificationError
+from ..fo.formulas import instantiate
 from ..fo.instance import Instance
 from ..fo.terms import Value, Var, value_sort_key
 from ..ib.checker import check_composition, check_sentence
 from ..ltl.buchi import BuchiAutomaton
-from ..ltl.formulas import land, latom, lfinally, lglobally, lnot
+from ..ltl.formulas import (
+    LAtom, land, latom, lfinally, lglobally, lnot, lwalk,
+)
 from ..ltl.translate import ltl_to_buchi
-from ..ltlfo.formulas import LTLFOSentence
+from ..ltlfo.formulas import LTLFOSentence, map_payloads
 from ..ltlfo.parser import parse_ltlfo
 from ..obs import (
     PHASE_SWEEP, diff_numeric, ledger, merge_registry_snapshot, phase,
@@ -53,7 +60,9 @@ from ..runtime.run import Lasso
 from ..runtime.step import rule_cache_delta, rule_cache_info
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
-from .atoms import InternedSnapshotEvaluator, OccursAtom, SnapshotEvaluator
+from .atoms import (
+    InternedSnapshotEvaluator, OccursAtom, PayloadAtom, SnapshotEvaluator,
+)
 from .domain import (
     VerificationDomain, canonical_valuations, verification_domain,
 )
@@ -207,6 +216,62 @@ def fairness_terms(composition: Composition) -> list:
 Unit = Callable[[Mapping[Var, Value]], tuple[BuchiAutomaton, object]]
 
 
+def sentence_unit(composition: Composition, sentence: LTLFOSentence,
+                  domain: VerificationDomain, space,
+                  fair_scheduling: bool = False) -> Unit:
+    """The sweep unit of an LTL-FO sentence over the exploration *space*.
+
+    The violation automaton is translated from a *template*: the negated
+    body with each distinct FO payload replaced by its position in
+    ``sentence.fo_payloads()`` (:class:`PayloadAtom`), conjoined with
+    the ``F occurs(v)`` terms of the valuation's fresh values and, with
+    *fair_scheduling*, the fairness terms.  One automaton is translated
+    per distinct occurs tuple, on first use, and shared by every
+    valuation with that tuple; canonical valuations use fresh values as
+    a prefix, so there are at most ``len(domain.fresh) + 1``.  A
+    valuation's evaluator binds position *i* to payload *i* instantiated
+    under the valuation, and occurs and fairness atoms to themselves;
+    its bits follow the template's atoms in walk order.  Over a
+    :class:`SharedExploration` the evaluator is interned.
+    """
+    payloads = sentence.fo_payloads()
+    position = {p: PayloadAtom(i) for i, p in enumerate(payloads)}
+    negated = lnot(map_payloads(sentence.body, position.__getitem__))
+    extra = fairness_terms(composition) if fair_scheduling else []
+    templates: dict[tuple, tuple[BuchiAutomaton, tuple]] = {}
+
+    def unit(valuation):
+        occurs = tuple(occurs_terms(valuation, domain))
+        template = templates.get(occurs)
+        if template is None:
+            formula = land(negated, *occurs, *extra)
+            atoms = tuple(dict.fromkeys(node.ap for node in lwalk(formula)
+                                        if isinstance(node, LAtom)))
+            template = templates[occurs] = (ltl_to_buchi(formula), atoms)
+        nba, atoms = template
+        bound = [instantiate(p, valuation) for p in payloads]
+        binding = {ap: bound[ap.index] if isinstance(ap, PayloadAtom) else ap
+                   for ap in atoms}
+        if isinstance(space, SharedExploration):
+            return nba, InternedSnapshotEvaluator(
+                composition, domain.values, binding, space.shared)
+        return nba, SnapshotEvaluator(composition, domain.values, binding)
+
+    return unit
+
+
+def letter_class(nba: BuchiAutomaton, evaluator) -> tuple:
+    """A valuation's letter class over a completed shared exploration.
+
+    The automaton (shared by identity among the valuations of one
+    template) and the evaluator's signature
+    (:meth:`~repro.verifier.atoms.InternedSnapshotEvaluator.signature`).
+    Valuations with equal classes read equal letters on every reachable
+    state, so their products, and their searches, are identical.
+    """
+    return (nba, evaluator.signature())
+
+
 def sweep_valuations(valuations: Sequence[Mapping[Var, Value]],
                      space, unit: Unit, property_text: str,
                      domain: VerificationDomain,
@@ -228,24 +293,48 @@ def sweep_valuations(valuations: Sequence[Mapping[Var, Value]],
 
     Over a :class:`SharedExploration` the first valuation explores
     lazily (it may decide the verdict without the full graph); from the
-    second on the graph is completed, so the remaining valuations are
-    pure graph walks.
+    second on the graph is completed, and each valuation's
+    :func:`letter_class` (its evaluator must have ``signature()``)
+    picks the search: the first valuation of a class runs it, later
+    members reuse its result.  The lazily searched first valuation is
+    filed under its class once the graph is complete; if completing
+    overruns the budget, every valuation is searched.  The loop still
+    walks valuations in order and stops at the first violation, so the
+    decisive valuation and its lasso are a per-valuation sweep's.
+
+    ``valuations_checked``, ``product_nodes_visited``,
+    ``nba_states_total`` and the ``per_task`` rows charge every
+    valuation its class's search, as a per-valuation sweep counts them,
+    so they are equal for any worker count and shard split;
+    ``valuation_classes`` counts the searches actually run.
     """
     shared = isinstance(space, SharedExploration)
     stats = VerifierStats()
     counterexample: Counterexample | None = None
+    #: letter class -> its search, once the graph is complete
+    classes: dict | None = None
     cache_before = rule_cache_info()
     seconds_before = phase_seconds()
     counts_before = phase_counts()
 
     with Stopwatch(stats):
         for order, valuation in shard_filter(valuations, shard):
-            if shared and stats.valuations_checked == 1:
-                space.complete(strict=False)
+            if (shared and stats.valuations_checked == 1
+                    and space.complete(strict=False)):
+                # file the first valuation (it satisfied: the loop went
+                # on) under its class; nba, evaluator and search are its
+                classes = {letter_class(nba, evaluator): search}
             started = time.perf_counter()
             nba, evaluator = unit(valuation)
-            lasso, search = find_accepting_lasso(
-                ProductSystem(space, nba, evaluator))
+            key = None if classes is None else letter_class(nba, evaluator)
+            search = None if key is None else classes.get(key)
+            lasso = None
+            if search is None:
+                lasso, search = find_accepting_lasso(
+                    ProductSystem(space, nba, evaluator))
+                stats.valuation_classes += 1
+                if key is not None:
+                    classes[key] = search
             stats.valuations_checked += 1
             stats.nba_states_total += nba.num_states()
             stats.merge_search(search.blue_visited, search.red_visited)
@@ -423,6 +512,14 @@ def verify(composition: Composition,
            ) -> VerificationResult:
     """Decide ``composition |= prop`` over the given databases.
 
+    The sentence is translated once per occurs tuple, as a template
+    whose APs are payload positions (:func:`sentence_unit`), and the
+    canonical valuations are swept in order (:func:`sweep_valuations`).
+    Over the shared exploration, valuations that read the same letters
+    on every state share one search; ``product_nodes_visited`` and
+    ``nba_states_total`` still charge every valuation its class's
+    search, and ``valuation_classes`` counts the searches run.
+
     Arguments
     ---------
     composition:
@@ -465,10 +562,11 @@ def verify(composition: Composition,
         ``"shared"`` (default) runs the search over a hash-consed
         exploration shared across valuations -- the reachable graph is
         completed into memoized successor rows after the first valuation
-        and later valuations are pure graph walks (see
-        :mod:`repro.verifier.graph`).  ``"seed"`` is the original
-        per-valuation engine, kept as the reference oracle of the
-        differential tests.  A :class:`SharedExploration` instance
+        and later valuations are searched once per letter class, as pure
+        graph walks (see :mod:`repro.verifier.graph`).  ``"seed"`` is
+        the original per-valuation engine over the same template
+        automata, kept as the reference oracle of the differential
+        tests.  A :class:`SharedExploration` instance
         reuses that exploration directly (``verify_all`` and the CLI do
         this to share one graph across a property batch, see
         :func:`property_engines`); it must have been built for this
@@ -476,8 +574,9 @@ def verify(composition: Composition,
         ``env_value_domain``, else :class:`VerificationError` names the
         first that differs.  Verdicts, counterexamples, and search node
         counts are identical either way (Theorem 3.4's graph is
-        valuation-independent).  The graph, views, active domains and
-        FO truths stay on the exploration for the next property.
+        valuation-independent); ``valuation_classes`` is not.  The
+        graph, views, active domains and FO truths stay on the
+        exploration for the next property.
     shard:
         ``(index, count)`` restricts the sweep to the valuations whose
         global order falls in this shard's residue class
@@ -520,22 +619,13 @@ def verify(composition: Composition,
                                 env_value_domain=env_value_domain)
         if resolve_engine(engine) == "shared":
             space = SharedExploration(space)
-    extra = fairness_terms(composition) if fair_scheduling else []
-
-    def unit(valuation):
-        # the negated instantiated body, the Dom(rho) restriction and,
-        # if requested, the fairness terms
-        nba = ltl_to_buchi(land(lnot(sentence.instantiate(valuation)),
-                                *occurs_terms(valuation, domain), *extra))
-        if isinstance(space, SharedExploration):
-            return nba, InternedSnapshotEvaluator(
-                composition, domain.values, nba.aps, space.shared)
-        return nba, SnapshotEvaluator(composition, domain.values, nba.aps)
 
     return sweep_valuations(
         canonical_valuations(sentence.variables, domain,
                              valuation_candidates),
-        space, unit, str(sentence), domain, semantics, shard)
+        space,
+        sentence_unit(composition, sentence, domain, space, fair_scheduling),
+        str(sentence), domain, semantics, shard)
 
 
 def _check_exploration(exploration: SharedExploration,

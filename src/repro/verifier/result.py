@@ -13,7 +13,8 @@ from ..spec.composition import Composition
 
 @dataclass(frozen=True)
 class TaskStats:
-    """Timing and node counters of one valuation a shard checked."""
+    """Timing and node counters of one valuation a shard checked; the
+    counters are its letter class's search, whether it ran it or not."""
 
     order: int
     wall_seconds: float
@@ -47,9 +48,20 @@ class VerifierStats:
     CLI's batches, see :func:`repro.verifier.property_engines`), it is
     that shared exploration's size when the property finished, so it
     can exceed what the property alone would have explored.
+
+    ``product_nodes_visited`` and ``nba_states_total`` charge every
+    checked valuation the search of its letter class, as if each had
+    been searched on its own (see
+    :func:`repro.verifier.ltlfo_verifier.sweep_valuations`), so they
+    are equal for any worker count, shard split and engine.
+    ``valuation_classes`` is the work actually done: the number of
+    searches run.  A merge of shards sums its fragments' values, and a
+    class that spans shards is searched once per shard, so a merged
+    value can exceed an unsharded run's.
     """
 
     valuations_checked: int = 0
+    valuation_classes: int = 0
     system_states: int = 0
     product_nodes_visited: int = 0
     nba_states_total: int = 0
@@ -98,6 +110,7 @@ class VerifierStats:
         """JSON-able form for ``--metrics-json`` / benchmark snapshots."""
         return {
             "valuations_checked": self.valuations_checked,
+            "valuation_classes": self.valuation_classes,
             "system_states": self.system_states,
             "product_nodes_visited": self.product_nodes_visited,
             "nba_states_total": self.nba_states_total,
@@ -174,6 +187,7 @@ class VerificationResult:
             f"  domain: {self.domain_description}; "
             f"semantics: {self.semantics_description}\n"
             f"  valuations: {self.stats.valuations_checked}, "
+            f"classes: {self.stats.valuation_classes}, "
             f"system states: {self.stats.system_states}, "
             f"product nodes: {self.stats.product_nodes_visited}, "
             f"time: {self.stats.wall_seconds:.3f}s"

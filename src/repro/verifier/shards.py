@@ -22,6 +22,9 @@ The merge is deterministic and provably equal to the unsharded sweep:
   *global* decisive order.  Every such row exists in exactly one
   fragment (a shard stops at its own first violation, whose order is
   >= the global one), so the recount equals the sequential sweep's.
+  Rows charge each valuation its letter class's search, so the recount
+  holds with classes too.  ``valuation_classes``, the searches run, is
+  the sum over fragments: each shard searches its own classes.
 * **Metrics.**  Registry snapshots merge by kind: counters and phase
   accumulators add, gauges take the maximum, histograms add bucket-wise
   (:func:`merge_metrics_snapshots`).  Wall time is the max across
@@ -219,7 +222,7 @@ def _merge_property(entries: Sequence[Mapping]) -> dict:
     )
     cutoff = (decisive["decisive_order"] if decisive is not None
               else _UNDECIDED)
-    valuations = nodes = nba = tasks_past = 0
+    valuations = nodes = nba = tasks_past = classes = 0
     task_seconds = past_seconds = 0.0
     system_states = 0
     wall = 0.0
@@ -232,6 +235,7 @@ def _merge_property(entries: Sequence[Mapping]) -> dict:
         wall = max(wall, stats["wall_seconds"])
         workers = max(workers, stats["workers"])
         system_states = max(system_states, stats["system_states"])
+        classes += stats.get("valuation_classes", 0)
         merge_numeric(seconds, stats.get("phase_seconds", {}))
         merge_numeric(counts, stats.get("phase_counts", {}))
         merge_numeric(rule_cache, stats.get("rule_cache", {}))
@@ -258,6 +262,7 @@ def _merge_property(entries: Sequence[Mapping]) -> dict:
                            if decisive is not None else None),
         "stats": {
             "valuations_checked": valuations,
+            "valuation_classes": classes,
             "product_nodes_visited": nodes,
             "nba_states_total": nba,
             "system_states": system_states,
@@ -315,6 +320,7 @@ def result_from_merged(entry: Mapping) -> VerificationResult:
     stats_in = entry["stats"]
     stats = VerifierStats(
         valuations_checked=stats_in["valuations_checked"],
+        valuation_classes=stats_in["valuation_classes"],
         system_states=stats_in["system_states"],
         product_nodes_visited=stats_in["product_nodes_visited"],
         nba_states_total=stats_in["nba_states_total"],

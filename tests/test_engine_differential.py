@@ -16,6 +16,13 @@ every case the two engines agree on
 full reachable graph, while the seed's lazy product may prune (the NBA
 can block before the composition frontier is exhausted).
 
+Over a completed graph the shared engine searches once per letter
+class and charges every valuation its class's search, so E14's
+180-valuation sweep and every property of the libraries that ship
+``STANDARD_CANDIDATES`` must also agree with the per-valuation seed on
+the decisive order and ``nba_states_total``, and ``valuation_classes``
+must count the searches run.
+
 Alongside the library/synthetic grid, a hypothesis suite fuzzes the
 sender/receiver database contents and property choice, and unit tests
 pin the graph machinery itself (interner stability, completed rows,
@@ -26,12 +33,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fo import Instance
-from repro.library import ecommerce, loan, synthetic, travel
+from repro.library import (
+    dispatch, ecommerce, loan, payments, synthetic, travel,
+)
+from repro.obs import counters_snapshot
 from repro.runtime import validate_lasso
 from repro.spec import Composition, DECIDABLE_DEFAULT, PeerBuilder
 from repro.verifier import (
     SharedExploration, TransitionCache, verification_domain, verify,
 )
+
+from .test_letter_masks import WIDE_CANDIDATES
 
 
 def sender_receiver_case(rows=(("a",), ("b",))):
@@ -140,6 +152,73 @@ def test_engines_agree(label, comp, dbs, prop, candidates, expected):
     run_differential(comp, dbs, prop, candidates, expected)
 
 
+def _class_cases():
+    """(label, composition, databases, property, candidates): E14's
+    sweep, then every property of loan, payments and dispatch."""
+    loan_comp, loan_dbs = loan.loan_composition(), loan.standard_database(
+        "fair")
+    cases = [("e14-sweep", loan_comp, loan_dbs,
+              loan.PROPERTY_LETTER_NEEDS_APPLICATION, WIDE_CANDIDATES)]
+    for module, composition, databases in (
+            (loan, loan_comp, loan_dbs),
+            (payments, payments.payments_composition(),
+             payments.standard_database()),
+            (dispatch, dispatch.dispatch_composition(),
+             dispatch.standard_database())):
+        name = module.__name__.rsplit(".", 1)[1]
+        for constant in sorted(vars(module)):
+            # RECORDED_CATEGORIES_KNOWN is the credit-check composition's
+            if (constant.startswith("PROPERTY_")
+                    and constant != "PROPERTY_RECORDED_CATEGORIES_KNOWN"):
+                cases.append((f"{name}-{constant[9:].lower()}", composition,
+                              databases, getattr(module, constant),
+                              module.STANDARD_CANDIDATES))
+    return cases
+
+
+CLASS_CASES = _class_cases()
+
+
+def _verify_counting_searches(comp, dbs, prop, candidates, engine):
+    """The result and the ``search.runs`` it added."""
+    dom = verification_domain(comp, [], dbs, fresh_count=1)
+    before = counters_snapshot().get("search.runs", 0)
+    result = verify(comp, prop, dbs, domain=dom,
+                    valuation_candidates=candidates, workers=1,
+                    engine=engine)
+    return result, counters_snapshot()["search.runs"] - before
+
+
+@pytest.mark.parametrize(
+    "label,comp,dbs,prop,candidates",
+    CLASS_CASES, ids=[c[0] for c in CLASS_CASES],
+)
+def test_class_sweep_matches_per_valuation_sweep(label, comp, dbs, prop,
+                                                 candidates):
+    seed, seed_runs = _verify_counting_searches(comp, dbs, prop,
+                                                candidates, "seed")
+    shared, shared_runs = _verify_counting_searches(comp, dbs, prop,
+                                                    candidates, "shared")
+    assert shared.verdict == seed.verdict
+    for field in ("decisive_order", "valuations_checked",
+                  "product_nodes_visited", "nba_states_total"):
+        assert getattr(shared.stats, field) == getattr(seed.stats, field), \
+            field
+    if seed.counterexample is None:
+        assert shared.counterexample is None
+    else:
+        assert shared.counterexample.valuation == \
+            seed.counterexample.valuation
+        assert shared.counterexample.lasso == seed.counterexample.lasso
+    # the seed searches every valuation; classes count searches run
+    assert seed.stats.valuation_classes == seed_runs == \
+        seed.stats.valuations_checked
+    assert shared.stats.valuation_classes == shared_runs
+    if label == "e14-sweep":
+        # the lazily searched first valuation is filed under the one class
+        assert shared.stats.valuation_classes == 1
+
+
 SR_PROPERTIES = [
     "forall x: G( R.got(x) -> S.items(x) )",
     "forall x: G( S.pick(x) -> F R.got(x) )",
@@ -225,6 +304,26 @@ class TestGraphMachinery:
         assert engine.complete()
         assert engine.states_expanded == expanded == len(engine.interner)
         assert engine._succ == rows
+
+    def test_sweep_searches_every_valuation_when_completion_overruns(self):
+        """The negated tautology blocks at the initial letter, so the
+        first valuation's lazy search expands nothing and the run stays
+        within a one-state budget; completing the graph overruns it, and
+        the sweep then searches every valuation instead of classes."""
+        from repro.verifier import SearchBudget
+        comp, dbs = sender_receiver_case()
+        dom = verification_domain(comp, [], dbs, fresh_count=1)
+        prop = "forall x: S.items(x) | ~S.items(x)"
+        unbounded = verify(comp, prop, dbs, domain=dom)
+        bounded = verify(comp, prop, dbs, domain=dom,
+                         budget=SearchBudget(max_system_states=1))
+        assert unbounded.satisfied and bounded.satisfied
+        assert bounded.stats.valuations_checked == \
+            unbounded.stats.valuations_checked > 2
+        assert unbounded.stats.valuation_classes < \
+            unbounded.stats.valuations_checked
+        assert bounded.stats.valuation_classes == \
+            bounded.stats.valuations_checked
 
     def test_complete_budget_fallback(self):
         from repro.errors import VerificationError

@@ -20,16 +20,13 @@ recorded sha256 digests:
   lasso and search counters; every violated row's lasso must replay
   through :func:`repro.runtime.validate_lasso`.
 
-Renderings sort every set, so the digests do not depend on
-``PYTHONHASHSEED``.  The verdict rows are computed in a child
-interpreter with ``PYTHONHASHSEED=0``: the GPVW translator
-(:mod:`repro.ltl.translate`) pops formulas from sets, so its state
-numbering follows the per-process string-hash seed, and the
-credit-check lasso follows that numbering (its product node count does
-not).  When the successor relation changes on purpose, regenerate the
-tables with
+Renderings sort every set, and the GPVW translator
+(:mod:`repro.ltl.translate`) expands in a canonical order, so every row
+is computed in process and none depends on ``PYTHONHASHSEED`` (CI diffs
+the tables printed under two seeds).  When the successor relation
+changes on purpose, regenerate the tables with
 
-    PYTHONHASHSEED=0 PYTHONPATH=src python tests/test_expansion_golden.py
+    PYTHONPATH=src python tests/test_expansion_golden.py
 
 and paste its output over ``GRAPH_DIGESTS``, ``VERDICT_DIGESTS`` and
 ``PROCEDURE_DIGESTS``.
@@ -38,10 +35,6 @@ and paste its output over ``GRAPH_DIGESTS``, ``VERDICT_DIGESTS`` and
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -458,7 +451,7 @@ VERDICT_DIGESTS = {
         'cbf9c26fdef21634b0684584a631882e5980316050be2328588cfce685a28de5', 831],
     'credit_check.RECORDED_CATEGORIES_KNOWN': [
         "[('r', '$v0'), ('ssn', 's1')]",
-        '60947b83e4bf9291b6c7693d4fb1ae1976bae1f388a3de7e34bfe72d87248b09', 693],
+        '241ccf3496bd2e019b70204ff8bcd439cea4950c8188162697e3d0eed01182e0', 693],
 }
 
 PROCEDURE_DIGESTS = {
@@ -496,8 +489,8 @@ PROCEDURE_DIGESTS = {
         2, 1956, 65, 98],
     'modular.recipient_spec': [
         'VIOLATED', "[('x', '$f0')]",
-        '1a16717a2f33f9281444e20c42310c2e4ff65f1bc9b9a3e1b5b57265d9c3d6a3',
-        2, 5992, 107, 290],
+        '10e0158c701c7747a21a88d28cd50c2d07fd3fe943c00d5ea4440e0831c0a6e3',
+        2, 5930, 107, 290],
     'modular.nonstrict_spec': [
         'SATISFIED', None,
         None,
@@ -505,11 +498,11 @@ PROCEDURE_DIGESTS = {
     'credit_check.source_spec': [
         'SATISFIED', None,
         None,
-        2, 1662, 65, 70],
+        2, 2168, 65, 70],
     'credit_check.recipient_spec': [
         'VIOLATED', "[('r', '$v0'), ('ssn', 's1')]",
-        '93ed1685a0d7d815c03f61fc7cd86323bd3d9cc8fc11a6db881a7b9b588e41d4',
-        2, 5493, 107, 658],
+        'f2a57718f02054713e4357b15202dd5ffa68a69fbfa19f60f97c4dda0098e4c8',
+        2, 5450, 107, 658],
 }
 
 
@@ -521,15 +514,12 @@ def test_graph_digest(key):
 @pytest.fixture(scope="module")
 def verdict_rows() -> dict[str, dict]:
     """Every ``verdict_case`` row per worker count (``"1"``, ``"2"``)
-    and every ``procedure_row`` (``"procedures"``), from a child with
-    ``PYTHONHASHSEED=0``."""
-    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
-                                         os.environ.get("PYTHONPATH"))))
-    child = subprocess.run(
-        [sys.executable, __file__, "--verdicts-json"],
-        env={**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": path},
-        capture_output=True, text=True, check=True, timeout=600)
-    return json.loads(child.stdout)
+    and every ``procedure_row`` (``"procedures"``)."""
+    rows: dict[str, dict] = {
+        str(workers): {key: verdict_case(key, workers) for key in VIOLATED}
+        for workers in (1, 2)}
+    rows["procedures"] = {key: procedure_row(key) for key in PROCEDURES}
+    return rows
 
 
 @pytest.mark.parametrize("key", VIOLATED)
@@ -567,14 +557,6 @@ def _graph_keys() -> list[str]:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--verdicts-json"]:
-        rows: dict[str, dict] = {
-            str(workers): {key: verdict_case(key, workers)
-                           for key in VIOLATED}
-            for workers in (1, 2)}
-        rows["procedures"] = {key: procedure_row(key) for key in PROCEDURES}
-        print(json.dumps(rows))
-        sys.exit(0)
     print("GRAPH_DIGESTS = {")
     for key in _graph_keys():
         print(f"    {key!r}:\n        {graph_digest(graph_case(key))!r},")

@@ -11,14 +11,17 @@ keep that encoding honest:
 * on completed library graphs the shared engine's letters, whose FO
   truths are memoised across valuations on ``(ap_id, extension id)``,
   decode to the same AP sets as the seed evaluator's.  A key collision
-  that flips no verdict would pass the digests but not this.
+  that flips no verdict would pass the digests but not this;
+* the letter classes a sweep searches once each are exactly the classes
+  of valuations whose seed letters agree on every state of the graph,
+  checked against the seed evaluator, not the signature code.
 """
 
 from pathlib import Path
 
 from hypothesis import given, settings
 
-from repro.library import loan
+from repro.library import dispatch, loan, payments
 from repro.ltl import (
     BuchiAutomaton, Edge, Guard, land, latom, lfinally, lglobally,
     limplies, lnot, ltl_to_buchi,
@@ -31,7 +34,9 @@ from repro.verifier import (
     SnapshotEvaluator, TransitionCache, bit_table, canonical_valuations,
     decode_letter, property_engines, verification_domain,
 )
-from repro.verifier.ltlfo_verifier import occurs_terms
+from repro.verifier.ltlfo_verifier import (
+    letter_class, occurs_terms, sentence_unit,
+)
 
 from .test_ltl_translate import _ltl
 
@@ -163,3 +168,78 @@ def test_interned_letters_match_seed_on_auction_graph():
     # both properties share one domain, hence one exploration
     [(domain, exploration)] = {id(e): (d, e) for d, e in plan}.values()
     assert_evaluators_agree(composition, domain, exploration, sentences)
+
+
+def letter_vector_classes(composition, domain, exploration, sentence,
+                          candidates=None) -> int:
+    """Group a sentence's valuations by :func:`letter_class` and check
+    that the groups are the letter-vector classes; return their number.
+
+    A valuation's letter vector is its template automaton's APs with
+    the seed evaluator's letter on every state of the completed graph,
+    decoded.  Members of one group must have one vector; members of two
+    groups must differ on some state (or in their APs).
+    """
+    assert exploration.complete()
+    states = [exploration.state_of(sid)
+              for sid in range(len(exploration.interner))]
+    unit = sentence_unit(composition, sentence, domain, exploration)
+    groups: dict = {}
+    for valuation in canonical_valuations(sentence.variables, domain,
+                                          candidates):
+        nba, interned = unit(valuation)
+        seed = SnapshotEvaluator(composition, domain.values,
+                                 interned.binding)
+        vector = (seed.aps, tuple(decode_letter(seed.bits, seed.letter(s))
+                                  for s in states))
+        groups.setdefault(letter_class(nba, interned), set()).add(vector)
+    vectors = [vector for group in groups.values() for vector in group]
+    assert all(len(group) == 1 for group in groups.values()), str(sentence)
+    assert len(set(vectors)) == len(vectors), str(sentence)
+    return len(groups)
+
+
+def test_letter_classes_on_loan_sweep():
+    """E14's 180 valuations read one letter on every state: one class."""
+    composition = loan.loan_composition()
+    databases = loan.standard_database("fair")
+    domain = verification_domain(composition, [], databases, fresh_count=1)
+    exploration = SharedExploration(TransitionCache(
+        composition, databases, domain.values, DECIDABLE_DEFAULT))
+    sentence = parse_ltlfo(loan.PROPERTY_LETTER_NEEDS_APPLICATION,
+                           composition.schema)
+    assert letter_vector_classes(composition, domain, exploration,
+                                 sentence, WIDE_CANDIDATES) == 1
+
+
+def test_letter_classes_on_auction_graph():
+    """Every canonical valuation of both auction properties, fresh
+    values included, so classes span several templates."""
+    composition, databases, properties = load_document(AUCTION.read_text())
+    sentences = [parse_ltlfo(text, composition.schema)
+                 for _name, text in sorted(properties.items())]
+    plan = property_engines(composition, sentences, databases)
+    [(domain, exploration)] = {id(e): (d, e) for d, e in plan}.values()
+    for sentence in sentences:
+        assert letter_vector_classes(composition, domain, exploration,
+                                     sentence) > 1
+
+
+def test_letter_classes_on_payments_and_dispatch_graphs():
+    """Every canonical valuation of every payments and dispatch
+    property: templates split into several classes, and two properties
+    have two FO payloads."""
+    for module in (payments, dispatch):
+        name = module.__name__.rsplit(".", 1)[1]
+        composition = getattr(module, f"{name}_composition")()
+        databases = module.standard_database()
+        domain = verification_domain(composition, [], databases,
+                                     fresh_count=1)
+        exploration = SharedExploration(TransitionCache(
+            composition, databases, domain.values, DECIDABLE_DEFAULT))
+        for constant in sorted(vars(module)):
+            if constant.startswith("PROPERTY_"):
+                sentence = parse_ltlfo(getattr(module, constant),
+                                       composition.schema)
+                assert letter_vector_classes(
+                    composition, domain, exploration, sentence) > 1

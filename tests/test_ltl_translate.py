@@ -6,12 +6,20 @@ independent lasso-word evaluator, both by hand-picked cases and by
 hypothesis).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
 from repro.ltl import (
-    LAnd, LOr, LRelease, LUntil, evaluate_on_word, latom, lbefore,
-    lfinally, lglobally, limplies, lnext, lnot, ltl_to_buchi, luntil,
+    LAnd, LOr, LRelease, LUntil, evaluate_on_word, land, latom, lbefore,
+    lfinally, lglobally, limplies, lnext, lnot, lrelease, ltl_to_buchi,
+    luntil,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 P, Q = latom("p"), latom("q")
 EMPTY = frozenset()
@@ -124,3 +132,69 @@ def test_formula_and_negation_partition_words(formula):
         a = nba.accepts_lasso(prefix, cycle)
         b = neg.accepts_lasso(prefix, cycle)
         assert a != b
+
+
+def _hash_sensitive_formulas():
+    """Formulas whose APs hash by string: FO atoms over string relations
+    and constants, an occurs atom, ``GF move_W`` fairness atoms, and
+    nested U/R/X."""
+    from repro.fo.formulas import Atom, Eq
+    from repro.fo.schema import move_name
+    from repro.fo.terms import Const
+    from repro.verifier.atoms import OccursAtom
+
+    letter = latom(Atom("O.letter", (Const("c1"), Const("ann"))))
+    applied = latom(Atom("O.application", (Const("c1"), Const("small"))))
+    rated = latom(Eq(Const("fair"), Const("poor")))
+    occurs = latom(OccursAtom("$v0"))
+    fair = [lglobally(lfinally(latom(Atom(move_name(peer), ()))))
+            for peer in ("O", "B")]
+    return [
+        lnot(lglobally(limplies(letter, applied))),
+        land(lnot(luntil(applied, lnext(letter))), lfinally(occurs), *fair),
+        lrelease(luntil(letter, rated), lnext(luntil(applied, occurs))),
+        land(lglobally(lfinally(letter)), lnot(lrelease(rated, applied)),
+             *fair),
+    ]
+
+
+def render_hash_sensitive_automata() -> str:
+    """Each translation's states in numbering order (the order the
+    product compiles them in) with their ``edges_from`` rows and guards,
+    then its initial and accepting states."""
+    lines = []
+    for formula in _hash_sensitive_formulas():
+        nba = ltl_to_buchi(formula)
+        lines.append(f"formula {formula}")
+        for state in nba.states:
+            row = "; ".join(f"{edge.guard} -> {edge.dst}"
+                            for edge in nba.edges_from(state))
+            lines.append(f"  {state}: {row}")
+        lines.append(f"  initial {list(nba.initial)}")
+        accepting = [q for q in nba.states if q in nba.accepting]
+        lines.append(f"  accepting {accepting}")
+    return "\n".join(lines)
+
+
+def test_translation_does_not_follow_the_hash_seed():
+    """Two interpreters with different string-hash seeds translate the
+    same formulas to the same automata, state for state and edge for
+    edge."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), str(ROOT),
+                                         os.environ.get("PYTHONPATH"))))
+    renderings = [
+        subprocess.run(
+            [sys.executable, "-c",
+             "from tests.test_ltl_translate import "
+             "render_hash_sensitive_automata as r; print(r())"],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            cwd=ROOT, capture_output=True, text=True, check=True,
+            timeout=120).stdout
+        for seed in ("1", "2")
+    ]
+    first, second = (rendering.splitlines() for rendering in renderings)
+    assert sum(line.startswith("formula ") for line in first) == 4
+    # the first differing line, not a diff of the whole rendering
+    assert len(first) == len(second)
+    assert next(((a, b) for a, b in zip(first, second) if a != b),
+                None) is None
