@@ -93,7 +93,6 @@ def snapshot_metrics(experiment: str, case: str, result,
     (read-only checkout, etc.) are ignored: metrics must never fail a
     benchmark.
     """
-    from repro.obs import current_run_id
     from repro.obs.metrics import SCHEMA as METRICS_SCHEMA
 
     entry = {
@@ -103,7 +102,6 @@ def snapshot_metrics(experiment: str, case: str, result,
         "case": case,
         "verdict": result.verdict,
         "repro_seed": repro_seed(),
-        "run_id": current_run_id(),
         "stats": result.stats.to_dict(),
     }
     if extra:

@@ -14,7 +14,6 @@ The package is organised as a pluggable pipeline of passes
   communication graph;
 * :mod:`~repro.analysis.provenance` -- taint-style data provenance
   (invented values crossing peers);
-* :mod:`~repro.analysis.cost` -- static reachable-state cost hints;
 * :mod:`~repro.analysis.decidability` -- which theorem row applies.
 
 :mod:`~repro.analysis.cache` wraps the pipeline in a content-addressed
@@ -42,7 +41,7 @@ __all__ = [
     "classify_protocol", "classification_diagnostics", "Classification",
     "to_sarif", "sarif_document", "ALL_PASSES", "AnalysisContext",
     "AnalysisPass", "run_passes",
-    "build_comm_graph", "FlowPass", "ProvenancePass", "CostPass",
+    "build_comm_graph", "FlowPass", "ProvenancePass",
     "compute_provenance",
     "LintCache", "lint_cached", "lint_cached_composition",
     "default_cache_dir",
@@ -68,7 +67,6 @@ _LAZY = {
     "FlowPass": "flow",
     "ProvenancePass": "provenance",
     "compute_provenance": "provenance",
-    "CostPass": "cost",
     "LintCache": "cache",
     "lint_cached": "cache",
     "lint_cached_composition": "cache",

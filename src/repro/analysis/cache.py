@@ -8,7 +8,7 @@ content (never paths or mtimes):
   composition, the normalized property texts, the channel semantics,
   the strict flag, and :data:`PASS_VERSION`.  A hit reconstructs the
   entire :class:`~repro.analysis.diagnostics.LintReport` (diagnostics,
-  passes, classification, cost hints) bit-for-bit.
+  passes, classification) bit-for-bit.
 * **peer keys** -- the canonical dump of one peer plus its *inbound
   provenance signature*: for every in-queue, the source-tag set and
   the invention-witness chain of the payload.  The signature is what
@@ -28,9 +28,8 @@ counters and as attributes on :class:`LintCache` for the CLI stats
 line.
 
 The cache root resolves ``REPRO_LINT_CACHE_DIR`` ->
-``$REPRO_RUN_DIR/lint-cache`` -> ``~/.cache/repro/lint``; entries are
-two-level-fanout JSON files written atomically (tmp + rename), safe
-under concurrent linting.
+``~/.cache/repro/lint``; entries are two-level-fanout JSON files
+written atomically (tmp + rename), safe under concurrent linting.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from ..obs import counter
-from ..obs.live import RUN_DIR_ENV
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
 from ..spec.dsl import (
@@ -53,7 +51,6 @@ from ..spec.dsl import (
 )
 from ..spec.peer import Peer
 from .channels_pass import channels_pass
-from .cost import cost_pass
 from .decidability import Classification, classify, decidability_pass
 from .diagnostics import Diagnostic, LintReport, Severity
 from .flow import flow_pass
@@ -68,7 +65,7 @@ from .rules_pass import peer_rules_diagnostics
 
 #: Bump on any change to pass logic or diagnostic rendering: every key
 #: embeds it, so stale entries die by never being addressed again.
-PASS_VERSION = "1"
+PASS_VERSION = "2"
 
 _DOC_SCHEMA = f"repro.lint-cache/{PASS_VERSION}"
 _PEER_SCHEMA = f"repro.lint-peer/{PASS_VERSION}"
@@ -78,7 +75,7 @@ CACHE_DIR_ENV = "REPRO_LINT_CACHE_DIR"
 
 #: The names run_passes would record for the same pipeline.
 _PASS_NAMES = ["ib", "rules", "reachability", "channels",
-               "flow", "provenance", "cost", "decidability"]
+               "flow", "provenance", "decidability"]
 
 
 def default_cache_dir() -> Path:
@@ -86,9 +83,6 @@ def default_cache_dir() -> Path:
     override = os.environ.get(CACHE_DIR_ENV)
     if override:
         return Path(override)
-    run_dir = os.environ.get(RUN_DIR_ENV)
-    if run_dir:
-        return Path(run_dir) / "lint-cache"
     return Path.home() / ".cache" / "repro" / "lint"
 
 
@@ -194,7 +188,6 @@ def _payload_from_report(report: LintReport) -> dict:
             name: dataclasses.asdict(c)
             for name, c in report.classifications.items()
         },
-        "cost_hints": dict(report.cost_hints),
     }
 
 
@@ -203,7 +196,6 @@ def _report_from_payload(payload: dict) -> LintReport:
         diagnostics=[Diagnostic.from_dict(d)
                      for d in payload.get("diagnostics", ())],
         passes_run=list(payload.get("passes_run", ())),
-        cost_hints=dict(payload.get("cost_hints", {})),
     )
     for name, data in payload.get("classifications", {}).items():
         report.classifications[name] = Classification(
@@ -280,13 +272,11 @@ def lint_cached_composition(composition: Composition,
     diagnostics.extend(channels_pass(ctx))
     diagnostics.extend(flow_pass(ctx))
     diagnostics.extend(provenance_pass(ctx))
-    cost_pass(ctx)
     diagnostics.extend(decidability_pass(ctx))
 
     report = LintReport(
         diagnostics=diagnostics,
         passes_run=list(_PASS_NAMES),
-        cost_hints=dict(ctx.cost_hints),
     )
     report.classifications["composition"] = classify(
         composition, list(sentences.values()), semantics, strict=strict,

@@ -372,8 +372,6 @@ class LintReport:
     diagnostics: list[Diagnostic] = field(default_factory=list)
     classifications: dict[str, "object"] = field(default_factory=dict)
     passes_run: list[str] = field(default_factory=list)
-    #: Static cost hints from the cost-model pass (see analysis.cost).
-    cost_hints: dict = field(default_factory=dict)
 
     def extend(self, diags: Iterable[Diagnostic]) -> None:
         self.diagnostics.extend(diags)

@@ -40,9 +40,6 @@ class AnalysisContext:
     sentences: dict[str, LTLFOSentence] = field(default_factory=dict)
     semantics: ChannelSemantics = DECIDABLE_DEFAULT
     strict: bool = False
-    #: Filled by the cost pass (see :mod:`repro.analysis.cost`); copied
-    #: onto the report by :func:`run_passes`.
-    cost_hints: dict = field(default_factory=dict)
 
 
 PassFn = Callable[[AnalysisContext], list[Diagnostic]]
@@ -70,7 +67,6 @@ def run_passes(ctx: AnalysisContext,
             counter(f"lint.{p.name}.diagnostics").inc(len(found))
             report.extend(found)
             report.passes_run.append(p.name)
-    report.cost_hints = dict(ctx.cost_hints)
     counter("lint.runs").inc()
     counter("lint.diagnostics").inc(len(report.diagnostics))
     return report
@@ -84,7 +80,6 @@ def default_passes() -> tuple[AnalysisPass, ...]:
     global _DEFAULT_PASSES
     if _DEFAULT_PASSES is None:
         from .channels_pass import channels_pass
-        from .cost import CostPass
         from .decidability import decidability_pass
         from .flow import FlowPass
         from .ib_pass import ib_pass
@@ -103,7 +98,6 @@ def default_passes() -> tuple[AnalysisPass, ...]:
                          "channel discipline (Definition 2.5)"),
             FlowPass,
             ProvenancePass,
-            CostPass,
             AnalysisPass("decidability", decidability_pass,
                          "which theorem row applies"),
         )

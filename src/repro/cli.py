@@ -6,17 +6,13 @@ Usage::
                            [--queue-bound K] [--fair] [--fresh N]
                            [--counterexample] [--workers N] [--stats]
                            [--lint-first] [--shard i/N]
-                           [--shard-output FILE]
-                           [--trace FILE.jsonl] [--metrics-json FILE]
+                           [--shard-output FILE] [--metrics-json FILE]
     python -m repro check SPEC.dws            # input-boundedness only
     python -m repro lint SPEC.dws|LIBRARY [--format text|json|sarif]
                          [--output FILE] [--strict]
     python -m repro simulate SPEC.dws [--steps N] [--seed S]
     python -m repro profile SPEC.dws|LIBRARY [--workers N] ...
     python -m repro merge-shards shard_*.json [--output FILE]
-    python -m repro top [--run RUN_ID] [--once]
-    python -m repro trace convert TRACE.jsonl... [--output FILE]
-    python -m repro metrics export METRICS.json [--output FILE]
     python -m repro bench check [--metrics-dir DIR] [--json]
 
 ``verify`` runs every ``property`` statement in the document (or just
@@ -49,29 +45,15 @@ error-severity diagnostics exist (with ``--strict``: warnings too),
 same classifier pre-flight and warns on stderr before searching an
 undecidable configuration.
 
-Every run command accepts ``--trace FILE.jsonl`` (structured
-span/instant events, see :mod:`repro.obs.trace`), ``--metrics-json
-FILE`` (a metrics snapshot plus per-result statistics), and
-``--run-id ID`` (adopt a run-ledger id instead of minting one; the
-``REPRO_RUN_ID`` environment variable does the same and is the
-idiomatic way to correlate ``--shard`` slices launched on different
-machines).  ``profile`` runs a verification and prints a per-phase
+Every run command accepts ``--metrics-json FILE``: the process's
+metrics registry snapshot (see :mod:`repro.obs`) plus per-result
+statistics.  ``profile`` runs a verification and prints a per-phase
 wall-time breakdown (with ``--workers N`` the children's phases are
 added in), per-layer rates, and the expansions per distinct state (a
 ``warning:`` when a state was expanded more than once); its target is
 either a ``.dws`` file or one of the built-in library examples
 (``loan``, ``ecommerce``, ``travel``, ``payments``, ``dispatch``).
-
-The observability surface (see :mod:`repro.obs`): every run command
-opens a **run-ledger** context, so trace events carry ``run`` /
-``worker`` / ``shard`` stamps, and ``--workers`` runs write heartbeat
-records under the runs directory.  ``repro top`` renders those
-heartbeats as a refreshing terminal view of every active run.
-``repro trace convert`` stitches one run's JSONL trace files (parent +
-children + remote shards) into a Chrome trace-event JSON loadable in
-Perfetto.  ``repro metrics export`` renders any metrics JSON
-(snapshot, fragment, or merged document) in Prometheus text exposition
-format.  ``repro bench check`` is the regression sentinel over
+``repro bench check`` is the regression sentinel over
 ``benchmarks/metrics/BENCH_*.json``.
 """
 
@@ -90,8 +72,7 @@ from pathlib import Path
 from .errors import ReproError
 from .ib import check_composition, summarize
 from .obs import (
-    REGISTRY, begin_run, configure_tracing, counters_snapshot,
-    diff_numeric, end_run, phase_counts, phase_seconds, set_shard,
+    REGISTRY, counters_snapshot, diff_numeric, phase_counts, phase_seconds,
 )
 from .obs.metrics import SCHEMA as METRICS_SCHEMA
 from .runtime import simulate
@@ -170,9 +151,7 @@ def _write_metrics_json(path: str | None, command: str,
 
     Schema (``repro.metrics/2``): the process registry snapshot
     (counters/gauges/histograms/phases, with every ``--workers`` child's
-    snapshot folded in) plus one entry per verification result.  The
-    registry snapshot inside carries the run-ledger id, correlating
-    this file with the run's trace.
+    snapshot folded in) plus one entry per verification result.
     """
     if not path:
         return
@@ -232,7 +211,6 @@ def _verify_each(args: argparse.Namespace, composition, sentences: dict,
     domain = (None if fresh is None else verification_domain(
         composition, [], databases, fresh_count=fresh))
     shard = _parse_shard(args.shard)
-    set_shard(shard)
     names = sorted(sentences)
     plan = property_engines(
         composition, [sentences[name] for name in names], databases,
@@ -432,7 +410,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             "target": target,
             "passes": report.passes_run,
             "classifications": classifications,
-            "cost_hints": dict(report.cost_hints),
         })
 
     if args.format == "sarif":
@@ -766,100 +743,12 @@ def cmd_merge_shards(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# observability surface: top / trace convert / metrics export / bench
-# check
-
-
-def cmd_top(args: argparse.Namespace) -> int:
-    """Render live heartbeat records of running (and recent) sweeps."""
-    from .obs import list_runs, read_progress, render_progress, runs_root
-
-    def frame() -> str:
-        if args.run:
-            records = [r for r in [read_progress(args.run)]
-                       if r is not None]
-        else:
-            records = list_runs()
-        if not records:
-            return (f"no runs under {runs_root()} "
-                    "(heartbeats appear while a run command executes)")
-        return "\n\n".join(render_progress(r) for r in records)
-
-    if args.once:
-        text = frame()
-        print(text)
-        return 0 if "no runs under" not in text else 1
-    try:
-        while True:
-            # ANSI clear + home, like watch(1); stays a plain print so
-            # output degrades gracefully when piped to a file
-            print("\x1b[2J\x1b[H" + frame(), flush=True)
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
-
-
-def cmd_trace_convert(args: argparse.Namespace) -> int:
-    """Stitch trace JSONL files and write Chrome trace-event JSON."""
-    from .obs import convert_trace_files
-
-    for path in args.inputs:
-        if not Path(path).is_file():
-            raise ReproError(f"trace file not found: {path}")
-    output = args.output
-    if output is None:
-        stem = re.sub(r"\.jsonl$", "", args.inputs[0])
-        output = f"{stem}.chrome.json"
-    doc = convert_trace_files(args.inputs, output)
-    other = doc["otherData"]
-    n_events = len(doc["traceEvents"])
-    if not other["run_ids"]:
-        print("warning: no run ids in inputs (trace predates the run "
-              "ledger, or tracing ran without a run context)",
-              file=sys.stderr)
-    elif len(other["run_ids"]) > 1:
-        print(f"warning: stitching events from {len(other['run_ids'])} "
-              f"different runs: {other['run_ids']}", file=sys.stderr)
-    if other["corrupt_lines"]:
-        print(f"warning: skipped {other['corrupt_lines']} corrupt "
-              "line(s)", file=sys.stderr)
-    print(f"{output}: {n_events} events from "
-          f"{other['processes']} process(es), "
-          f"run(s) {', '.join(other['run_ids']) or '-'} "
-          "(open in https://ui.perfetto.dev)")
-    return 0
-
-
-def cmd_metrics_export(args: argparse.Namespace) -> int:
-    """Render a metrics JSON file in Prometheus text exposition format."""
-    from .obs import extract_registry_snapshot, render_prometheus
-
-    try:
-        doc = json.loads(Path(args.file).read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise ReproError(f"cannot read metrics file {args.file}: {err}")
-    if not isinstance(doc, dict):
-        raise ReproError(
-            f"{args.file} is not a metrics document "
-            f"(got JSON {type(doc).__name__})"
-        )
-    try:
-        snapshot = extract_registry_snapshot(doc)
-    except ValueError as err:
-        raise ReproError(str(err))
-    rendered = render_prometheus(snapshot)
-    if args.output:
-        Path(args.output).write_text(rendered)
-        print(f"prometheus exposition written to {args.output}",
-              file=sys.stderr)
-    else:
-        print(rendered, end="")
-    return 0
+# bench check
 
 
 def cmd_bench_check(args: argparse.Namespace) -> int:
     """The bench regression sentinel over BENCH_*.json trajectories."""
-    from .obs import check_directory
+    from .obs.bench import check_directory
 
     try:
         report = check_directory(
@@ -881,16 +770,9 @@ def cmd_bench_check(args: argparse.Namespace) -> int:
 
 
 def _add_obs_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trace", metavar="FILE.jsonl", default=None,
-                   help="write span/instant trace events as JSONL")
     p.add_argument("--metrics-json", metavar="FILE", default=None,
                    dest="metrics_json",
                    help="write a metrics snapshot as JSON")
-    p.add_argument("--run-id", metavar="ID", default=None,
-                   dest="run_id",
-                   help="adopt this run-ledger id instead of minting "
-                        "one (or set REPRO_RUN_ID; used to correlate "
-                        "shards launched on different machines)")
 
 
 def _add_shard_options(p: argparse.ArgumentParser) -> None:
@@ -979,8 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "content-addressed lint cache")
     p_lint.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="cache root (default: $REPRO_LINT_CACHE_DIR, "
-                             "$REPRO_RUN_DIR/lint-cache, or "
-                             "~/.cache/repro/lint)")
+                             "or ~/.cache/repro/lint)")
     p_lint.set_defaults(func=cmd_lint)
 
     p_sim = sub.add_parser("simulate", help="print one random run")
@@ -1046,58 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_options(p_merge)
     p_merge.set_defaults(func=cmd_merge_shards)
 
-    p_top = sub.add_parser(
-        "top",
-        help="live view of running sweeps (reads heartbeat records)",
-    )
-    p_top.add_argument("--run", metavar="RUN_ID", default=None,
-                       help="show only this run (default: all runs "
-                            "under the runs directory)")
-    p_top.add_argument("--once", action="store_true",
-                       help="print one snapshot and exit (exit 1 when "
-                            "no runs are found)")
-    p_top.add_argument("--interval", type=float, default=1.0,
-                       help="refresh interval in seconds (default 1.0)")
-    p_top.set_defaults(func=cmd_top)
-
-    p_trace = sub.add_parser(
-        "trace",
-        help="operate on trace JSONL files",
-    )
-    trace_sub = p_trace.add_subparsers(dest="trace_command",
-                                       required=True)
-    p_convert = trace_sub.add_parser(
-        "convert",
-        help="stitch trace files into Chrome trace-event JSON "
-             "(Perfetto)",
-    )
-    p_convert.add_argument("inputs", nargs="+", metavar="TRACE.jsonl",
-                           help="trace files of one run (driver + "
-                                "shards; workers share the driver's "
-                                "file)")
-    p_convert.add_argument("--output", metavar="FILE", default=None,
-                           help="output path (default: first input "
-                                "with .chrome.json suffix)")
-    p_convert.set_defaults(func=cmd_trace_convert)
-
-    p_metrics = sub.add_parser(
-        "metrics",
-        help="operate on metrics JSON files",
-    )
-    metrics_sub = p_metrics.add_subparsers(dest="metrics_command",
-                                           required=True)
-    p_export = metrics_sub.add_parser(
-        "export",
-        help="render a metrics JSON file as Prometheus text exposition",
-    )
-    p_export.add_argument("file", metavar="METRICS.json",
-                          help="a --metrics-json document, shard "
-                               "fragment, merged document, or bare "
-                               "registry snapshot")
-    p_export.add_argument("--output", metavar="FILE", default=None,
-                          help="write to FILE instead of stdout")
-    p_export.set_defaults(func=cmd_metrics_export)
-
     p_bench = sub.add_parser(
         "bench",
         help="operate on benchmark trajectories",
@@ -1130,35 +959,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Run-ledger role per command; commands absent here (top, trace,
-#: metrics, bench) are read-only observers and open no run.
-_RUN_ROLES = {
-    "verify": "driver", "check": "driver", "lint": "driver",
-    "simulate": "driver", "profile": "driver",
-    "fuzz": "fuzz", "merge-shards": "merge",
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    role = _RUN_ROLES.get(args.command)
-    if role is not None:
-        # open the run ledger before tracing starts, so even the
-        # opening stream-start anchor carries the run stamp
-        begin_run(run_id=getattr(args, "run_id", None), role=role)
-    if getattr(args, "trace", None):
-        configure_tracing(args.trace)
     try:
         return args.func(args)
     except ReproError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    finally:
-        if getattr(args, "trace", None):
-            configure_tracing(None)
-        if role is not None:
-            end_run()
 
 
 if __name__ == "__main__":

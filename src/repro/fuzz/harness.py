@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ..obs import campaign_progress, instant
 from ..runtime import validate_lasso
 from ..verifier import (
     merge_fragments, result_from_merged, shard_fragment,
@@ -347,22 +346,9 @@ def fuzz(count: int = 25,
     runs over in CI.
     """
     report = FuzzReport(seed=seed, count=count, rows=tuple(rows))
-    progress = campaign_progress(count)
-    progress.set_info(seed=seed, rows="/".join(rows))
-    try:
-        _fuzz_loop(report, count, seed, corpus_dir, emit_dir,
-                   verify_hook, log, progress)
-    finally:
-        progress.finish()
-    return report
-
-
-def _fuzz_loop(report: FuzzReport, count: int, seed: int,
-               corpus_dir, emit_dir, verify_hook, log, progress) -> None:
     for i in range(count):
         row = report.rows[i % len(report.rows)]
         case_seed = seed * 1_000_003 + i
-        instant("fuzz-case", index=i, seed=case_seed, row=row)
         spec = generate(case_seed, row)
         if emit_dir is not None:
             directory = Path(emit_dir)
@@ -373,10 +359,6 @@ def _fuzz_loop(report: FuzzReport, count: int, seed: int,
             report.emitted_files.append(str(path))
         outcome = run_case(spec, verify_hook=verify_hook)
         report.outcomes.append(outcome)
-        progress.advance(
-            1, failing=int(not outcome.ok),
-            verified=int(outcome.verified),
-        )
         if outcome.ok:
             continue
         if log:
@@ -396,3 +378,4 @@ def _fuzz_loop(report: FuzzReport, count: int, seed: int,
             )
             path.write_text(minimized.to_dws(extra_header=extra))
             report.corpus_files.append(str(path))
+    return report

@@ -17,16 +17,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Mapping
 
-#: Version tag stamped on every registry snapshot.  ``/2`` adds an
-#: optional top-level ``run`` key (the run-ledger id); the numeric
-#: layout of counters/gauges/histograms/phases is unchanged from ``/1``.
+#: Version tag stamped on every registry snapshot; merges accept only
+#: this one.
 SCHEMA = "repro.metrics/2"
-
-#: Snapshot schemas the merge paths accept.  Committed ``BENCH_*.json``
-#: trajectories and shard fragments written by older builds carry
-#: ``/1``; their numeric payload is layout-identical, so merges and the
-#: bench sentinel read both.
-COMPAT_SCHEMAS = frozenset({"repro.metrics/1", "repro.metrics/2"})
 
 #: Default histogram boundaries for durations in seconds (upper bounds;
 #: one overflow bucket is implied past the last boundary).
@@ -147,15 +140,8 @@ class MetricsRegistry:
         self.phase_counts.clear()
 
     def snapshot(self) -> dict:
-        """A JSON-able snapshot of everything recorded in this process.
-
-        When a run-ledger context is active, the snapshot carries the
-        ``run`` id so metrics files correlate with trace files of the
-        same run; without one the key is absent, keeping snapshots of
-        library-level calls byte-stable.
-        """
-        from . import ledger  # local: ledger imports trace, not metrics
-        out = {
+        """A JSON-able snapshot of everything recorded in this registry."""
+        return {
             "schema": SCHEMA,
             "counters": {
                 name: c.value for name, c in sorted(self._counters.items())
@@ -175,10 +161,11 @@ class MetricsRegistry:
                 for name in sorted(self.phase_seconds)
             },
         }
-        run_id = ledger.current_run_id()
-        if run_id is not None:
-            out["run"] = run_id
-        return out
+
+
+#: The process-global registry.  Forked children reset it on start
+#: (:func:`repro.obs.reset_for_worker`) so their numbers are private.
+REGISTRY = MetricsRegistry()
 
 
 def counters_snapshot() -> dict[str, int]:
@@ -190,36 +177,35 @@ def counters_snapshot() -> dict[str, int]:
     return {name: c.value for name, c in REGISTRY._counters.items()}
 
 
-def merge_counters(delta: Mapping) -> None:
-    """Add counter deltas (another process's) into this registry."""
-    for name, value in delta.items():
-        if value:
-            REGISTRY.counter(name).inc(value)
+def merge_registry_snapshot(snapshot: Mapping,
+                            registry: MetricsRegistry = REGISTRY) -> None:
+    """Fold a ``repro.metrics/2`` snapshot into *registry*.
 
-
-def merge_registry_snapshot(snapshot: Mapping) -> None:
-    """Fold a full ``repro.metrics/1``-or-``/2`` snapshot into this registry.
-
-    The shard-merge primitive: each shard of a distributed sweep writes
-    ``REGISTRY.snapshot()`` into its fragment, and ``repro merge-shards``
-    replays every fragment through this function to reconstruct
-    fleet-wide totals.  Counters and phases add; gauges take the
-    maximum (they are high-water marks or sizes of per-process
-    structures, where "largest seen anywhere" is the honest merge);
-    histograms add bucket-wise when boundaries agree and are skipped
-    otherwise (mismatched boundaries cannot be combined losslessly).
+    The one metrics merge: the parent of ``--workers N`` folds each
+    child's snapshot into its own registry, ``repro merge-shards`` folds
+    the merged fragments into its own, and
+    :func:`repro.verifier.merge_metrics_snapshots` folds N snapshots into
+    a fresh registry.  Counters and phases add, and every counter a
+    snapshot lists is listed after the fold, zero-valued ones included.
+    Gauges take the maximum (they are high-water marks or sizes
+    of per-process structures, where "largest seen anywhere" is the
+    honest merge).  Histograms add bucket-wise when boundaries agree;
+    otherwise the first boundaries seen are kept and the snapshot's
+    histogram is skipped (mismatched boundaries cannot be combined
+    losslessly).
     """
     schema = snapshot.get("schema")
-    if schema not in COMPAT_SCHEMAS:
+    if schema != SCHEMA:
         raise ValueError(
             f"cannot merge metrics snapshot with schema {schema!r}; "
-            f"expected one of {sorted(COMPAT_SCHEMAS)}"
+            f"expected {SCHEMA!r}"
         )
-    merge_counters(snapshot.get("counters", {}))
+    for name, value in snapshot.get("counters", {}).items():
+        registry.counter(name).inc(value)
     for name, value in snapshot.get("gauges", {}).items():
-        REGISTRY.gauge(name).set_max(value)
+        registry.gauge(name).set_max(value)
     for name, snap in snapshot.get("histograms", {}).items():
-        hist = REGISTRY.histogram(name, tuple(snap["boundaries"]))
+        hist = registry.histogram(name, tuple(snap["boundaries"]))
         if hist.boundaries != tuple(snap["boundaries"]):
             continue
         for i, count in enumerate(snap["counts"]):
@@ -227,8 +213,8 @@ def merge_registry_snapshot(snapshot: Mapping) -> None:
         hist.total += snap["sum"]
         hist.count += snap["count"]
     for name, entry in snapshot.get("phases", {}).items():
-        merge_numeric(REGISTRY.phase_seconds, {name: entry["seconds"]})
-        merge_numeric(REGISTRY.phase_counts, {name: entry["count"]})
+        merge_numeric(registry.phase_seconds, {name: entry["seconds"]})
+        merge_numeric(registry.phase_counts, {name: entry["count"]})
 
 
 def merge_numeric(into: dict, extra: Mapping) -> dict:
@@ -250,11 +236,6 @@ def diff_numeric(after: Mapping, before: Mapping) -> dict:
         if delta:
             out[key] = delta
     return out
-
-
-#: The process-global registry.  Forked children reset it on start
-#: (:func:`repro.obs.reset_for_worker`) so their numbers are private.
-REGISTRY = MetricsRegistry()
 
 
 def counter(name: str) -> Counter:

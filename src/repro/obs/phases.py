@@ -9,13 +9,12 @@ instrumented wall time.  That additivity is what lets ``repro
 profile`` print a breakdown whose rows sum to the observed wall clock.
 
 The phase stack is thread-local; the accumulators live in
-:data:`repro.obs.metrics.REGISTRY` (process-local).  When tracing is
-enabled each enter/exit also emits a ``B``/``E`` span event.
+:data:`repro.obs.metrics.REGISTRY` (process-local).
 
 Overhead per enter+exit is two ``perf_counter`` calls and a few dict
 operations; every instrumented site sits behind real work (a cache
 miss, a state expansion, a whole automaton translation), keeping the
-disabled-trace cost well under the noise floor of the benchmarks.
+cost well under the noise floor of the benchmarks.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import threading
 from time import perf_counter
 
-from . import trace
 from .metrics import REGISTRY
 
 # Canonical phase names, in pipeline order (see DESIGN.md section 4:
@@ -38,13 +36,11 @@ PHASE_FO_EVAL = "fo-eval"        #: FO formula evaluation (sat-set computation)
 PHASE_SWEEP = "sweep"            #: driver side of the valuation sweep
 PHASE_LINT = "lint"              #: static analyzer driver (repro lint)
 
-#: Per-pass lint phases are named dynamically as ``lint:<pass-name>``.
-LINT_PHASE_PREFIX = "lint:"
-
 
 def lint_phase(pass_name: str) -> str:
-    """The phase name timing one static-analysis pass."""
-    return LINT_PHASE_PREFIX + pass_name
+    """The phase name timing one static-analysis pass: ``lint:<name>``."""
+    return "lint:" + pass_name
+
 
 _local = threading.local()
 
@@ -76,8 +72,6 @@ class phase:
         counts = REGISTRY.phase_counts
         counts[self.name] = counts.get(self.name, 0) + 1
         stack.append([self.name, now])
-        if trace._ENABLED:
-            trace.emit_span("B", self.name)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -88,8 +82,6 @@ class phase:
         seconds[name] = seconds.get(name, 0.0) + (now - start)
         if stack:
             stack[-1][1] = now
-        if trace._ENABLED:
-            trace.emit_span("E", name)
 
 
 def phase_seconds() -> dict[str, float]:
@@ -100,8 +92,3 @@ def phase_seconds() -> dict[str, float]:
 def phase_counts() -> dict[str, int]:
     """Copy of the per-phase entry counters (this process)."""
     return dict(REGISTRY.phase_counts)
-
-
-def phase_snapshot() -> dict:
-    """Both accumulators in one JSON-able dict."""
-    return {"seconds": phase_seconds(), "counts": phase_counts()}

@@ -92,7 +92,6 @@ class SharedExploration:
         self._initial: tuple[int, ...] | None = None
         self._succ: dict[int, tuple[int, ...]] = {}
         self._complete = False
-        self._reuse_hits = counter("graph.reuse_hits")
         from .atoms import SharedSnapshotContext
         self.shared = SharedSnapshotContext(cache.composition, self.interner)
 
@@ -113,7 +112,9 @@ class SharedExploration:
     def successors_of(self, sid: int) -> tuple[int, ...]:
         succ = self._succ.get(sid)
         if succ is not None:
-            self._reuse_hits.inc()
+            # looked up per hit: a forked child resets the registry after
+            # the parent built this exploration
+            counter("graph.reuse_hits").inc()
             return succ
         intern = self.interner.intern
         succ = tuple(

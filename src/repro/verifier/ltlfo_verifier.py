@@ -53,8 +53,8 @@ from ..ltl.translate import ltl_to_buchi
 from ..ltlfo.formulas import LTLFOSentence, map_payloads
 from ..ltlfo.parser import parse_ltlfo
 from ..obs import (
-    PHASE_SWEEP, diff_numeric, ledger, merge_registry_snapshot, phase,
-    phase_counts, phase_seconds, reset_for_worker, sweep_progress,
+    PHASE_SWEEP, diff_numeric, merge_registry_snapshot, phase,
+    phase_counts, phase_seconds, reset_for_worker,
 )
 from ..runtime.run import Lasso
 from ..runtime.step import rule_cache_delta, rule_cache_info
@@ -402,14 +402,10 @@ def _shard_child(slot: int, shard: tuple[int, int]) -> dict:
     """A forked child: run local shard *slot*, return its fragment.
 
     The child starts a fresh registry, so the fragment's metrics are
-    its own work, and joins the parent's run as worker *slot*.
+    its own work.
     """
     _SHARD_PIDS[slot] = os.getpid()
     reset_for_worker()
-    run = ledger.current_run()
-    if run is not None:
-        ledger.begin_run(run.run_id, role="worker", worker=slot,
-                         shard=run.shard)
     return shard_fragment(_run_shard(shard), shard)
 
 
@@ -445,33 +441,27 @@ def run_local_shards(run: Callable[[tuple[int, int]],
     :class:`VerificationError` naming its shard and exit code.
     """
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     shards = local_shards(resolve_shard(shard), workers)
     fork = multiprocessing.get_context("fork")
     pids = fork.RawArray("q", workers)
-    progress = sweep_progress(workers)
     t0 = time.perf_counter()
-    try:
-        with phase(PHASE_SWEEP):
-            with ProcessPoolExecutor(workers, mp_context=fork,
-                                     initializer=_adopt_batch,
-                                     initargs=(run, pids)) as pool:
-                futures = [pool.submit(_shard_child, slot, s)
-                           for slot, s in enumerate(shards)]
-                # the pool's pid -> process table (a private attribute),
-                # kept past shutdown to name a dead child's exit code
-                children = getattr(pool, "_processes", None)
-                for _done in as_completed(futures):
-                    progress.advance(1)
-            try:
-                fragments = [future.result() for future in futures]
-            except BrokenProcessPool:
-                raise VerificationError(
-                    _dead_child(children, pids, shards)) from None
-    finally:
-        progress.finish()
+    with phase(PHASE_SWEEP):
+        with ProcessPoolExecutor(workers, mp_context=fork,
+                                 initializer=_adopt_batch,
+                                 initargs=(run, pids)) as pool:
+            futures = [pool.submit(_shard_child, slot, s)
+                       for slot, s in enumerate(shards)]
+            # the pool's pid -> process table (a private attribute),
+            # kept past shutdown to name a dead child's exit code
+            children = getattr(pool, "_processes", None)
+        try:
+            fragments = [future.result() for future in futures]
+        except BrokenProcessPool:
+            raise VerificationError(
+                _dead_child(children, pids, shards)) from None
     # the merge validates a complete 0..N-1 set; orders stay global
     for slot, fragment in enumerate(fragments):
         fragment["shard"] = {"index": slot, "count": workers}
@@ -682,6 +672,13 @@ def verify_over_databases(composition: Composition,
     (with ``workers``, each runs as that many local shards), so the
     first violated combination decides exactly as sequentially.
     Further keyword arguments go to :func:`verify`.
+
+    The combinations cannot share one plan or one exploration.  A
+    combination's databases fix its snapshot graph, and their active
+    domain enters the verification domain's constants
+    (:func:`verification_domain`).  An exploration is valid for one set
+    of databases and one domain only (``verify`` refuses any other), so
+    each combination builds its own.
     """
     from .domain import enumerate_databases
     import itertools

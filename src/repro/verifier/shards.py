@@ -27,9 +27,9 @@ The merge is deterministic and provably equal to the unsharded sweep:
   the sum over fragments: each shard searches its own classes.
 * **Metrics.**  Registry snapshots merge by kind: counters and phase
   accumulators add, gauges take the maximum, histograms add bucket-wise
-  (:func:`merge_metrics_snapshots`).  Wall time is the max across
-  shards (they run concurrently); compute seconds, per-property phases
-  and rule-cache counters add.
+  (:func:`merge_metrics_snapshots`, through the registry's own fold).
+  Wall time is the max across shards (they run concurrently); compute
+  seconds, per-property phases and rule-cache counters add.
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ import hashlib
 import pickle
 from typing import Mapping, Sequence
 
-from ..obs import ledger
-from ..obs.metrics import COMPAT_SCHEMAS as METRICS_COMPAT
-from ..obs.metrics import SCHEMA as METRICS_SCHEMA
-from ..obs.metrics import REGISTRY, merge_numeric
+from ..obs.metrics import (
+    REGISTRY, MetricsRegistry, merge_numeric, merge_registry_snapshot,
+)
 from ..spec.composition import Composition
 from .result import Counterexample, VerificationResult, VerifierStats
 
@@ -112,7 +111,6 @@ def shard_fragment(results: Sequence[VerificationResult],
     return {
         "schema": SHARD_SCHEMA,
         "shard": {"index": index, "count": count},
-        "run_id": ledger.current_run_id(),
         "spec_sha": (spec_sha(composition)
                      if composition is not None else None),
         "metrics": REGISTRY.snapshot(),
@@ -121,57 +119,16 @@ def shard_fragment(results: Sequence[VerificationResult],
 
 
 def merge_metrics_snapshots(snapshots: Sequence[Mapping]) -> dict:
-    """Combine ``repro.metrics/1`` snapshots without touching a registry.
-
-    Counters and phases add, gauges take the max (high-water marks),
-    histograms add bucket-wise when boundaries agree (and keep the
-    first shard's data otherwise -- mismatched boundaries cannot be
-    combined losslessly).
+    """Fold ``repro.metrics/2`` snapshots into one, without touching the
+    process registry: each folds into a fresh
+    :class:`~repro.obs.metrics.MetricsRegistry`
+    (:func:`~repro.obs.metrics.merge_registry_snapshot`), whose snapshot
+    is the result.
     """
-    counters: dict = {}
-    gauges: dict = {}
-    histograms: dict = {}
-    phase_seconds: dict = {}
-    phase_counts: dict = {}
+    registry = MetricsRegistry()
     for snap in snapshots:
-        if snap.get("schema") not in METRICS_COMPAT:
-            raise ValueError(
-                f"cannot merge metrics snapshot with schema "
-                f"{snap.get('schema')!r}; expected one of "
-                f"{sorted(METRICS_COMPAT)}"
-            )
-        merge_numeric(counters, snap.get("counters", {}))
-        for name, value in snap.get("gauges", {}).items():
-            gauges[name] = max(gauges.get(name, value), value)
-        for name, hist in snap.get("histograms", {}).items():
-            seen = histograms.get(name)
-            if seen is None:
-                histograms[name] = {
-                    "boundaries": list(hist["boundaries"]),
-                    "counts": list(hist["counts"]),
-                    "sum": hist["sum"],
-                    "count": hist["count"],
-                }
-            elif seen["boundaries"] == list(hist["boundaries"]):
-                seen["counts"] = [
-                    a + b for a, b in zip(seen["counts"], hist["counts"])
-                ]
-                seen["sum"] += hist["sum"]
-                seen["count"] += hist["count"]
-        for name, entry in snap.get("phases", {}).items():
-            merge_numeric(phase_seconds, {name: entry["seconds"]})
-            merge_numeric(phase_counts, {name: entry["count"]})
-    return {
-        "schema": METRICS_SCHEMA,
-        "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(gauges.items())),
-        "histograms": dict(sorted(histograms.items())),
-        "phases": {
-            name: {"seconds": phase_seconds[name],
-                   "count": phase_counts.get(name, 0)}
-            for name in sorted(phase_seconds)
-        },
-    }
+        merge_registry_snapshot(snap, registry)
+    return registry.snapshot()
 
 
 def _validate_fragments(fragments: Sequence[Mapping]) -> int:
@@ -300,9 +257,6 @@ def merge_fragments(fragments: Sequence[Mapping]) -> dict:
     return {
         "schema": MERGED_SCHEMA,
         "shards": count,
-        "run_ids": sorted(
-            {frag.get("run_id") for frag in ordered} - {None}
-        ),
         "metrics": merge_metrics_snapshots(
             [frag["metrics"] for frag in ordered]
         ),

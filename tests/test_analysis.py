@@ -80,7 +80,7 @@ class TestLibraryGolden:
         assert errors_of(report) == []
         assert report.passes_run == [
             "ib", "rules", "reachability", "channels",
-            "flow", "provenance", "cost", "decidability",
+            "flow", "provenance", "decidability",
         ]
 
     def test_loan_flat_db_join_is_noted(self):

@@ -5,11 +5,13 @@ to cold ones (text, JSON, and SARIF), document hits skip all pass work,
 and editing one peer invalidates only that peer's entry.
 """
 
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
-    LintCache, lint_cached, lint_cached_composition, lint_composition,
-    lint_text, render_report, to_json, to_sarif,
+    LintCache, default_cache_dir, lint_cached, lint_cached_composition,
+    lint_composition, lint_text, render_report, to_json, to_sarif,
 )
 
 TWO_PEER_SPEC = """
@@ -39,8 +41,7 @@ def render_all(report):
             + to_sarif(report.diagnostics)
             + repr(report.passes_run)
             + repr({n: c.describe()
-                    for n, c in sorted(report.classifications.items())})
-            + repr(sorted(report.cost_hints.items())))
+                    for n, c in sorted(report.classifications.items())}))
 
 
 class TestAccounting:
@@ -61,6 +62,14 @@ class TestAccounting:
         line = cache.stats_line()
         assert "doc-misses=1" in line
         assert str(tmp_path) in line
+
+    def test_cache_root_is_env_then_home(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_LINT_CACHE_DIR", str(tmp_path / "c"))
+        assert default_cache_dir() == tmp_path / "c"
+        monkeypatch.delenv("REPRO_LINT_CACHE_DIR")
+        monkeypatch.setenv("HOME", str(tmp_path))
+        assert default_cache_dir() == Path(tmp_path, ".cache", "repro",
+                                           "lint")
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = LintCache(tmp_path)

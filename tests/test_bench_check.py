@@ -1,4 +1,5 @@
-"""Tests for the bench regression sentinel (repro.obs.bench).
+"""Tests for the bench regression sentinel (repro.obs.bench) and its
+command, ``repro bench check``.
 
 The committed ``benchmarks/metrics`` trajectory must pass clean (that
 is the CI gate's steady state), and a planted 2x ``wall_seconds`` entry
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.obs.bench import (
     DEFAULT_MAX_WALL_RATIO, DEFAULT_MIN_WALL_SECONDS, check_directory,
     check_entries, load_trajectories,
@@ -202,3 +204,58 @@ class TestCommittedTrajectory:
                                  min_wall_seconds=DEFAULT_MIN_WALL_SECONDS)
         assert report.ok, report.render()
         assert report.entries > 0
+
+
+def _bench_entry(wall, recorded_at):
+    return {
+        "schema": "repro.metrics/1",
+        "recorded_at": recorded_at,
+        "experiment": "e1",
+        "case": "c1",
+        "verdict": "SATISFIED",
+        "stats": {"wall_seconds": wall, "system_states": 40},
+    }
+
+
+class TestBenchCheckCommand:
+    def test_passes_on_stable_history(self, tmp_path, capsys):
+        (tmp_path / "BENCH_e1.json").write_text(json.dumps([
+            _bench_entry(1.0, "2026-01-01T00:00:00+0000"),
+            _bench_entry(1.05, "2026-01-02T00:00:00+0000"),
+        ]))
+        assert main(["bench", "check",
+                     "--metrics-dir", str(tmp_path)]) == 0
+        assert "bench check: OK" in capsys.readouterr().out
+
+    def test_fails_on_planted_2x(self, tmp_path, capsys):
+        (tmp_path / "BENCH_e1.json").write_text(json.dumps([
+            _bench_entry(1.0, "2026-01-01T00:00:00+0000"),
+            _bench_entry(1.0, "2026-01-02T00:00:00+0000"),
+            _bench_entry(2.0, "2026-01-09T00:00:00+0000"),
+        ]))
+        assert main(["bench", "check",
+                     "--metrics-dir", str(tmp_path)]) == 1
+        assert "REGRESSION" in capsys.readouterr().out
+
+    def test_json_report(self, tmp_path, capsys):
+        (tmp_path / "BENCH_e1.json").write_text(json.dumps([
+            _bench_entry(1.0, "2026-01-01T00:00:00+0000"),
+            _bench_entry(1.0, "2026-01-02T00:00:00+0000"),
+        ]))
+        assert main(["bench", "check", "--metrics-dir", str(tmp_path),
+                     "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["schema"] == "repro.bench-check/1"
+        assert doc["ok"] is True
+
+    def test_empty_dir_is_an_error(self, tmp_path, capsys):
+        assert main(["bench", "check",
+                     "--metrics-dir", str(tmp_path)]) == 2
+
+    def test_committed_trajectory_passes(self, capsys):
+        metrics_dir = (Path(__file__).parent.parent
+                       / "benchmarks" / "metrics")
+        if not metrics_dir.is_dir():
+            pytest.skip("no committed trajectory")
+        assert main(["bench", "check",
+                     "--metrics-dir", str(metrics_dir)]) == 0

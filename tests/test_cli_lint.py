@@ -93,7 +93,10 @@ class TestFormats:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "repro.lint/1"
         assert payload["target"] == clean_file
-        assert "structure" in payload["passes"]
+        assert payload["passes"] == [
+            "structure", "ib", "rules", "reachability", "channels",
+            "flow", "provenance", "decidability"]
+        assert "cost_hints" not in payload
         assert "composition" in payload["classifications"]
 
     def test_sarif_to_output_file(self, clean_file, tmp_path, capsys):

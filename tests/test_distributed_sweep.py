@@ -8,8 +8,10 @@ counterexample lasso must be bit-for-bit identical across
   forked children and merges them like ``repro merge-shards``,
 * ``--shard`` runs -- a trivial 1-shard run and a 3-shard split merged
   back through :func:`repro.verifier.merge_fragments`, with and
-  without local shards inside each shard, and
-* a shard over a caller-supplied transition cache.
+  without local shards inside each shard,
+* a shard over a caller-supplied transition cache, and
+* two ``repro verify --workers 4 --shard i/2`` processes merged by
+  ``repro merge-shards`` (verdicts and node counts only).
 
 A child that dies ends the run in a :class:`VerificationError` that
 names its shard and exit code (and ``repro verify`` exits 2).  White-box
@@ -19,6 +21,7 @@ partitions with global orders), ``resolve_shard`` validation, and
 sender-receiver style compositions.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -216,7 +219,8 @@ def test_shard_combines_with_supplied_cache():
 
 
 #: Run in a fresh interpreter: ``import repro.cli`` and a one-worker
-#: ``repro verify`` must not load the process-pool machinery.
+#: ``repro verify`` must not load the process-pool machinery, nor the
+#: bench sentinel, which only ``repro bench check`` imports.
 _NO_POOL_PROBE = """
 import sys
 import repro.cli
@@ -226,8 +230,10 @@ def pool_modules():
                   if m.split(".")[0] in ("multiprocessing", "concurrent"))
 
 assert pool_modules() == [], pool_modules()
+assert "repro.obs.bench" not in sys.modules
 assert repro.cli.main(["verify", "--workers", "1", sys.argv[1]]) == 1
 assert pool_modules() == [], pool_modules()
+assert "repro.obs.bench" not in sys.modules
 """
 
 
@@ -241,6 +247,48 @@ def test_one_worker_loads_no_process_pool(tmp_path):
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
+
+
+# ---------------------------------------------------------------------------
+# shards of local shards, through the CLI
+
+
+def test_cli_shards_of_local_shards_merge_to_unsharded(tmp_path, capsys):
+    """Two ``verify --workers 4 --shard i/2`` processes, as on two
+    machines, merge through ``repro merge-shards`` to the verdicts and
+    node counts of an unsharded ``repro verify``."""
+    spec = tmp_path / "sr.dws"
+    spec.write_text(SPEC_TEXT + f"property safety:\n    {SAFETY}\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    fragments = []
+    for i in range(2):
+        fragment = tmp_path / f"shard{i}.json"
+        child = subprocess.run(
+            [sys.executable, "-m", "repro", "verify", str(spec),
+             "--workers", "4", "--shard", f"{i}/2",
+             "--shard-output", str(fragment)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=300)
+        assert child.returncode in (0, 1), child.stderr
+        assert "run_id" not in json.loads(fragment.read_text())
+        fragments.append(str(fragment))
+
+    merged_file, reference = tmp_path / "merged.json", tmp_path / "ref.json"
+    assert main(["merge-shards", *fragments,
+                 "--output", str(merged_file)]) == 1
+    assert main(["verify", str(spec), "--metrics-json",
+                 str(reference)]) == 1
+    merged = json.loads(merged_file.read_text())
+    assert "run_ids" not in merged
+
+    def rows(entries):
+        return [(e["verdict"], e["stats"]["valuations_checked"],
+                 e["stats"]["product_nodes_visited"]) for e in entries]
+
+    unsharded = json.loads(reference.read_text())["results"]
+    assert [e["verdict"] for e in unsharded] == ["VIOLATED", "SATISFIED"]
+    assert rows(merged["properties"]) == rows(unsharded)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Tests for the observability layer (repro.obs).
 
-The golden-schema tests pin down the external formats -- the
-``repro.trace/2`` JSONL event stream and the ``repro.metrics/2``
-registry snapshot -- so downstream tooling can rely on them; they are
-marked ``obs`` and run in tier-1.
+The golden-schema tests pin down the external format -- the
+``repro.metrics/2`` registry snapshot -- so downstream tooling can rely
+on it; they are marked ``obs`` and run in tier-1.
 """
 
 import json
@@ -13,23 +12,19 @@ import time
 import pytest
 
 from repro.obs import (
-    DEFAULT_TIME_BUCKETS, Histogram, MetricsRegistry, REGISTRY,
-    configure_tracing, counter, diff_numeric, gauge, histogram,
-    merge_numeric, phase, phase_counts, phase_seconds, reset_for_worker,
-    tracing_enabled,
+    DEFAULT_TIME_BUCKETS, Histogram, REGISTRY, counter, diff_numeric,
+    gauge, histogram, merge_numeric, phase, phase_counts, phase_seconds,
+    reset_for_worker,
 )
 from repro.obs import metrics as metrics_mod
-from repro.obs import trace as trace_mod
 
 
 @pytest.fixture(autouse=True)
 def _clean_obs():
-    """Hermetic registry + disabled tracing around every test."""
+    """A hermetic registry around every test."""
     REGISTRY.reset()
-    configure_tracing(None)
     yield
     REGISTRY.reset()
-    configure_tracing(None)
 
 
 class TestMetricsRegistry:
@@ -97,7 +92,6 @@ class TestMetricsSnapshotSchema:
 
     def test_top_level_keys(self):
         snap = REGISTRY.snapshot()
-        # no run-ledger context is active in tests, so no "run" key
         assert set(snap) == {
             "schema", "counters", "gauges", "histograms", "phases",
         }
@@ -176,99 +170,3 @@ class TestPhaseTimers:
             pass
         assert phase_counts() == {"search": 1, "expand": 1}
 
-
-def _read_events(path):
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
-@pytest.mark.obs
-class TestTraceSchema:
-    """Golden schema of the repro.trace/2 JSONL stream."""
-
-    def test_disabled_by_default(self):
-        assert not tracing_enabled()
-
-    def test_event_key_set(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        configure_tracing(str(path))
-        with phase("search"):
-            with phase("expand"):
-                pass
-        trace_mod.instant("note", detail=1)
-        configure_tracing(None)
-
-        events = _read_events(path)
-        assert events, "no events written"
-        for ev in events:
-            assert set(ev) <= {"ts", "pid", "tid", "ph", "name", "args"}
-            assert {"ts", "pid", "tid", "ph", "name"} <= set(ev)
-            assert ev["ph"] in {"B", "E", "I"}
-            assert isinstance(ev["ts"], float)
-            assert isinstance(ev["pid"], int)
-            assert isinstance(ev["tid"], int)
-            assert isinstance(ev["name"], str)
-
-    def test_stream_starts_with_schema_instant(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        configure_tracing(str(path))
-        configure_tracing(None)
-        events = _read_events(path)
-        assert events[0]["ph"] == "I"
-        assert events[0]["name"] == "stream-start"
-        assert events[0]["args"]["schema"] == "repro.trace/2"
-        assert events[0]["args"]["schema"] == trace_mod.SCHEMA
-        # the anchor pairs the monotonic ts with an epoch wall clock
-        assert isinstance(events[0]["args"]["wall"], float)
-
-    def test_spans_balanced_and_nested(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        configure_tracing(str(path))
-        with phase("search"):
-            with phase("expand"):
-                with phase("rule-fire"):
-                    pass
-            with phase("expand"):
-                pass
-        configure_tracing(None)
-
-        streams = {}
-        for ev in _read_events(path):
-            streams.setdefault((ev["pid"], ev["tid"]), []).append(ev)
-        for key, events in streams.items():
-            stack = []
-            for ev in events:
-                if ev["ph"] == "B":
-                    stack.append(ev["name"])
-                elif ev["ph"] == "E":
-                    assert stack, f"E without B in stream {key}: {ev}"
-                    assert stack.pop() == ev["name"], (
-                        f"mismatched span nesting in stream {key}"
-                    )
-            assert stack == [], f"unbalanced spans in stream {key}: {stack}"
-
-    def test_timestamps_nondecreasing_per_stream(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        configure_tracing(str(path))
-        for _ in range(5):
-            with phase("translate"):
-                pass
-        configure_tracing(None)
-
-        streams = {}
-        for ev in _read_events(path):
-            streams.setdefault((ev["pid"], ev["tid"]), []).append(ev["ts"])
-        for stamps in streams.values():
-            assert stamps == sorted(stamps)
-
-    def test_disabling_stops_writes(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        configure_tracing(str(path))
-        with phase("search"):
-            pass
-        configure_tracing(None)
-        before = path.read_text()
-        with phase("search"):
-            pass
-        trace_mod.instant("late")
-        assert path.read_text() == before

@@ -1,11 +1,13 @@
-"""Histogram-bucket merge semantics across the two merge paths.
+"""Merge semantics of metrics snapshots.
 
-``repro.obs.metrics.merge_registry_snapshot`` (fold a shard snapshot
-into the live registry) and ``repro.verifier.shards.
-merge_metrics_snapshots`` (pure N-way fold) implement the same
-algebra -- counters/phases add, gauges max, histogram buckets add
-position-wise when boundaries agree.  These tests pin that algebra,
-including a hypothesis property: splitting one observation stream
+``repro.obs.metrics.merge_registry_snapshot`` is the one fold: into the
+live registry (a ``--workers`` child's snapshot, ``repro
+merge-shards``) or, through ``repro.verifier.shards.
+merge_metrics_snapshots``, into a fresh one (the N-way merge of shard
+fragments).  Counters and phases add, zero-valued counters included;
+gauges take the max; histogram buckets add position-wise when
+boundaries agree.  Only ``repro.metrics/2`` snapshots merge.  A
+hypothesis property closes the loop: splitting one observation stream
 across shards and merging must reproduce the unsharded histogram
 exactly, bucket by bucket.
 """
@@ -14,8 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs import REGISTRY
-from repro.obs.metrics import COMPAT_SCHEMAS, merge_registry_snapshot
-from repro.obs.metrics import Histogram, SCHEMA
+from repro.obs.metrics import Histogram, SCHEMA, merge_registry_snapshot
 from repro.verifier.shards import merge_metrics_snapshots
 
 BOUNDS = (0.001, 0.01, 0.1, 1.0)
@@ -51,11 +52,15 @@ class TestMergeRegistrySnapshot:
         with pytest.raises(ValueError):
             merge_registry_snapshot(_snap(schema="repro.metrics/99"))
 
-    def test_accepts_both_compat_schemas(self):
-        for schema in sorted(COMPAT_SCHEMAS):
-            merge_registry_snapshot(_snap(schema=schema,
+    def test_rejects_metrics_v1(self):
+        with pytest.raises(ValueError):
+            merge_registry_snapshot(_snap(schema="repro.metrics/1",
                                           counters={"c": 1}))
-        assert REGISTRY.snapshot()["counters"]["c"] == 2
+        assert REGISTRY.snapshot()["counters"] == {}
+
+    def test_zero_counters_are_kept(self):
+        merge_registry_snapshot(_snap(counters={"c": 0, "d": 2}))
+        assert REGISTRY.snapshot()["counters"] == {"c": 0, "d": 2}
 
     def test_histogram_buckets_add_positionwise(self):
         merge_registry_snapshot(_snap(histograms={
@@ -97,11 +102,21 @@ class TestMergeMetricsSnapshots:
 
     def test_merged_doc_carries_current_schema(self):
         merged = merge_metrics_snapshots([
-            _snap(schema="repro.metrics/1", counters={"c": 1}),
-            _snap(schema="repro.metrics/2", counters={"c": 1}),
+            _snap(counters={"c": 1}), _snap(counters={"c": 1, "z": 0}),
         ])
         assert merged["schema"] == SCHEMA
-        assert merged["counters"] == {"c": 2}
+        assert merged["counters"] == {"c": 2, "z": 0}
+
+    def test_rejects_metrics_v1(self):
+        with pytest.raises(ValueError):
+            merge_metrics_snapshots([
+                _snap(counters={"c": 1}),
+                _snap(schema="repro.metrics/1", counters={"c": 1}),
+            ])
+
+    def test_leaves_the_process_registry_alone(self):
+        merge_metrics_snapshots([_snap(counters={"c": 1})])
+        assert REGISTRY.snapshot()["counters"] == {}
 
     def test_histograms_add_and_keys_sort(self):
         merged = merge_metrics_snapshots([
@@ -146,23 +161,3 @@ class TestShardingRoundTrip:
         assert (merged["histograms"]["h"]["sum"]
                 == pytest.approx(whole["sum"]))
         assert merged["counters"]["c"] == len(values)
-
-    @given(values=values_strategy, n_shards=st.integers(1, 4))
-    @settings(max_examples=30, deadline=None)
-    def test_registry_fold_agrees_with_pure_fold(self, values, n_shards):
-        """The in-registry and pure merges implement one algebra."""
-        shards = [
-            _snap(histograms={"h": _hist_snap(values[i::n_shards])})
-            for i in range(n_shards)
-        ]
-        REGISTRY.reset()
-        for snap in shards:
-            merge_registry_snapshot(snap)
-        via_registry = REGISTRY.snapshot()["histograms"].get("h")
-        via_pure = merge_metrics_snapshots(shards)["histograms"].get("h")
-        if via_pure is None:
-            assert via_registry is None or via_registry["count"] == 0
-        else:
-            assert via_registry["counts"] == via_pure["counts"]
-            assert via_registry["count"] == via_pure["count"]
-            assert via_registry["sum"] == pytest.approx(via_pure["sum"])

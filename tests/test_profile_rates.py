@@ -8,6 +8,10 @@ already holds and the run's ``search.blue_visited`` +
 ``--metrics-json`` writes out.  ``product_nodes_visited`` charges every
 valuation its letter class's search, so it would count nodes no search
 visited.
+
+Those counters must not depend on how the run is split: ``--workers
+2`` counts what its two shards count in process, and its registry lists
+the zero-valued counters a one-worker run lists.
 """
 
 import json
@@ -16,7 +20,8 @@ import re
 import pytest
 
 from repro.cli import main
-from repro.obs import counters_snapshot
+from repro.obs import REGISTRY, counters_snapshot, diff_numeric, merge_numeric
+from repro.runtime.step import clear_rule_cache
 
 #: The phase-row parser of ``tests/test_cli.py``; rate lines must not
 #: read as phase rows.
@@ -56,3 +61,41 @@ def test_rates_come_from_the_results(tmp_path, capsys):
         abs=0.5)
     for line in (expand.group(0), search.group(0)):
         assert not PHASE_ROW.match(line)
+
+
+def _counter_delta(argv, capsys) -> dict:
+    """Counter deltas of one ``main(argv)`` from a cold rule cache."""
+    clear_rule_cache()
+    before = counters_snapshot()
+    assert main(argv) == 0
+    capsys.readouterr()
+    return diff_numeric(counters_snapshot(), before)
+
+
+def test_workers_count_what_their_shards_count(tmp_path, capsys):
+    workers = _counter_delta(["profile", "loan", "--workers", "2"], capsys)
+    shards: dict = {}
+    for i in range(2):
+        merge_numeric(shards, _counter_delta(
+            ["profile", "loan", "--shard", f"{i}/2",
+             "--shard-output", str(tmp_path / f"s{i}.json")], capsys))
+    assert workers == shards
+    assert workers["graph.reuse_hits"] == 205
+
+
+def test_workers_list_the_zero_counters_of_one_worker(tmp_path, capsys):
+    listed = {}
+    for workers in ("1", "2"):
+        REGISTRY.reset()
+        clear_rule_cache()
+        metrics = tmp_path / f"w{workers}.json"
+        assert main(["profile", "loan", "--workers", workers,
+                     "--metrics-json", str(metrics)]) == 0
+        listed[workers] = json.loads(metrics.read_text())["registry"]
+    capsys.readouterr()
+    zeros = {name for name, value in listed["1"]["counters"].items()
+             if value == 0}
+    assert "search.red_visited" in zeros
+    assert {name: listed["2"]["counters"].get(name) for name in zeros} == (
+        dict.fromkeys(zeros, 0))
+    assert "run" not in listed["2"]
