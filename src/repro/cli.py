@@ -601,8 +601,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print(row)
     print(f"  {'total (wall)':12s} {'':>8s} {wall:>10.3f}s {100.0:>6.1f}%")
 
-    for line in _layer_rates(
-            results, diff_numeric(counters_snapshot(), counters_before)):
+    counters = diff_numeric(counters_snapshot(), counters_before)
+    for line in _layer_rates(results, counters):
         print(line)
 
     compute = sum(r.stats.task_seconds + r.stats.cancelled_task_seconds
@@ -618,6 +618,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if lookups:
         print(f"  rule cache: {cache['hits']} hits / {cache['misses']} "
               f"misses ({100.0 * cache['hits'] / lookups:.1f}% hit rate)")
+    memo_hits = counters.get("graph.successor_memo_hits", 0)
+    memo_rows = memo_hits + counters.get("graph.successor_memo_misses", 0)
+    if memo_rows:
+        print(f"  successor memo: {memo_hits} hits / "
+              f"{memo_rows - memo_hits} misses "
+              f"({100.0 * memo_hits / memo_rows:.1f}% of rows)")
 
     # distinct states: the largest exploration of each domain
     distinct: dict = {}

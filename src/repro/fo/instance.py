@@ -142,6 +142,11 @@ class Instance:
 
     # -- queries -----------------------------------------------------------
 
+    def extensions(self, names: Iterable[str]) -> list[Rows]:
+        """The rows of each relation in *names*, in order."""
+        get = self._data.get
+        return [get(name, FALSE_ROWS) for name in names]
+
     def truth(self, name: str) -> bool:
         """Truth value of a propositional (arity-0) relation."""
         return bool(self[name])

@@ -27,7 +27,6 @@ rejected by the checker or demonstrably simulates unbounded computation.
 from __future__ import annotations
 
 from ..fo.instance import Instance
-from ..spec.channels import NestedEmptySend
 from ..spec.composition import Composition
 from ..spec.peer import Peer, PeerBuilder
 

@@ -131,16 +131,7 @@ class _RuleCache:
         }
 
 
-def _default_cache_size() -> int:
-    raw = os.environ.get("REPRO_RULE_CACHE_SIZE", "")
-    try:
-        size = int(raw)
-    except ValueError:
-        return 100_000
-    return max(size, 1)
-
-
-_RULE_CACHE = _RuleCache(_default_cache_size())
+_RULE_CACHE = _RuleCache(100_000)
 
 
 def clear_rule_cache() -> None:

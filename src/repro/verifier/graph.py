@@ -9,13 +9,18 @@ every valuation.
 
 Two pieces remove the redundancy:
 
-* :class:`StateInterner` hash-conses :class:`GlobalState` snapshots into
-  dense integer ids, so visited-set membership during the nested DFS is
-  an int hash instead of a deep nested-tuple hash, and product nodes are
+* :class:`StateInterner` hash-conses snapshots, as slot keys (tuples of
+  small ints, :class:`~repro.runtime.slots.SlotCodec`), into dense
+  integer ids, so visited-set membership during the nested DFS is an int
+  hash instead of a deep nested-tuple hash, and product nodes are
   ``(int, int)`` pairs (the Büchi state is compiled to an int too, see
-  :class:`~repro.verifier.product.ProductSystem`).
-* :class:`SharedExploration` wraps one :class:`TransitionCache` behind
-  the interner and memoizes each successor row as a tuple of ids.
+  :class:`~repro.verifier.product.ProductSystem`).  A state's
+  :class:`GlobalState` is decoded from its key on first use.
+* :class:`SharedExploration` memoizes each successor row as a tuple of
+  ids.  It answers a row from each mover's share in a
+  :class:`~repro.runtime.slots.SuccessorMemo` when it can, and
+  otherwise calls :func:`~repro.runtime.step.successors` once on the
+  decoded state and files the result.
   :meth:`~SharedExploration.complete` expands the whole reachable graph
   into those rows, so every later valuation's product search is a pure
   graph walk -- no rule firing, no snapshot hashing, no dict-of-states
@@ -25,7 +30,8 @@ Successor order, initial-state order, and Büchi target order are all
 preserved exactly, so the product over interned ids visits the same
 nodes in the same order as the seed engine's product over snapshots --
 verdicts, counterexample lassos, and search node counts are identical
-(the differential suite pins this).
+(the differential suite pins this, and ``tests/test_successor_memo.py``
+checks every memo row against ``successors()``).
 """
 
 from __future__ import annotations
@@ -33,9 +39,11 @@ from __future__ import annotations
 from collections import deque
 
 from ..errors import VerificationError
-from ..obs import counter, gauge
+from ..obs import PHASE_EXPAND, counter, gauge, phase
+from ..runtime.slots import SlotCodec, SlotKey, SuccessorMemo
 from ..runtime.state import GlobalState
-from .product import SearchBudget, TransitionCache
+from ..runtime.step import successors
+from .product import SearchBudget, TransitionCache, count_expansion
 
 #: Engine names accepted by ``verify(..., engine=...)``: ``seed`` is
 #: the per-valuation reference the differential tests compare against.
@@ -54,41 +62,57 @@ def resolve_engine(engine: str | None) -> str:
 
 
 class StateInterner:
-    """Hash-cons snapshots into dense ids (ids are assignment order)."""
+    """Hash-cons snapshots, as slot keys, into dense ids (ids are
+    assignment order); decode each id's snapshot once, on first use."""
 
-    __slots__ = ("_ids", "_states")
+    __slots__ = ("codec", "_ids", "_keys", "_states")
 
-    def __init__(self) -> None:
-        self._states: list[GlobalState] = []
-        self._ids: dict[GlobalState, int] = {}
+    def __init__(self, codec: SlotCodec) -> None:
+        self.codec = codec
+        self._keys: list[SlotKey] = []
+        self._ids: dict[SlotKey, int] = {}
+        self._states: dict[int, GlobalState] = {}
 
     def intern(self, state: GlobalState) -> int:
-        sid = self._ids.get(state)
+        return self.intern_key(self.codec.encode(state))
+
+    def intern_key(self, key: SlotKey) -> int:
+        sid = self._ids.get(key)
         if sid is None:
-            sid = len(self._states)
-            self._ids[state] = sid
-            self._states.append(state)
+            sid = self._ids[key] = len(self._keys)
+            self._keys.append(key)
         return sid
 
+    def key_of(self, sid: int) -> SlotKey:
+        return self._keys[sid]
+
     def state_of(self, sid: int) -> GlobalState:
-        return self._states[sid]
+        state = self._states.get(sid)
+        if state is None:
+            state = self._states[sid] = self.codec.decode(self._keys[sid])
+        return state
 
     def __len__(self) -> int:
-        return len(self._states)
+        return len(self._keys)
 
 
 class SharedExploration:
     """One interned exploration, reused by every valuation's search.
 
-    Nodes are interned state ids; :meth:`successors_of` answers each id
-    from its memo row once the row exists, and expands the snapshot
-    through the wrapped :class:`TransitionCache` otherwise.
+    *cache* names what is explored (composition, databases, domain,
+    semantics, ``env_value_domain``, budget) and gives the initial
+    snapshots; the exploration never fills the cache's own memo.  Nodes
+    are interned state ids; :meth:`successors_of` answers each id from
+    its row once the row exists, and otherwise builds the row from the
+    slot memo or, on a miss, from one ``successors()`` call.
     """
 
     def __init__(self, cache: TransitionCache) -> None:
         self.cache = cache
         self.budget: SearchBudget = cache.budget
-        self.interner = StateInterner()
+        codec = SlotCodec(cache.composition)
+        self.interner = StateInterner(codec)
+        self.memo = SuccessorMemo(cache.composition, codec)
         self._initial: tuple[int, ...] | None = None
         self._succ: dict[int, tuple[int, ...]] = {}
         self._complete = False
@@ -97,7 +121,7 @@ class SharedExploration:
 
     @property
     def states_expanded(self) -> int:
-        return self.cache.states_expanded
+        return len(self._succ)
 
     def initial(self) -> tuple[int, ...]:
         if self._initial is None:
@@ -112,16 +136,26 @@ class SharedExploration:
     def successors_of(self, sid: int) -> tuple[int, ...]:
         succ = self._succ.get(sid)
         if succ is not None:
-            # looked up per hit: a forked child resets the registry after
+            # looked up per use: a forked child resets the registry after
             # the parent built this exploration
             counter("graph.reuse_hits").inc()
             return succ
-        intern = self.interner.intern
-        succ = tuple(
-            intern(s) for s in
-            self.cache.successors_of(self.interner.state_of(sid))
-        )
-        self._succ[sid] = succ
+        self.budget.check_states(len(self._succ))
+        with phase(PHASE_EXPAND):
+            key = self.interner.key_of(sid)
+            keys = self.memo.row(key)
+            if keys is None:
+                counter("graph.successor_memo_misses").inc()
+                cache = self.cache
+                keys = self.memo.file(key, successors(
+                    cache.composition, self.state_of(sid), cache.domain,
+                    cache.semantics, env_one_action_per_move=True,
+                    env_value_domain=cache.env_value_domain))
+            else:
+                counter("graph.successor_memo_hits").inc()
+            succ = self._succ[sid] = tuple(map(self.interner.intern_key,
+                                               keys))
+        count_expansion(len(succ))
         return succ
 
     def complete(self, strict: bool = True) -> bool:

@@ -2,10 +2,12 @@
 
 The composition's reachable snapshot graph is finite once the data domain
 and the queue bound are fixed (the computational content of Theorem 3.4's
-reduction).  :class:`TransitionCache` memoizes successor computation so
-multiple property valuations share one exploration;
-:class:`ProductSystem` lazily pairs the nodes of an exploration with
-Büchi states.
+reduction).  :class:`TransitionCache` memoizes successor computation per
+snapshot for the seed engine and the protocol and modular procedures; it
+also names the inputs (composition, databases, domain, semantics) a
+:class:`~repro.verifier.graph.SharedExploration` is built for, which
+expands slot keys through its own memo instead.  :class:`ProductSystem`
+lazily pairs the nodes of an exploration with Büchi states.
 """
 
 from __future__ import annotations
@@ -30,6 +32,23 @@ class SearchBudget:
 
     max_system_states: int = 2_000_000
     max_product_nodes: int = 5_000_000
+
+    def check_states(self, expanded: int) -> None:
+        """Refuse to expand one more state once *expanded* states reach
+        ``max_system_states``."""
+        if expanded >= self.max_system_states:
+            raise VerificationError(
+                f"system-state budget ({self.max_system_states}) exceeded; "
+                "reduce the domain, queue bound, or composition size"
+            )
+
+
+def count_expansion(branching: int) -> None:
+    """Count one expanded state with *branching* successors."""
+    counter("product.states_expanded").inc()
+    histogram("product.branching_factor",
+              boundaries=(1, 2, 4, 8, 16, 32, 64, 128, 256)
+              ).observe(branching)
 
 
 class TransitionCache:
@@ -66,12 +85,7 @@ class TransitionCache:
     def successors_of(self, state: GlobalState) -> tuple[GlobalState, ...]:
         cached = self._successors.get(state)
         if cached is None:
-            if len(self._successors) >= self.budget.max_system_states:
-                raise VerificationError(
-                    f"system-state budget "
-                    f"({self.budget.max_system_states}) exceeded; "
-                    "reduce the domain, queue bound, or composition size"
-                )
+            self.budget.check_states(len(self._successors))
             with phase(PHASE_EXPAND):
                 cached = tuple(
                     successors(
@@ -81,10 +95,7 @@ class TransitionCache:
                     )
                 )
             self._successors[state] = cached
-            counter("product.states_expanded").inc()
-            histogram("product.branching_factor",
-                      boundaries=(1, 2, 4, 8, 16, 32, 64, 128, 256)
-                      ).observe(len(cached))
+            count_expansion(len(cached))
         return cached
 
     def state_of(self, state: GlobalState) -> GlobalState:

@@ -7,7 +7,8 @@ already holds and the run's ``search.blue_visited`` +
 ``search.red_visited`` registry counters -- the numbers
 ``--metrics-json`` writes out.  ``product_nodes_visited`` charges every
 valuation its letter class's search, so it would count nodes no search
-visited.
+visited.  It also prints the successor memo's hits and misses, which
+add up to the expansions.
 
 Those counters must not depend on how the run is split: ``--workers
 2`` counts what its two shards count in process, and its registry lists
@@ -31,6 +32,8 @@ EXPAND = re.compile(r"^  expand rate: (\d+\.\d) us per expansion "
                     r"\((\d+) expansions\)$", re.M)
 SEARCH = re.compile(r"^  search rate: (\d+) ns per product node "
                     r"\((\d+) nodes\)$", re.M)
+MEMO = re.compile(r"^  successor memo: (\d+) hits / (\d+) misses "
+                  r"\(\d+\.\d% of rows\)$", re.M)
 
 
 def test_rates_come_from_the_results(tmp_path, capsys):
@@ -39,8 +42,9 @@ def test_rates_come_from_the_results(tmp_path, capsys):
     assert main(["profile", "loan", "--workers", "1",
                  "--metrics-json", str(metrics)]) == 0
     out = capsys.readouterr().out
-    expand, search = EXPAND.search(out), SEARCH.search(out)
-    assert expand and search, out
+    expand, search, memo = (EXPAND.search(out), SEARCH.search(out),
+                            MEMO.search(out))
+    assert expand and search and memo, out
 
     written = json.loads(metrics.read_text())
     stats = [entry["stats"] for entry in written["results"]]
@@ -49,6 +53,10 @@ def test_rates_come_from_the_results(tmp_path, capsys):
     nodes = sum(counters[name] - before.get(name, 0)
                 for name in ("search.blue_visited", "search.red_visited"))
     assert int(expand.group(2)) == expansions == 205
+    # every expanded row is a memo hit or a successors() call
+    assert int(memo.group(1)) + int(memo.group(2)) == expansions
+    assert int(memo.group(1)) == counters["graph.successor_memo_hits"] \
+        - before.get("graph.successor_memo_hits", 0) > 0
     assert int(search.group(2)) == nodes > 0
     assert nodes < sum(s["product_nodes_visited"] for s in stats)
     assert float(expand.group(1)) == pytest.approx(
@@ -59,7 +67,7 @@ def test_rates_come_from_the_results(tmp_path, capsys):
         1e9 * sum(s["phase_seconds"].get("search", 0.0) for s in stats)
         / nodes,
         abs=0.5)
-    for line in (expand.group(0), search.group(0)):
+    for line in (expand.group(0), search.group(0), memo.group(0)):
         assert not PHASE_ROW.match(line)
 
 
@@ -81,6 +89,11 @@ def test_workers_count_what_their_shards_count(tmp_path, capsys):
              "--shard-output", str(tmp_path / f"s{i}.json")], capsys))
     assert workers == shards
     assert workers["graph.reuse_hits"] == 205
+    # the children's memo counters reach the parent's registry
+    assert workers["graph.successor_memo_hits"] > 0
+    assert workers["graph.successor_memo_hits"] \
+        + workers["graph.successor_memo_misses"] \
+        == workers["product.states_expanded"] == 410
 
 
 def test_workers_list_the_zero_counters_of_one_worker(tmp_path, capsys):
