@@ -624,6 +624,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print(f"  successor memo: {memo_hits} hits / "
               f"{memo_rows - memo_hits} misses "
               f"({100.0 * memo_hits / memo_rows:.1f}% of rows)")
+        # every memo row is one interned state expanded; a state is
+        # decoded only to fire rules or evaluate a formula
+        print(f"  decoded states: "
+              f"{counters.get('graph.states_decoded', 0)} of {memo_rows} "
+              f"interned")
 
     # distinct states: the largest exploration of each domain
     distinct: dict = {}

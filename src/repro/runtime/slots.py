@@ -24,18 +24,22 @@ previous input keeps its old value when the current input is empty, and
 a state relation or a queue is rewritten from its old value.  The mover,
 enqueued and sent slots are the exception: every move sets them afresh,
 so they enter a key only where a rule reads them (``move_W``,
-``received_Q``).
+``received_Q``).  Which slots a relation of the snapshot view reads is
+one rule, :meth:`SlotCodec.slots_of`, shared by the memo and by letters,
+whose extension ids are read off the same projections.
 
-The memo never computes a successor itself.  A state it cannot answer is
-expanded by :func:`~repro.runtime.step.successors`, and
-:meth:`SuccessorMemo.file` splits that row into its movers' shares;
-``successors()`` stays the only code that fires rules.
+The memo never computes a successor itself.  For a state whose row it
+cannot complete, :meth:`SuccessorMemo.row` names the movers whose share
+is missing; :func:`~repro.runtime.step.successors` expands the state for
+those movers only, and :meth:`SuccessorMemo.file` files their shares and
+splices the row in mover order.  ``successors()`` stays the only code
+that fires rules.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..errors import SemanticsError
 from ..fo.instance import Instance
@@ -65,7 +69,7 @@ class SlotCodec:
     """
 
     __slots__ = ("relations", "channels", "relation_slot", "channel_slot",
-                 "mover", "enqueued", "sent", "_values", "_ids")
+                 "mover", "enqueued", "sent", "_view", "_values", "_ids")
 
     def __init__(self, composition: Composition) -> None:
         #: persistent relation names; ``Schema`` iterates them sorted
@@ -80,12 +84,41 @@ class SlotCodec:
         self.mover = len(self.relations) + len(self.channels)
         self.enqueued = self.mover + 1
         self.sent = self.mover + 2
+        self._view = _view_table(composition)
         self._values: list = []
         self._ids: dict = {}
 
     def __len__(self) -> int:
         """The number of slots in a key."""
         return self.sent + 1
+
+    def slots_of(self, names: Iterable[str]) -> tuple[int, ...]:
+        """The slots behind the snapshot-view relations *names*, sorted:
+        their extensions at a snapshot are a function of its key's
+        projection onto these slots.
+
+        A persistent relation reads its own slot; a queue head, a last
+        message, ``empty_Q`` or an ``ENV.q`` view reads the channel's
+        slot; ``received_Q`` reads the enqueued slot and ``move_W`` the
+        mover slot.  A relation no snapshot stores is empty in every
+        snapshot and reads no slot.
+        """
+        slots = set()
+        for name in names:
+            derived = self._view.get(name)
+            if derived is None:
+                slot = self.relation_slot.get(name)
+                if slot is not None:
+                    slots.add(slot)
+                continue
+            derive, argument = derived
+            if derive is _received:
+                slots.add(self.enqueued)
+            elif derive is _moved:
+                slots.add(self.mover)
+            else:
+                slots.add(self.channel_slot[argument[1]])
+        return tuple(sorted(slots))
 
     def _value_id(self, value) -> int:
         vid = self._ids.get(value)
@@ -130,27 +163,11 @@ def mover_slots(composition: Composition, codec: SlotCodec
     enqueued and sent slots.
 
     A peer reads the slots behind every relation its rules mention
-    (through the snapshot view table for queue, ``empty_Q``,
-    ``received_Q`` and ``move_W`` relations) and writes its inputs,
-    previous inputs, updated states, actions, error flags, and consumed
-    and sent channels.  The environment reads and writes the channels it
-    consumes or feeds.
+    (:meth:`SlotCodec.slots_of`) and writes its inputs, previous inputs,
+    updated states, actions, error flags, and consumed and sent
+    channels.  The environment reads and writes the channels it consumes
+    or feeds.
     """
-    view = _view_table(composition)
-
-    def read(name: str) -> tuple[int, ...]:
-        derived = view.get(name)
-        if derived is None:
-            slot = codec.relation_slot.get(name)
-            # a relation no snapshot stores is empty in every snapshot
-            return () if slot is None else (slot,)
-        derive, argument = derived
-        if derive is _received:
-            return (codec.enqueued,)
-        if derive is _moved:
-            return (codec.mover,)
-        return (codec.channel_slot[argument[1]],)
-
     out = []
     rel, chan = codec.relation_slot, codec.channel_slot
     for plan in _move_plans(composition).values():
@@ -158,8 +175,9 @@ def mover_slots(composition: Composition, codec: SlotCodec
         rules += [rule for _name, *pair in plan.updates for rule in pair]
         rules += [rule for _name, rule in plan.actions]
         rules += [rule for _channel, rule, _flag in plan.sends]
-        reads = frozenset(slot for rule in rules if rule is not None
-                          for name in rule.relations for slot in read(name))
+        reads = frozenset(codec.slots_of(
+            name for rule in rules if rule is not None
+            for name in rule.relations))
         writes = frozenset().union(
             [rel[name] for name, _arity, _rule in plan.inputs],
             [rel[prev] for _name, prev in plan.prev_inputs],
@@ -215,37 +233,51 @@ class SuccessorMemo:
             for name, reads, writes in mover_slots(composition, codec)
         ]
 
-    def row(self, key: SlotKey) -> list[SlotKey] | None:
-        """The successor keys of *key*, or None unless every mover's
-        share is memoized."""
-        out: list[SlotKey] = []
+    def row(self, key: SlotKey) -> tuple[list, list[str]]:
+        """*key*'s successor row as one block of successor keys per
+        mover, in mover order, and the names of the movers whose share
+        is not memoized, whose blocks are None."""
+        blocks: list = []
+        missing: list[str] = []
         for mover in self._movers:
             shares = mover.shares.get(mover.project(key))
             if shares is None:
-                return None
-            splice = mover.splice
-            out.extend([splice(key + share) for share in shares])
-        return out
+                blocks.append(None)
+                missing.append(mover.name)
+            else:
+                splice = mover.splice
+                blocks.append([splice(key + share) for share in shares])
+        return blocks, missing
 
-    def file(self, key: SlotKey, successors: Sequence[GlobalState]
-             ) -> list[SlotKey]:
-        """Encode the successor row *successors* of *key*, file each
-        mover's share under its projection of *key*, and return the
-        encoded row.
+    def file(self, key: SlotKey, blocks: list,
+             successors: Sequence[GlobalState]) -> None:
+        """Fill the missing *blocks* of *key*'s row from *successors*.
 
-        The row lists each mover's successors as one block, in mover
-        order, as :func:`~repro.runtime.step.successors` builds it.
+        *successors* are the moves of the movers whose blocks are None,
+        each mover's as one block, in mover order, as
+        :func:`~repro.runtime.step.successors` lists them for those
+        movers.  Each block is encoded, filed under its mover's
+        projection of *key*, and put in its place in *blocks*.
         """
         encode = self.codec.encode
         keys = [encode(state) for state in successors]
-        groups: dict[str, list[SlotKey]] = {m.name: [] for m in self._movers}
+        groups: dict[str, list[SlotKey]] = {
+            mover.name: [] for mover, block in zip(self._movers, blocks)
+            if block is None}
         for state, successor in zip(successors, keys):
-            groups[state.mover].append(successor)
-        if [k for block in groups.values() for k in block] != keys:
+            group = groups.get(state.mover)
+            if group is None:
+                raise SemanticsError(
+                    f"a successor row holds a move by {state.mover!r}, "
+                    f"whose share was not missing")
+            group.append(successor)
+        if [k for group in groups.values() for k in group] != keys:
             raise SemanticsError("a successor row interleaves its movers' "
                                  "moves; the memo cannot replay it")
-        for mover in self._movers:
-            written = mover.written
-            mover.shares[mover.project(key)] = tuple(
-                [written(successor) for successor in groups[mover.name]])
-        return keys
+        for i, mover in enumerate(self._movers):
+            group = groups.get(mover.name)
+            if group is not None:
+                written = mover.written
+                mover.shares[mover.project(key)] = tuple(
+                    [written(successor) for successor in group])
+                blocks[i] = group

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import os
 from collections import OrderedDict
-from typing import Mapping, NamedTuple, Sequence
+from typing import Collection, Mapping, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
 from ..errors import SpecificationError
@@ -35,7 +35,7 @@ from ..fo.evaluator import answers
 from ..fo.formulas import relations
 from ..fo.instance import Instance, Rows
 from ..obs import PHASE_RULE_FIRE, phase
-from ..fo.schema import error_name, prev_name
+from ..fo.schema import ENVIRONMENT_NAME, error_name, prev_name
 from ..fo.terms import Value, value_sort_key
 from ..spec.channels import (
     ChannelSemantics, FlatSendDiscipline, NestedEmptySend,
@@ -489,21 +489,36 @@ def peer_successors(composition: Composition, state: GlobalState,
 def successors(composition: Composition, state: GlobalState,
                domain: Domain, semantics: ChannelSemantics,
                env_one_action_per_move: bool = False,
-               env_value_domain: Domain | None = None) -> list[GlobalState]:
+               env_value_domain: Domain | None = None,
+               movers: Collection[str] | None = None) -> list[GlobalState]:
     """All legal successors of *state* (any peer may move).
 
     Every peer's move reads the same view of *state*, rendered once.
     For open compositions, environment moves are included; the ``env_*``
     knobs bound the environment's nondeterminism (see
     :func:`~repro.runtime.environment.environment_successors`).
+
+    *movers* (peer names, and ``ENV`` for the environment) keeps only
+    those movers' moves: the result is the sub-sequence of the full row
+    whose ``mover`` is among them, in the same order.  It defaults to
+    every mover.
     """
+    plans = _move_plans(composition)
+    if movers is not None:
+        unknown = set(movers).difference(
+            plans, () if composition.is_closed else (ENVIRONMENT_NAME,))
+        if unknown:
+            raise SpecificationError(
+                f"no mover named {sorted(unknown)} in this composition")
     view = snapshot_view(state, composition)
     domain = tuple(domain)
     out: list[GlobalState] = []
-    for plan in _move_plans(composition).values():
-        out.extend(_move_successors(composition, plan, state, view, domain,
-                                    semantics))
-    if not composition.is_closed:
+    for plan in plans.values():
+        if movers is None or plan.mover in movers:
+            out.extend(_move_successors(composition, plan, state, view,
+                                        domain, semantics))
+    if not composition.is_closed and (movers is None
+                                      or ENVIRONMENT_NAME in movers):
         from .environment import environment_successors
         out.extend(
             environment_successors(

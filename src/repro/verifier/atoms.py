@@ -31,6 +31,7 @@ occurs and fairness atoms to themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping
 
 from ..fo.evaluator import evaluate
@@ -149,18 +150,44 @@ class SnapshotEvaluator:
         return mask
 
 
+class ExtensionMemo:
+    """One relation set's extension ids over an exploration.
+
+    ``by_projection`` maps a slot key's projection onto the slots behind
+    the relations (:meth:`~repro.runtime.slots.SlotCodec.slots_of`) to
+    the id of the extensions every state with that projection has;
+    ``witness`` maps each id to the first state seen with it, whose view
+    the id's FO truths are evaluated on.
+    """
+
+    __slots__ = ("project", "by_projection", "witness")
+
+    def __init__(self, slots: tuple[int, ...]) -> None:
+        # a relation set no snapshot stores has one projection
+        self.project = itemgetter(*slots) if slots else lambda key: ()
+        self.by_projection: dict = {}
+        self.witness: dict[int, int] = {}
+
+
 class SharedSnapshotContext:
-    """Per-exploration caches keyed on interned ids.
+    """Per-exploration caches keyed on interned ids and slot keys.
 
     Owned by a :class:`~repro.verifier.graph.SharedExploration` and
-    shared by every valuation's :class:`InternedSnapshotEvaluator`:
-    snapshot views and active domains are computed once per state for
-    the whole sweep (the seed engine recomputes them once per state
-    *per valuation*).  FO truths are shared across valuations and
-    properties, keyed on two ints: the AP's id (:meth:`ap_id`, one per
-    distinct formula) and an id of the extensions its relations have at
-    the state (:meth:`extension_id`, computed once per state and
-    relation set).
+    shared by every valuation's :class:`InternedSnapshotEvaluator`.  FO
+    truths are shared across valuations and properties, keyed on two
+    ints: the AP's id (:meth:`ap_id`, one per distinct formula) and an id
+    of the extensions its relations have at the state
+    (:meth:`extension_id`).
+
+    An FO AP's truth at a snapshot depends only on the extensions of the
+    relations it mentions (Section 3), and those are a function of the
+    state's slot key projected onto the slots behind them.  So an
+    extension id is read off the key: a state is decoded, and its view
+    rendered, only the first time its relation set's projection is seen,
+    and the id is then assigned from the tuple of extensions.  Ids stay
+    coarser than projections (two queues with one head share an id, and
+    its truths).  Views are kept for those first-sight states only, and
+    active domains for the states an occurs atom reads.
 
     FO truths are keyed without the domain, so one context serves one
     verification domain only.  Over a completed exploration,
@@ -175,11 +202,11 @@ class SharedSnapshotContext:
         self._domains: dict[int, frozenset] = {}
         self._ap_ids: dict[Formula, int] = {}
         self._extension_ids: dict[tuple, int] = {}
-        #: relation set -> {state id: extension id}
-        self._extensions_at: dict[tuple[str, ...], dict[int, int]] = {}
+        #: relation set -> its extension memo
+        self._memos: dict[tuple[str, ...], ExtensionMemo] = {}
         self._truths: dict[tuple[int, int], bool] = {}
-        #: relation set -> ((extension id, first state id with it), ...)
-        self._classes: dict[tuple[str, ...], tuple] = {}
+        #: relation set -> its distinct extension ids, in state order
+        self._classes: dict[tuple[str, ...], tuple[int, ...]] = {}
 
     def view(self, sid: int) -> Instance:
         cached = self._views.get(sid)
@@ -200,46 +227,53 @@ class SharedSnapshotContext:
         """The id of an FO AP, equal for equal formulas."""
         return self._ap_ids.setdefault(ap, len(self._ap_ids))
 
-    def extensions_at(self, rels: tuple[str, ...]) -> dict[int, int]:
-        """The ``{state id: extension id}`` memo of one relation set."""
-        return self._extensions_at.setdefault(rels, {})
+    def extension_memo(self, rels: tuple[str, ...]) -> ExtensionMemo:
+        """The extension memo of one relation set."""
+        memo = self._memos.get(rels)
+        if memo is None:
+            memo = self._memos[rels] = ExtensionMemo(
+                self.interner.codec.slots_of(rels))
+        return memo
 
     def extension_id(self, sid: int, rels: tuple[str, ...]) -> int:
-        """The id of *rels*' extensions at *sid*, memoized per state."""
-        view = self.view(sid)
-        extensions = tuple(view[rel] for rel in rels)
-        eid = self._extension_ids.setdefault(extensions,
-                                             len(self._extension_ids))
-        self._extensions_at[rels][sid] = eid
+        """The id of *rels*' extensions at *sid*, read off the projection
+        of *sid*'s slot key."""
+        memo = self.extension_memo(rels)
+        projection = memo.project(self.interner.key_of(sid))
+        eid = memo.by_projection.get(projection)
+        if eid is None:
+            view = self.view(sid)
+            extensions = tuple(view[rel] for rel in rels)
+            eid = memo.by_projection[projection] = \
+                self._extension_ids.setdefault(extensions,
+                                               len(self._extension_ids))
+            memo.witness.setdefault(eid, sid)
         return eid
 
-    def extension_classes(self, rels: tuple[str, ...]) -> tuple:
-        """``(extension id, first state id)`` per distinct extension of
-        *rels* across every interned state, in first-seen order.
+    def extension_classes(self, rels: tuple[str, ...]) -> tuple[int, ...]:
+        """The distinct extension ids of *rels* across every interned
+        state, in the order of the first state with each.
 
         Memoized per relation set, so call it only on a completed
         exploration, whose interned states are the whole reachable graph.
         """
         classes = self._classes.get(rels)
         if classes is None:
-            known = self.extensions_at(rels)
-            first: dict[int, int] = {}
-            for sid in range(len(self.interner)):
-                eid = known.get(sid)
-                if eid is None:
-                    eid = self.extension_id(sid, rels)
-                first.setdefault(eid, sid)
-            classes = self._classes[rels] = tuple(first.items())
+            classes = self._classes[rels] = tuple(dict.fromkeys(
+                self.extension_id(sid, rels)
+                for sid in range(len(self.interner))))
         return classes
 
-    def truth(self, ap_id: int, formula: Formula, eid: int, sid: int,
-              domain: tuple) -> bool:
-        """The FO AP *ap_id*'s truth on extension *eid*, read at *sid*
-        (a state with that extension) and memoized."""
+    def truth(self, ap_id: int, formula: Formula, eid: int,
+              rels: tuple[str, ...], domain: tuple) -> bool:
+        """The FO AP *ap_id*'s truth on extension *eid* of its relations
+        *rels*, memoized; evaluated on the view of the first state seen
+        with that extension."""
         key = (ap_id, eid)
         truth = self._truths.get(key)
         if truth is None:
-            truth = self._truths[key] = evaluate(formula, self.view(sid),
+            witness = self._memos[rels].witness[eid]
+            truth = self._truths[key] = evaluate(formula, self.view(witness),
                                                  domain)
         return truth
 
@@ -275,7 +309,7 @@ class InternedSnapshotEvaluator:
             else:
                 rels = tuple(sorted(relations(formula)))
                 self._fo.append((bit, shared.ap_id(formula), formula, rels,
-                                 shared.extensions_at(rels)))
+                                 shared.extension_memo(rels)))
         self._letters: dict[int, int] = {}
 
     def letter(self, sid: int) -> int:
@@ -289,11 +323,12 @@ class InternedSnapshotEvaluator:
             for bit, value in self._occurs:
                 if value in present:
                     mask |= bit
-        for bit, ap_id, formula, rels, extensions in self._fo:
-            eid = extensions.get(sid)
+        key = shared.interner.key_of(sid)
+        for bit, ap_id, formula, rels, memo in self._fo:
+            eid = memo.by_projection.get(memo.project(key))
             if eid is None:
                 eid = shared.extension_id(sid, rels)
-            if shared.truth(ap_id, formula, eid, sid, self.domain):
+            if shared.truth(ap_id, formula, eid, rels, self.domain):
                 mask |= bit
         self._letters[sid] = mask
         return mask
@@ -311,10 +346,10 @@ class InternedSnapshotEvaluator:
         """
         shared = self.shared
         signature = []
-        for _bit, ap_id, formula, rels, _extensions in self._fo:
+        for _bit, ap_id, formula, rels, _memo in self._fo:
             mask = 0
-            for i, (eid, sid) in enumerate(shared.extension_classes(rels)):
-                if shared.truth(ap_id, formula, eid, sid, self.domain):
+            for i, eid in enumerate(shared.extension_classes(rels)):
+                if shared.truth(ap_id, formula, eid, rels, self.domain):
                     mask |= 1 << i
             signature.append(mask)
         return tuple(signature)

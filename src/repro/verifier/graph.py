@@ -15,12 +15,16 @@ Two pieces remove the redundancy:
   hash instead of a deep nested-tuple hash, and product nodes are
   ``(int, int)`` pairs (the Büchi state is compiled to an int too, see
   :class:`~repro.verifier.product.ProductSystem`).  A state's
-  :class:`GlobalState` is decoded from its key on first use.
+  :class:`GlobalState` is decoded from its key on first use, which is
+  only where rules fire or a formula is evaluated: a memo miss, the first
+  sight of a relation set's key projection
+  (:class:`~repro.verifier.atoms.SharedSnapshotContext`), an occurs
+  atom's active domain, and a counterexample's lasso.
 * :class:`SharedExploration` memoizes each successor row as a tuple of
   ids.  It answers a row from each mover's share in a
-  :class:`~repro.runtime.slots.SuccessorMemo` when it can, and
-  otherwise calls :func:`~repro.runtime.step.successors` once on the
-  decoded state and files the result.
+  :class:`~repro.runtime.slots.SuccessorMemo`; where shares are missing
+  it calls :func:`~repro.runtime.step.successors` on the decoded state
+  for the movers that lack one, files their shares and splices the row.
   :meth:`~SharedExploration.complete` expands the whole reachable graph
   into those rows, so every later valuation's product search is a pure
   graph walk -- no rule firing, no snapshot hashing, no dict-of-states
@@ -37,6 +41,7 @@ checks every memo row against ``successors()``).
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 
 from ..errors import VerificationError
 from ..obs import PHASE_EXPAND, counter, gauge, phase
@@ -63,7 +68,8 @@ def resolve_engine(engine: str | None) -> str:
 
 class StateInterner:
     """Hash-cons snapshots, as slot keys, into dense ids (ids are
-    assignment order); decode each id's snapshot once, on first use."""
+    assignment order); decode an id's snapshot on first use, once
+    (``graph.states_decoded`` counts the decodes)."""
 
     __slots__ = ("codec", "_ids", "_keys", "_states")
 
@@ -89,6 +95,8 @@ class StateInterner:
     def state_of(self, sid: int) -> GlobalState:
         state = self._states.get(sid)
         if state is None:
+            # looked up per use, like graph.reuse_hits below
+            counter("graph.states_decoded").inc()
             state = self._states[sid] = self.codec.decode(self._keys[sid])
         return state
 
@@ -104,7 +112,8 @@ class SharedExploration:
     snapshots; the exploration never fills the cache's own memo.  Nodes
     are interned state ids; :meth:`successors_of` answers each id from
     its row once the row exists, and otherwise builds the row from the
-    slot memo or, on a miss, from one ``successors()`` call.
+    slot memo, calling ``successors()`` for the movers whose share is
+    missing.
     """
 
     def __init__(self, cache: TransitionCache) -> None:
@@ -134,6 +143,12 @@ class SharedExploration:
         return self.interner.state_of(sid)
 
     def successors_of(self, sid: int) -> tuple[int, ...]:
+        """*sid*'s successor ids, in ``successors()`` order.
+
+        A row is built once: each mover's block comes from its memoized
+        share; on a miss (some share missing) the state is decoded and
+        ``successors()`` fires the rules of the movers that lack one.
+        """
         succ = self._succ.get(sid)
         if succ is not None:
             # looked up per use: a forked child resets the registry after
@@ -143,18 +158,19 @@ class SharedExploration:
         self.budget.check_states(len(self._succ))
         with phase(PHASE_EXPAND):
             key = self.interner.key_of(sid)
-            keys = self.memo.row(key)
-            if keys is None:
+            blocks, missing = self.memo.row(key)
+            if missing:
                 counter("graph.successor_memo_misses").inc()
                 cache = self.cache
-                keys = self.memo.file(key, successors(
+                self.memo.file(key, blocks, successors(
                     cache.composition, self.state_of(sid), cache.domain,
                     cache.semantics, env_one_action_per_move=True,
-                    env_value_domain=cache.env_value_domain))
+                    env_value_domain=cache.env_value_domain,
+                    movers=missing))
             else:
                 counter("graph.successor_memo_hits").inc()
             succ = self._succ[sid] = tuple(map(self.interner.intern_key,
-                                               keys))
+                                               chain.from_iterable(blocks)))
         count_expansion(len(succ))
         return succ
 

@@ -8,7 +8,7 @@ already holds and the run's ``search.blue_visited`` +
 ``--metrics-json`` writes out.  ``product_nodes_visited`` charges every
 valuation its letter class's search, so it would count nodes no search
 visited.  It also prints the successor memo's hits and misses, which
-add up to the expansions.
+add up to the expansions, and the states decoded out of them.
 
 Those counters must not depend on how the run is split: ``--workers
 2`` counts what its two shards count in process, and its registry lists
@@ -34,6 +34,7 @@ SEARCH = re.compile(r"^  search rate: (\d+) ns per product node "
                     r"\((\d+) nodes\)$", re.M)
 MEMO = re.compile(r"^  successor memo: (\d+) hits / (\d+) misses "
                   r"\(\d+\.\d% of rows\)$", re.M)
+DECODED = re.compile(r"^  decoded states: (\d+) of (\d+) interned$", re.M)
 
 
 def test_rates_come_from_the_results(tmp_path, capsys):
@@ -42,9 +43,10 @@ def test_rates_come_from_the_results(tmp_path, capsys):
     assert main(["profile", "loan", "--workers", "1",
                  "--metrics-json", str(metrics)]) == 0
     out = capsys.readouterr().out
-    expand, search, memo = (EXPAND.search(out), SEARCH.search(out),
-                            MEMO.search(out))
-    assert expand and search and memo, out
+    expand, search, memo, decoded = (
+        EXPAND.search(out), SEARCH.search(out), MEMO.search(out),
+        DECODED.search(out))
+    assert expand and search and memo and decoded, out
 
     written = json.loads(metrics.read_text())
     stats = [entry["stats"] for entry in written["results"]]
@@ -57,6 +59,10 @@ def test_rates_come_from_the_results(tmp_path, capsys):
     assert int(memo.group(1)) + int(memo.group(2)) == expansions
     assert int(memo.group(1)) == counters["graph.successor_memo_hits"] \
         - before.get("graph.successor_memo_hits", 0) > 0
+    # a state is decoded only to fire rules or evaluate a formula
+    assert int(decoded.group(2)) == expansions
+    assert 0 < int(decoded.group(1)) == counters["graph.states_decoded"] \
+        - before.get("graph.states_decoded", 0) < expansions
     assert int(search.group(2)) == nodes > 0
     assert nodes < sum(s["product_nodes_visited"] for s in stats)
     assert float(expand.group(1)) == pytest.approx(
@@ -67,7 +73,8 @@ def test_rates_come_from_the_results(tmp_path, capsys):
         1e9 * sum(s["phase_seconds"].get("search", 0.0) for s in stats)
         / nodes,
         abs=0.5)
-    for line in (expand.group(0), search.group(0), memo.group(0)):
+    for line in (expand.group(0), search.group(0), memo.group(0),
+                 decoded.group(0)):
         assert not PHASE_ROW.match(line)
 
 
@@ -94,6 +101,7 @@ def test_workers_count_what_their_shards_count(tmp_path, capsys):
     assert workers["graph.successor_memo_hits"] \
         + workers["graph.successor_memo_misses"] \
         == workers["product.states_expanded"] == 410
+    assert 0 < workers["graph.states_decoded"] < 410
 
 
 def test_workers_list_the_zero_counters_of_one_worker(tmp_path, capsys):

@@ -29,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import repro.cli as cli
+from repro.fo.formulas import relations
 from repro.library import loan
 from repro.ltlfo.parser import parse_ltlfo
 from repro.obs import phase_counts
@@ -191,7 +192,7 @@ def batch_sentences():
     }
 
 
-def test_letter_memo_dropped_for_supplied_exploration():
+def test_supplied_exploration_keeps_rows_and_extension_memo():
     composition, databases, sentences = batch_sentences()
     sentence = sentences["got_from_items"]
     [(domain, engine)] = property_engines(composition, [sentence],
@@ -199,10 +200,13 @@ def test_letter_memo_dropped_for_supplied_exploration():
     result = verify(composition, sentence, databases, domain=domain,
                     engine=engine)
     assert result.satisfied
-    # the graph (every interned state's successor row) and the
-    # per-state caches stay for the next property
+    # the graph (every interned state's successor row) and each payload
+    # relation set's extension ids, by key projection, stay for the next
+    # property
     assert len(engine._succ) == len(engine.interner)
-    assert engine.shared._views
+    for payload in sentence.fo_payloads():
+        rels = tuple(sorted(relations(payload)))
+        assert engine.shared.extension_memo(rels).by_projection, rels
 
 
 def test_property_engines_share_per_domain():

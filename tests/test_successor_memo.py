@@ -1,21 +1,25 @@
 """The slot memo behind :class:`SharedExploration`, checked state by state.
 
 A shared exploration answers most successor rows from each mover's
-memoized share (:class:`repro.runtime.slots.SuccessorMemo`) and calls
-:func:`repro.runtime.step.successors` only on a miss.  The seed engine
-and the protocol procedures call ``successors()`` directly, so it is the
-unmemoized reference: on every state of every completed graph below, the
-exploration's row must equal the interned ``successors()`` of the
-decoded state, in the same order, and the decoded state must intern back
-to its own id.
+memoized share (:class:`repro.runtime.slots.SuccessorMemo`) and, on a
+miss, calls :func:`repro.runtime.step.successors` for the movers whose
+share is missing.  The seed engine and the protocol procedures call
+``successors()`` directly, so it is the unmemoized reference: on every
+state of every completed graph below, the exploration's row must equal
+the interned ``successors()`` of the decoded state, in the same order,
+and the decoded state must intern back to its own id.  A miss's mover
+subset must be exactly those movers' block of the full row.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.errors import SpecificationError
+from repro.fo.schema import ENVIRONMENT_NAME
 from repro.fuzz.generate import generate
 from repro.obs import counters_snapshot
+from repro.runtime import step
 from repro.runtime.step import successors
 from repro.spec import DECIDABLE_DEFAULT
 from repro.verifier import SharedExploration, TransitionCache
@@ -103,6 +107,63 @@ def test_the_memo_answers_most_rows(case):
     moved = _complete(exploration)
     assert moved["graph.successor_memo_hits"] > \
         moved["graph.successor_memo_misses"] > 0
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_one_movers_successors_are_its_block_of_the_row(case):
+    """``successors(..., movers={m})`` is the sub-sequence of the full row
+    whose mover is *m*, in order, for every peer and, on open
+    compositions (the credit check), the environment."""
+    for exploration in _explorations(case):
+        assert exploration.complete()
+        cache = exploration.cache
+        composition = cache.composition
+        movers = [peer.name for peer in composition.peers]
+        if not composition.is_closed:
+            movers.append(ENVIRONMENT_NAME)
+        assert (ENVIRONMENT_NAME in movers) == (case == "credit_check")
+
+        def expand(state, **subset):
+            return successors(
+                composition, state, cache.domain, cache.semantics,
+                env_one_action_per_move=True,
+                env_value_domain=cache.env_value_domain, **subset)
+
+        for sid in range(len(exploration.interner)):
+            state = exploration.state_of(sid)
+            row = expand(state)
+            for mover in movers:
+                assert expand(state, movers={mover}) == \
+                    [s for s in row if s.mover == mover], (sid, mover)
+            assert expand(state, movers=movers) == row, sid
+
+
+def test_an_unknown_mover_is_refused():
+    (exploration,) = _explorations("ecommerce")
+    cache = exploration.cache
+    (state, *_rest) = cache.initial()
+    with pytest.raises(SpecificationError, match="no mover named"):
+        successors(cache.composition, state, cache.domain, cache.semantics,
+                   movers={ENVIRONMENT_NAME})
+
+
+def test_a_miss_fires_only_the_movers_it_lacks(monkeypatch):
+    """Completing e-commerce breadth-first misses 522 rows, 515 of which
+    lack one peer's share: the misses fire 530 moves, not 3 x 522."""
+    fired = []
+    move = step._move_successors
+
+    def counted(composition, plan, *args):
+        fired.append(plan.mover)
+        return move(composition, plan, *args)
+
+    monkeypatch.setattr(step, "_move_successors", counted)
+    (exploration,) = _explorations("ecommerce")
+    moved = _complete(exploration)
+    assert (moved["graph.successor_memo_hits"],
+            moved["graph.successor_memo_misses"],
+            moved["product.states_expanded"]) == (3738, 522, 4260)
+    assert len(fired) == 530
 
 
 def test_building_an_exploration_fires_no_rules():
