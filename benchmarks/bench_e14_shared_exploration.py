@@ -1,6 +1,6 @@
 """E14 (PR5): shared-exploration sweep -- cross-valuation reuse.
 
-The shared engine interns global states, completes the reachable
+The verifier interns global states, completes the reachable
 snapshot graph into memoized successor rows after the first valuation
 (sound by Theorem 3.4: the snapshot graph does not depend on the
 valuation), and memoizes FO truths across valuations on
@@ -10,9 +10,10 @@ agree on every state share one search (one letter class: all 180 on
 the wide sweep).  Rows measured here:
 
 * a wide loan sweep (>= 8 valuations of the letter property) run
-  sequentially under both engines -- the shared engine must be at
-  least ``REPRO_BENCH_MIN_SPEEDUP`` (default 3x) faster while agreeing
-  node-for-node with the seed;
+  sequentially by the verifier and by the per-valuation reference
+  engine (:func:`repro.fuzz.seed_engine.verify_seed`) -- the verifier
+  must be at least ``REPRO_BENCH_MIN_SPEEDUP`` (default 3x) faster
+  while agreeing node-for-node with the reference;
 * the same sweep at ``--workers`` -- each local shard's child completes
   the graph once and serves its valuations from it, so the run must
   show memoized-row serving (``graph.reuse_hits``) and at most one
@@ -27,6 +28,7 @@ import os
 
 import pytest
 
+from repro.fuzz.seed_engine import verify_seed
 from repro.library.loan import (
     PROPERTY_LETTER_NEEDS_APPLICATION, STANDARD_CANDIDATES,
     loan_composition, standard_database,
@@ -56,22 +58,20 @@ def _min_speedup() -> float:
     return float(raw) if raw else 3.0
 
 
-def _sweep(engine: str, workers: int = 1,
-           candidates=WIDE_CANDIDATES):
+def _sweep(verifier=verify, candidates=WIDE_CANDIDATES, **kwargs):
     composition = loan_composition()
     databases = standard_database("fair")
     domain = verification_domain(composition, [], databases,
                                  fresh_count=1)
-    return verify(composition, PROPERTY_LETTER_NEEDS_APPLICATION,
-                  databases, domain=domain,
-                  valuation_candidates=candidates, workers=workers,
-                  engine=engine)
+    return verifier(composition, PROPERTY_LETTER_NEEDS_APPLICATION,
+                    databases, domain=domain,
+                    valuation_candidates=candidates, **kwargs)
 
 
 def test_shared_vs_seed_sequential(benchmark):
     """The tentpole row: one frozen graph amortised over the sweep."""
-    seed = _sweep("seed")
-    shared = benchmark.pedantic(_sweep, args=("shared",),
+    seed = _sweep(verify_seed)
+    shared = benchmark.pedantic(_sweep, kwargs={"workers": 1},
                                 rounds=1, iterations=1)
     assert seed.stats.valuations_checked >= 8
     speedup = record_speedup(
@@ -80,7 +80,7 @@ def test_shared_vs_seed_sequential(benchmark):
     )
     floor = _min_speedup()
     assert speedup >= floor, (
-        f"shared engine only {speedup:.2f}x faster than seed "
+        f"verifier only {speedup:.2f}x faster than seed "
         f"(required {floor:.1f}x): seed={seed.stats.wall_seconds:.3f}s "
         f"shared={shared.stats.wall_seconds:.3f}s"
     )
@@ -90,7 +90,7 @@ def test_workers_serve_frozen_graph(benchmark):
     """Each local shard expands the graph once, then walks its rows."""
     before = counters_snapshot()
     workers = bench_workers()
-    result = benchmark.pedantic(_sweep, args=("shared", workers),
+    result = benchmark.pedantic(_sweep, kwargs={"workers": workers},
                                 rounds=1, iterations=1)
     after = counters_snapshot()
     record(EXPERIMENT, f"loan letter sweep, frozen graph x{workers}",
@@ -117,10 +117,9 @@ def test_workers_serve_frozen_graph(benchmark):
 
 def test_quick_parity(benchmark):
     """CI smoke row: standard candidates, both engines, equal verdicts."""
-    seed = _sweep("seed", candidates=STANDARD_CANDIDATES)
+    seed = _sweep(verify_seed, candidates=STANDARD_CANDIDATES)
     shared = benchmark.pedantic(
-        _sweep, kwargs={"engine": "shared",
-                        "candidates": STANDARD_CANDIDATES},
+        _sweep, kwargs={"candidates": STANDARD_CANDIDATES},
         rounds=1, iterations=1,
     )
     record(EXPERIMENT, "loan letter, standard candidates [shared]",

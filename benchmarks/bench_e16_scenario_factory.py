@@ -6,13 +6,14 @@ ride-hailing dispatch flow -- each with two satisfied and two violated
 LTL-FO properties (the violated ones are message races the lossy
 semantics makes real).  Rows measured here:
 
-* every documented property of both domains verified under the
-  ``seed`` engine, the ``shared`` engine, and a 4-worker pool, with
+* every documented property of both domains verified by the
+  per-valuation reference engine (``verify_seed``), the verifier, and
+  the verifier as a 4-worker pool, with
   verdicts, valuation/node counts, and counterexample lassos asserted
   identical across the three configurations (the determinism contract
   on curated, rather than generated, specs);
 * a 20-case fuzz batch over theorem rows 3.4/3.7/3.9 run through the
-  full oracle stack (classifier, dump/load round-trip, seed-vs-shared
+  full oracle stack (classifier, dump/load round-trip, reference-engine
   differential, 2-worker pool, 2-shard merge, lasso replay) -- zero
   oracle violations expected.
 
@@ -22,6 +23,7 @@ All rows land in ``BENCH_PR7.json`` (see harness.snapshot_metrics).
 import pytest
 
 from repro.fuzz import fuzz
+from repro.fuzz.seed_engine import verify_seed
 from repro.library import dispatch, payments
 from repro.verifier import verify
 
@@ -53,9 +55,9 @@ DOMAINS = {
 }
 
 CONFIGURATIONS = (
-    ("seed x1", dict(engine="seed")),
-    ("shared x1", dict(engine="shared")),
-    ("shared x4", dict(workers=4)),
+    ("seed x1", verify_seed, {}),
+    ("shared x1", verify, {}),
+    ("shared x4", verify, dict(workers=4)),
 )
 
 
@@ -69,8 +71,8 @@ def test_domain_configuration_grid(benchmark, domain):
         rows = []
         for prop_name, text, expected in properties:
             results = {}
-            for config_name, kwargs in CONFIGURATIONS:
-                results[config_name] = verify(
+            for config_name, verifier, kwargs in CONFIGURATIONS:
+                results[config_name] = verifier(
                     comp, text, dbs, valuation_candidates=candidates,
                     **kwargs)
             rows.append((prop_name, expected, results))

@@ -218,18 +218,18 @@ def _verify_each(args: argparse.Namespace, composition, sentences: dict,
     )
 
     def run(own_shard):
-        for name, (own_domain, engine) in zip(names, plan):
+        for name, (own_domain, exploration) in zip(names, plan):
             yield verify(
                 composition, sentences[name], databases,
                 semantics=semantics, domain=own_domain,
-                fair_scheduling=args.fair, engine=engine, shard=own_shard,
-                valuation_candidates=candidates,
+                fair_scheduling=args.fair, exploration=exploration,
+                shard=own_shard, valuation_candidates=candidates,
             )
 
     workers = resolve_workers(args.workers)
     results = (run(shard) if workers == 1 else run_local_shards(
         lambda own_shard: list(run(own_shard)), workers, shard))
-    for name, (own_domain, _engine), result in zip(names, plan, results):
+    for name, (own_domain, _), result in zip(names, plan, results):
         yield name, own_domain, result
 
 

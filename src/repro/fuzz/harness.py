@@ -10,9 +10,11 @@ of its verdict:
 2. **Round-trip** -- the spec serializes to ``.dws`` text and parses
    back structurally equal (peers, databases, property texts); this is
    load-bearing for corpus replay.
-3. **Engine differential** -- ``engine="seed"`` and ``engine="shared"``
-   agree bit-for-bit: verdict, decisive order, valuation/node counts,
-   decisive valuation, and counterexample lasso.
+3. **Engine differential** -- the per-valuation reference engine
+   (:func:`repro.fuzz.seed_engine.verify_seed`) and
+   :func:`repro.verifier.verify` agree bit-for-bit: verdict, decisive
+   order, valuation/node counts, decisive valuation, and counterexample
+   lasso.
 4. **Distribution** -- a 2-worker sweep (two local shards) and a 2-way
    ``--shard`` split merged back through :func:`merge_fragments` both
    reproduce the sequential result exactly.
@@ -25,9 +27,10 @@ Oracles 3-6 only run where the configuration is verifiable (bounded
 queues); row 3.5 runs them with the IB pre-check disabled, which is
 exactly the bug-finding-stays-sound claim of the paper's Section 3.
 
-The ``verify_hook`` seam exists for the mutation test in the suite: a
-deliberately buggy engine wrapper injected there must be caught by the
-differential oracle and shrunk to a minimized reproducer.
+The ``verify_hook`` seam (the reference engine's side of the
+differential) exists for the mutation test in the suite: a deliberately
+buggy wrapper injected there must be caught by the differential oracle
+and shrunk to a minimized reproducer.
 """
 
 from __future__ import annotations
@@ -42,9 +45,10 @@ from ..verifier import (
     verification_domain, verify,
 )
 from .generate import GeneratedSpec, generate
+from .seed_engine import verify_seed
 from .shrink import shrink
 
-#: Signature of the verification seam: ``verify`` plus keyword options.
+#: Signature of the reference-side seam: ``verify_seed`` plus options.
 VerifyHook = Callable[..., object]
 
 
@@ -213,7 +217,7 @@ def _verify_oracles(spec: GeneratedSpec,
             check_input_bounded=spec.check_input_bounded,
         )
         try:
-            reference = verify(comp, text, dbs, engine="shared", **kwargs)
+            reference = verify(comp, text, dbs, **kwargs)
         except Exception as err:
             out.append(OracleViolation(
                 "engine", f"{name}: sequential verify crashed: {err!r}"
@@ -229,10 +233,10 @@ def _verify_oracles(spec: GeneratedSpec,
                 f"got {reference.verdict}"
             ))
 
-        # engine differential: the per-valuation seed engine against
-        # the shared-exploration engine (possibly hooked by a test)
+        # engine differential: the per-valuation reference engine
+        # (possibly hooked by a test) against the verifier
         try:
-            seeded = verify_hook(comp, text, dbs, engine="seed", **kwargs)
+            seeded = verify_hook(comp, text, dbs, **kwargs)
         except Exception as err:
             out.append(OracleViolation(
                 "engine-differential",
@@ -246,7 +250,7 @@ def _verify_oracles(spec: GeneratedSpec,
 
         # distribution: two local shards and a merged shard split
         try:
-            pooled = verify_hook(comp, text, dbs, workers=2, **kwargs)
+            pooled = verify(comp, text, dbs, workers=2, **kwargs)
         except Exception as err:
             out.append(OracleViolation(
                 "workers", f"{name}: 2-worker sweep crashed: {err!r}"
@@ -260,7 +264,7 @@ def _verify_oracles(spec: GeneratedSpec,
         try:
             fragments = []
             for index in range(2):
-                shard_result = verify_hook(
+                shard_result = verify(
                     comp, text, dbs, shard=(index, 2), **kwargs
                 )
                 fragments.append(shard_fragment(
@@ -299,7 +303,7 @@ def _verify_oracles(spec: GeneratedSpec,
 
 
 def run_case(spec: GeneratedSpec,
-             verify_hook: VerifyHook = verify) -> CaseOutcome:
+             verify_hook: VerifyHook = verify_seed) -> CaseOutcome:
     """Run one generated spec through the full oracle stack."""
     outcome = CaseOutcome(spec=spec)
     outcome.violations.extend(_classifier_oracle(spec))
@@ -320,7 +324,7 @@ def _still_fails(oracles: frozenset[str],
 
 
 def minimize(outcome: CaseOutcome,
-             verify_hook: VerifyHook = verify) -> GeneratedSpec:
+             verify_hook: VerifyHook = verify_seed) -> GeneratedSpec:
     """Shrink a failing case while its oracle violations persist."""
     return shrink(
         outcome.spec,
@@ -333,7 +337,7 @@ def fuzz(count: int = 25,
          rows: Sequence[str] = ("3.4",),
          corpus_dir: str | Path | None = None,
          emit_dir: str | Path | None = None,
-         verify_hook: VerifyHook = verify,
+         verify_hook: VerifyHook = verify_seed,
          log: Callable[[str], None] | None = None) -> FuzzReport:
     """Run a fuzz campaign: *count* cases round-robin over *rows*.
 

@@ -103,6 +103,9 @@ class MetricsRegistry:
     ``phase_seconds``/``phase_counts`` are written by
     :mod:`repro.obs.phases`; they live here so one ``snapshot()`` /
     ``reset()`` covers everything a process measured.
+
+    A hot path may hold its metric objects; ``reset()`` bumps
+    ``generation``, so a holder that sees a new one fetches them again.
     """
 
     def __init__(self) -> None:
@@ -111,6 +114,7 @@ class MetricsRegistry:
         self._histograms: dict[str, Histogram] = {}
         self.phase_seconds: dict[str, float] = {}
         self.phase_counts: dict[str, int] = {}
+        self.generation = 0
 
     def counter(self, name: str) -> Counter:
         c = self._counters.get(name)
@@ -133,6 +137,7 @@ class MetricsRegistry:
         return h
 
     def reset(self) -> None:
+        self.generation += 1
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()

@@ -2,10 +2,11 @@
 
 A composition satisfies a conversation protocol iff every run's trace is
 accepted by the protocol automaton.  Verification searches the product of
-the composition's snapshot graph with an automaton for the *complement*
-of the protocol language (negated LTL, or rank/DBA complementation for
-automaton-given protocols) for an accepting lasso, in the valuation loop
-the LTL-FO verifier uses
+the composition's snapshot graph, one
+:class:`~repro.verifier.graph.SharedExploration`, with an automaton for
+the *complement* of the protocol language (negated LTL, or rank/DBA
+complementation for automaton-given protocols) for an accepting lasso, in
+the valuation loop the LTL-FO verifier uses
 (:func:`~repro.verifier.ltlfo_verifier.sweep_valuations`).
 """
 
@@ -15,48 +16,46 @@ from typing import Callable, Hashable, Mapping
 
 from ..errors import VerificationError
 from ..fo import formulas as fo
-from ..fo.evaluator import evaluate
 from ..fo.instance import Instance
+from ..ltl.buchi import BuchiAutomaton
 from ..ltl.formulas import land
 from ..ltl.translate import ltl_to_buchi
 from ..runtime.run import Lasso
-from ..runtime.state import GlobalState, snapshot_view
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
-from ..verifier.atoms import OccursAtom, bit_table
+from ..verifier.atoms import InternedSnapshotEvaluator, OccursAtom, bit_table
 from ..verifier.domain import (
     VerificationDomain, canonical_valuations, verification_domain,
 )
+from ..verifier.graph import SharedExploration
 from ..verifier.ltlfo_verifier import occurs_terms, sweep_valuations
-from ..verifier.product import SearchBudget, TransitionCache
+from ..verifier.product import SearchBudget
 from ..verifier.result import VerificationResult
 from .base import AgnosticProtocol, DataAwareProtocol
 
 
 class CallbackEvaluator:
-    """Per-state AP valuation driven by a callback, with caching.
+    """Per-node AP valuation driven by a callback, with caching: the
+    letters of agnostic protocols, whose APs are channel events.
 
-    Duck-type compatible with
-    :class:`~repro.verifier.atoms.SnapshotEvaluator` as used by
-    :class:`~repro.verifier.product.ProductSystem`: ``bits`` is its bit
-    table and ``letter`` returns the mask of the APs ``truth`` holds of.
+    ``bits`` is its bit table and ``letter`` returns the mask of the APs
+    ``truth`` holds of at a node.
     """
 
     def __init__(self, aps: frozenset,
-                 truth: Callable[[Hashable, GlobalState], bool]) -> None:
-        self.aps = aps
+                 truth: Callable[[Hashable, Hashable], bool]) -> None:
         self.bits = bit_table(aps)
         self._truth = truth
-        self._cache: dict[GlobalState, int] = {}
+        self._cache: dict = {}
 
-    def letter(self, state: GlobalState) -> int:
-        cached = self._cache.get(state)
+    def letter(self, node) -> int:
+        cached = self._cache.get(node)
         if cached is None:
             cached = 0
             for ap, bit in self.bits.items():
-                if self._truth(ap, state):
+                if self._truth(ap, node):
                     cached |= bit
-            self._cache[state] = cached
+            self._cache[node] = cached
         return cached
 
 
@@ -84,9 +83,8 @@ def verify_agnostic(composition: Composition,
         )
     if domain is None:
         domain = verification_domain(composition, [], databases)
-    cache = TransitionCache(
-        composition, databases, domain.values, semantics, budget=budget,
-    )
+    exploration = SharedExploration(composition, databases, domain.values,
+                                    semantics, budget=budget)
     text = (f"agnostic protocol over {sorted(protocol.alphabet)} "
             f"({protocol.observer.value})")
 
@@ -94,10 +92,12 @@ def verify_agnostic(composition: Composition,
         nba = protocol.violation_automaton()
         return nba, CallbackEvaluator(
             frozenset(nba.aps),
-            lambda ap, state: ap in protocol.letter_of(state),
+            lambda ap, sid: ap in protocol.letter_of(
+                exploration.state_of(sid)),
         )
 
-    return sweep_valuations([{}], cache, unit, text, domain, semantics)
+    return sweep_valuations([{}], exploration, unit, text, domain,
+                            semantics)
 
 
 def verify_aware(composition: Composition,
@@ -110,9 +110,11 @@ def verify_aware(composition: Composition,
     """Check compliance with a data-aware protocol (Theorem 4.5).
 
     The protocol's free variables are universally quantified over the
-    run's active domain: each canonical valuation is checked separately,
-    with ``F occurs(v)`` constraints forcing fresh valuation values to
-    appear in the counterexample run (mirroring the LTL-FO verifier).
+    run's active domain: each canonical valuation is checked, with
+    ``F occurs(v)`` constraints forcing fresh valuation values to appear
+    in the counterexample run (mirroring the LTL-FO verifier, whose
+    letter classes it shares: a valuation binds each symbol to its
+    formula instantiated under the valuation).
     """
     variables = protocol.free_variables()
     if domain is None:
@@ -125,34 +127,28 @@ def verify_aware(composition: Composition,
             domain = VerificationDomain(
                 domain.constants + extra, domain.fresh
             )
-    cache = TransitionCache(
-        composition, databases, domain.values, semantics, budget=budget,
-    )
+    exploration = SharedExploration(composition, databases, domain.values,
+                                    semantics, budget=budget)
     text = f"data-aware protocol over {sorted(protocol.symbols)}"
     violation = protocol.violation_automaton()
+    #: occurs tuple -> the violation automaton intersected with it
+    automata: dict[tuple, BuchiAutomaton] = {}
 
     def unit(valuation):
-        instantiated = {
-            name: fo.instantiate(formula, valuation)
-            for name, formula in protocol.symbols.items()
-        }
-        occurs = occurs_terms(valuation, domain)
-        nba = (violation.intersection(ltl_to_buchi(land(*occurs)))
-               if occurs else violation)
-        views: dict[GlobalState, Instance] = {}
+        occurs = tuple(occurs_terms(valuation, domain))
+        nba = automata.get(occurs)
+        if nba is None:
+            nba = automata[occurs] = (
+                violation.intersection(ltl_to_buchi(land(*occurs)))
+                if occurs else violation)
+        binding = {ap: ap if isinstance(ap, OccursAtom)
+                   else fo.instantiate(protocol.symbols[ap], valuation)
+                   for ap in nba.aps}
+        return nba, InternedSnapshotEvaluator(
+            composition, domain.values, binding, exploration.shared)
 
-        def truth(ap, state):
-            if isinstance(ap, OccursAtom):
-                return ap.value in state.active_domain()
-            view = views.get(state)
-            if view is None:
-                view = views[state] = snapshot_view(state, composition)
-            return evaluate(instantiated[ap], view, domain.values)
-
-        return nba, CallbackEvaluator(frozenset(nba.aps), truth)
-
-    return sweep_valuations(canonical_valuations(variables, domain), cache,
-                            unit, text, domain, semantics)
+    return sweep_valuations(canonical_valuations(variables, domain),
+                            exploration, unit, text, domain, semantics)
 
 
 def trace_of(lasso: Lasso, protocol: AgnosticProtocol

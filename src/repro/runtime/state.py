@@ -59,10 +59,10 @@ class GlobalState:
     mover: str | None = None
     enqueued: frozenset = frozenset()
     sent: frozenset = frozenset()
-    # Memoized hash: the seed engine's visited sets and transition cache
-    # hash snapshots millions of times, and the generated dataclass hash
-    # re-walks the queue tuples on every call.  (The shared exploration
-    # hashes slot keys instead, see repro.runtime.slots.)
+    # Memoized hash: sets of snapshots (reachable_states, the reference
+    # engine) hash each one repeatedly, and the generated dataclass hash
+    # re-walks the queue tuples on every call.  (The verifier hashes
+    # slot keys instead, see repro.runtime.slots.)
     _hash: int | None = field(default=None, init=False, repr=False,
                               compare=False)
 

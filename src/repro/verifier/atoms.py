@@ -39,7 +39,7 @@ from ..fo.formulas import Formula, relations
 from ..fo.instance import Instance
 from ..fo.terms import Value
 from ..spec.composition import Composition
-from ..runtime.state import GlobalState, snapshot_view
+from ..runtime.state import snapshot_view
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,71 +85,6 @@ def decode_letter(bits: Mapping, mask: int) -> frozenset:
     return frozenset(ap for ap, bit in bits.items() if mask & bit)
 
 
-class SnapshotEvaluator:
-    """Evaluates AP valuations over snapshots, with caching.
-
-    *aps* are the automaton's APs, or their binding (:func:`bindings`);
-    bits follow its order.  The snapshot *view* (queue readings, move
-    flags, ...) is cached per state; the letter (the mask of true APs)
-    is cached per state for this evaluator's fixed AP set.
-    """
-
-    def __init__(self, composition: Composition, domain: Iterable[Value],
-                 aps: Iterable[Hashable] | Mapping) -> None:
-        self.composition = composition
-        self.domain = tuple(domain)
-        self.binding = bindings(aps)
-        self.aps = frozenset(self.binding)
-        self.bits = bit_table(self.binding)
-        self._view_cache: dict[GlobalState, Instance] = {}
-        self._letter_cache: dict[GlobalState, int] = {}
-        # projection cache: the truth of an FO sentence depends only on
-        # the extensions of the relations it mentions, which repeat
-        # heavily across snapshots
-        self._relevant: dict = {
-            formula: tuple(sorted(relations(formula)))
-            for formula in self.binding.values()
-            if not isinstance(formula, OccursAtom)
-        }
-        self._truth_cache: dict = {}
-
-    def view(self, state: GlobalState) -> Instance:
-        cached = self._view_cache.get(state)
-        if cached is None:
-            cached = snapshot_view(state, self.composition)
-            self._view_cache[state] = cached
-        return cached
-
-    def letter(self, state: GlobalState) -> int:
-        cached = self._letter_cache.get(state)
-        if cached is not None:
-            return cached
-        mask = 0
-        snapshot_domain: frozenset[Value] | None = None
-        view = None
-        for ap, bit in self.bits.items():
-            formula = self.binding[ap]
-            if isinstance(formula, OccursAtom):
-                if snapshot_domain is None:
-                    snapshot_domain = state.active_domain()
-                if formula.value in snapshot_domain:
-                    mask |= bit
-            else:
-                if view is None:
-                    view = self.view(state)
-                key = (formula, tuple(
-                    view[rel] for rel in self._relevant[formula]
-                ))
-                truth = self._truth_cache.get(key)
-                if truth is None:
-                    truth = evaluate(formula, view, self.domain)
-                    self._truth_cache[key] = truth
-                if truth:
-                    mask |= bit
-        self._letter_cache[state] = mask
-        return mask
-
-
 class ExtensionMemo:
     """One relation set's extension ids over an exploration.
 
@@ -173,7 +108,8 @@ class SharedSnapshotContext:
     """Per-exploration caches keyed on interned ids and slot keys.
 
     Owned by a :class:`~repro.verifier.graph.SharedExploration` and
-    shared by every valuation's :class:`InternedSnapshotEvaluator`.  FO
+    shared by every valuation's :class:`InternedSnapshotEvaluator`
+    (modular's pair evaluator reads its views and active domains).  FO
     truths are shared across valuations and properties, keyed on two
     ints: the AP's id (:meth:`ap_id`, one per distinct formula) and an id
     of the extensions its relations have at the state
@@ -186,8 +122,9 @@ class SharedSnapshotContext:
     rendered, only the first time its relation set's projection is seen,
     and the id is then assigned from the tuple of extensions.  Ids stay
     coarser than projections (two queues with one head share an id, and
-    its truths).  Views are kept for those first-sight states only, and
-    active domains for the states an occurs atom reads.
+    its truths).  Views are kept for those first-sight states (and the
+    states a pair evaluator reads), and active domains for the states an
+    occurs atom reads.
 
     FO truths are keyed without the domain, so one context serves one
     verification domain only.  Over a completed exploration,
@@ -281,9 +218,9 @@ class SharedSnapshotContext:
 class InternedSnapshotEvaluator:
     """Letter evaluation over interned state ids, with shared caches.
 
-    The interned twin of :class:`SnapshotEvaluator`: same AP semantics
-    and binding, but ``letter`` takes a dense state id, and the views,
-    active domains and FO truths belong to the exploration's
+    *aps* are the automaton's APs, or their binding (:func:`bindings`);
+    bits follow its order.  ``letter`` takes a dense state id, and the
+    views, active domains and FO truths belong to the exploration's
     :class:`SharedSnapshotContext`, so valuations 2..N of a sweep mostly
     re-read memoized truths instead of re-evaluating formulas.  Each
     bound formula is hashed once, here; ``letter`` looks truths up by
@@ -297,7 +234,6 @@ class InternedSnapshotEvaluator:
         self.composition = composition
         self.domain = tuple(domain)
         self.binding = bindings(aps)
-        self.aps = frozenset(self.binding)
         self.shared = shared
         self.bits = bit_table(self.binding)
         self._occurs = []
@@ -353,11 +289,3 @@ class InternedSnapshotEvaluator:
                     mask |= 1 << i
             signature.append(mask)
         return tuple(signature)
-
-
-def evaluate_sentence_on_snapshot(formula: Formula, state: GlobalState,
-                                  composition: Composition,
-                                  domain: Iterable[Value]) -> bool:
-    """Convenience: truth of a closed FO sentence at one snapshot."""
-    return evaluate(formula, snapshot_view(state, composition),
-                    tuple(domain))

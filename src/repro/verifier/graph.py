@@ -1,13 +1,11 @@
-"""Hash-consed exploration graph shared across property valuations.
+"""The one exploration every decision procedure walks.
 
 Theorem 3.4's reduction rests on a fact this module exploits directly:
 the composition's reachable snapshot graph is *valuation-independent* --
 different valuations of a property's closure variables change only the
 AP letters the Büchi automaton reads, never the snapshots or the
-transitions between them.  The seed engine re-derives that graph for
-every valuation.
-
-Two pieces remove the redundancy:
+transitions between them.  So the LTL-FO sweep, both protocol
+procedures and modular verification search one graph, built by:
 
 * :class:`StateInterner` hash-conses snapshots, as slot keys (tuples of
   small ints, :class:`~repro.runtime.slots.SlotCodec`), into dense
@@ -27,54 +25,43 @@ Two pieces remove the redundancy:
   for the movers that lack one, files their shares and splices the row.
   :meth:`~SharedExploration.complete` expands the whole reachable graph
   into those rows, so every later valuation's product search is a pure
-  graph walk -- no rule firing, no snapshot hashing, no dict-of-states
-  lookups.
+  graph walk -- no rule firing, no snapshot hashing.
 
-Successor order, initial-state order, and Büchi target order are all
-preserved exactly, so the product over interned ids visits the same
-nodes in the same order as the seed engine's product over snapshots --
-verdicts, counterexample lassos, and search node counts are identical
-(the differential suite pins this, and ``tests/test_successor_memo.py``
-checks every memo row against ``successors()``).
+Successor and initial-state order are ``successors()``'s and
+``initial_states()``'s, so a product over interned ids visits the nodes
+of a product over the snapshots themselves (:mod:`repro.fuzz.seed_engine`)
+in the same order.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import chain
+from typing import Mapping, Sequence
 
 from ..errors import VerificationError
-from ..obs import PHASE_EXPAND, counter, gauge, phase
+from ..fo.instance import Instance
+from ..fo.terms import Value
+from ..obs import PHASE_EXPAND, REGISTRY, counter, gauge, histogram, phase
 from ..runtime.slots import SlotCodec, SlotKey, SuccessorMemo
 from ..runtime.state import GlobalState
-from ..runtime.step import successors
-from .product import SearchBudget, TransitionCache, count_expansion
-
-#: Engine names accepted by ``verify(..., engine=...)``: ``seed`` is
-#: the per-valuation reference the differential tests compare against.
-ENGINES = ("shared", "seed")
-
-
-def resolve_engine(engine: str | None) -> str:
-    """Normalize an engine selector (None -> ``shared``)."""
-    if engine is None:
-        return "shared"
-    if engine not in ENGINES:
-        raise VerificationError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    return engine
+from ..runtime.step import initial_states, successors
+from ..spec.channels import ChannelSemantics
+from ..spec.composition import Composition
+from .product import SearchBudget
 
 
 class StateInterner:
     """Hash-cons snapshots, as slot keys, into dense ids (ids are
     assignment order); decode an id's snapshot on first use, once
-    (``graph.states_decoded`` counts the decodes)."""
+    (``decoded``, the ``graph.states_decoded`` counter, counts the
+    decodes)."""
 
-    __slots__ = ("codec", "_ids", "_keys", "_states")
+    __slots__ = ("codec", "decoded", "_ids", "_keys", "_states")
 
     def __init__(self, codec: SlotCodec) -> None:
         self.codec = codec
+        self.decoded = counter("graph.states_decoded")
         self._keys: list[SlotKey] = []
         self._ids: dict[SlotKey, int] = {}
         self._states: dict[int, GlobalState] = {}
@@ -95,8 +82,7 @@ class StateInterner:
     def state_of(self, sid: int) -> GlobalState:
         state = self._states.get(sid)
         if state is None:
-            # looked up per use, like graph.reuse_hits below
-            counter("graph.states_decoded").inc()
+            self.decoded.inc()
             state = self._states[sid] = self.codec.decode(self._keys[sid])
         return state
 
@@ -105,38 +91,71 @@ class StateInterner:
 
 
 class SharedExploration:
-    """One interned exploration, reused by every valuation's search.
+    """The reachable snapshot graph of one composition, databases, domain
+    and semantics, explored once and walked by every search over them.
 
-    *cache* names what is explored (composition, databases, domain,
-    semantics, ``env_value_domain``, budget) and gives the initial
-    snapshots; the exploration never fills the cache's own memo.  Nodes
-    are interned state ids; :meth:`successors_of` answers each id from
-    its row once the row exists, and otherwise builds the row from the
-    slot memo, calling ``successors()`` for the movers whose share is
-    missing.
+    *budget* caps the states expanded (and, in the search, the product
+    nodes); *env_value_domain* bounds an open composition's environment
+    values (:func:`~repro.runtime.step.successors`).  Nodes are interned
+    state ids; :meth:`successors_of` answers each id from its row once
+    the row exists, and otherwise builds the row from the slot memo,
+    calling ``successors()`` for the movers whose share is missing.
+    Metric objects are held, and fetched again by :meth:`initial` (once
+    per search) after a registry reset, as a forked child's.
     """
 
-    def __init__(self, cache: TransitionCache) -> None:
-        self.cache = cache
-        self.budget: SearchBudget = cache.budget
-        codec = SlotCodec(cache.composition)
+    def __init__(self, composition: Composition,
+                 databases: Mapping[str, Instance],
+                 domain: Sequence[Value],
+                 semantics: ChannelSemantics,
+                 budget: SearchBudget | None = None,
+                 env_value_domain: Sequence[Value] | None = None) -> None:
+        if semantics.queue_bound is None:
+            raise VerificationError(
+                "verification requires bounded queues (Corollary 3.6: "
+                "unbounded queues make verification undecidable); "
+                "set ChannelSemantics.queue_bound"
+            )
+        self.composition = composition
+        self.databases = dict(databases)
+        self.domain = tuple(domain)
+        self.semantics = semantics
+        self.env_value_domain = env_value_domain
+        self.budget = budget or SearchBudget()
+        codec = SlotCodec(composition)
         self.interner = StateInterner(codec)
-        self.memo = SuccessorMemo(cache.composition, codec)
+        self.memo = SuccessorMemo(composition, codec)
         self._initial: tuple[int, ...] | None = None
         self._succ: dict[int, tuple[int, ...]] = {}
         self._complete = False
+        self._generation = -1
+        self._fetch_metrics()
         from .atoms import SharedSnapshotContext
-        self.shared = SharedSnapshotContext(cache.composition, self.interner)
+        self.shared = SharedSnapshotContext(composition, self.interner)
+
+    def _fetch_metrics(self) -> None:
+        """Fetch the metric objects, if the registry was reset since."""
+        if self._generation == REGISTRY.generation:
+            return
+        self._generation = REGISTRY.generation
+        self.interner.decoded = counter("graph.states_decoded")
+        self._reuse_hits = counter("graph.reuse_hits")
+        self._memo_hits = counter("graph.successor_memo_hits")
+        self._memo_misses = counter("graph.successor_memo_misses")
+        self._expanded = counter("product.states_expanded")
+        self._branching = histogram(
+            "product.branching_factor",
+            boundaries=(1, 2, 4, 8, 16, 32, 64, 128, 256))
 
     @property
     def states_expanded(self) -> int:
         return len(self._succ)
 
     def initial(self) -> tuple[int, ...]:
+        self._fetch_metrics()
         if self._initial is None:
-            self._initial = tuple(
-                self.interner.intern(s) for s in self.cache.initial()
-            )
+            self._initial = tuple(map(self.interner.intern, initial_states(
+                self.composition, self.databases, self.domain)))
         return self._initial
 
     def state_of(self, sid: int) -> GlobalState:
@@ -151,27 +170,25 @@ class SharedExploration:
         """
         succ = self._succ.get(sid)
         if succ is not None:
-            # looked up per use: a forked child resets the registry after
-            # the parent built this exploration
-            counter("graph.reuse_hits").inc()
+            self._reuse_hits.inc()
             return succ
         self.budget.check_states(len(self._succ))
         with phase(PHASE_EXPAND):
             key = self.interner.key_of(sid)
             blocks, missing = self.memo.row(key)
             if missing:
-                counter("graph.successor_memo_misses").inc()
-                cache = self.cache
+                self._memo_misses.inc()
                 self.memo.file(key, blocks, successors(
-                    cache.composition, self.state_of(sid), cache.domain,
-                    cache.semantics, env_one_action_per_move=True,
-                    env_value_domain=cache.env_value_domain,
+                    self.composition, self.state_of(sid), self.domain,
+                    self.semantics, env_one_action_per_move=True,
+                    env_value_domain=self.env_value_domain,
                     movers=missing))
             else:
-                counter("graph.successor_memo_hits").inc()
+                self._memo_hits.inc()
             succ = self._succ[sid] = tuple(map(self.interner.intern_key,
                                                chain.from_iterable(blocks)))
-        count_expansion(len(succ))
+        self._expanded.inc()
+        self._branching.observe(len(succ))
         return succ
 
     def complete(self, strict: bool = True) -> bool:

@@ -60,14 +60,12 @@ from ..runtime.run import Lasso
 from ..runtime.step import rule_cache_delta, rule_cache_info
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
-from .atoms import (
-    InternedSnapshotEvaluator, OccursAtom, PayloadAtom, SnapshotEvaluator,
-)
+from .atoms import InternedSnapshotEvaluator, OccursAtom, PayloadAtom
 from .domain import (
     VerificationDomain, canonical_valuations, verification_domain,
 )
-from .graph import SharedExploration, resolve_engine
-from .product import ProductSystem, SearchBudget, TransitionCache
+from .graph import SharedExploration
+from .product import ProductSystem, SearchBudget
 from .result import (
     Counterexample, Stopwatch, TaskStats, VerificationResult,
     VerifierStats,
@@ -217,9 +215,10 @@ Unit = Callable[[Mapping[Var, Value]], tuple[BuchiAutomaton, object]]
 
 
 def sentence_unit(composition: Composition, sentence: LTLFOSentence,
-                  domain: VerificationDomain, space,
+                  domain: VerificationDomain,
+                  evaluator: Callable[[dict], object],
                   fair_scheduling: bool = False) -> Unit:
-    """The sweep unit of an LTL-FO sentence over the exploration *space*.
+    """The sweep unit of an LTL-FO sentence.
 
     The violation automaton is translated from a *template*: the negated
     body with each distinct FO payload replaced by its position in
@@ -229,10 +228,10 @@ def sentence_unit(composition: Composition, sentence: LTLFOSentence,
     per distinct occurs tuple, on first use, and shared by every
     valuation with that tuple; canonical valuations use fresh values as
     a prefix, so there are at most ``len(domain.fresh) + 1``.  A
-    valuation's evaluator binds position *i* to payload *i* instantiated
-    under the valuation, and occurs and fairness atoms to themselves;
-    its bits follow the template's atoms in walk order.  Over a
-    :class:`SharedExploration` the evaluator is interned.
+    valuation's evaluator, ``evaluator(binding)``, binds position *i* to
+    payload *i* instantiated under the valuation, and occurs and
+    fairness atoms to themselves; its bits follow the template's atoms
+    in walk order.
     """
     payloads = sentence.fo_payloads()
     position = {p: PayloadAtom(i) for i, p in enumerate(payloads)}
@@ -250,12 +249,9 @@ def sentence_unit(composition: Composition, sentence: LTLFOSentence,
             template = templates[occurs] = (ltl_to_buchi(formula), atoms)
         nba, atoms = template
         bound = [instantiate(p, valuation) for p in payloads]
-        binding = {ap: bound[ap.index] if isinstance(ap, PayloadAtom) else ap
-                   for ap in atoms}
-        if isinstance(space, SharedExploration):
-            return nba, InternedSnapshotEvaluator(
-                composition, domain.values, binding, space.shared)
-        return nba, SnapshotEvaluator(composition, domain.values, binding)
+        return nba, evaluator({
+            ap: bound[ap.index] if isinstance(ap, PayloadAtom) else ap
+            for ap in atoms})
 
     return unit
 
@@ -497,16 +493,19 @@ def verify(composition: Composition,
            env_value_domain: Sequence[Value] | None = None,
            fair_scheduling: bool = False,
            workers: int | None = None,
-           engine: str | SharedExploration | None = None,
+           exploration: SharedExploration | None = None,
            shard: tuple[int, int] | None = None,
            ) -> VerificationResult:
     """Decide ``composition |= prop`` over the given databases.
 
     The sentence is translated once per occurs tuple, as a template
     whose APs are payload positions (:func:`sentence_unit`), and the
-    canonical valuations are swept in order (:func:`sweep_valuations`).
-    Over the shared exploration, valuations that read the same letters
-    on every state share one search; ``product_nodes_visited`` and
+    canonical valuations are swept in order (:func:`sweep_valuations`)
+    over one :class:`SharedExploration` of the snapshot graph: the
+    graph is completed into memoized successor rows after the first
+    valuation, and valuations that read the same letters on every state
+    share one search, a pure graph walk (see
+    :mod:`repro.verifier.graph`).  ``product_nodes_visited`` and
     ``nba_states_total`` still charge every valuation its class's
     search, and ``valuation_classes`` counts the searches run.
 
@@ -548,25 +547,14 @@ def verify(composition: Composition,
         counts are identical to the in-process sweep.  Each child walks
         its own copy of the exploration, so a caller-supplied
         :class:`SharedExploration` is not filled in by the children.
-    engine:
-        ``"shared"`` (default) runs the search over a hash-consed
-        exploration shared across valuations -- the reachable graph is
-        completed into memoized successor rows after the first valuation
-        and later valuations are searched once per letter class, as pure
-        graph walks (see :mod:`repro.verifier.graph`).  ``"seed"`` is
-        the original per-valuation engine over the same template
-        automata, kept as the reference oracle of the differential
-        tests.  A :class:`SharedExploration` instance
-        reuses that exploration directly (``verify_all`` and the CLI do
-        this to share one graph across a property batch, see
-        :func:`property_engines`); it must have been built for this
-        call's composition, databases, domain values, semantics and
-        ``env_value_domain``, else :class:`VerificationError` names the
-        first that differs.  Verdicts, counterexamples, and search node
-        counts are identical either way (Theorem 3.4's graph is
-        valuation-independent); ``valuation_classes`` is not.  The
-        graph, views, active domains and FO truths stay on the
-        exploration for the next property.
+    exploration:
+        Walk this :class:`SharedExploration`, with its own budget,
+        instead of a new one (``verify_all`` and the CLI share one graph
+        across a property batch, see :func:`property_engines`).  It must
+        have been built for this call's composition, databases, domain
+        values, semantics and ``env_value_domain``, else
+        :class:`VerificationError` names the first that differs.  The
+        graph, views and FO truths stay on it for the next property.
     shard:
         ``(index, count)`` restricts the sweep to the valuations whose
         global order falls in this shard's residue class
@@ -584,8 +572,8 @@ def verify(composition: Composition,
             composition, [sentence], databases
         )
     shard = resolve_shard(shard)
-    if isinstance(engine, SharedExploration):
-        _check_exploration(engine, composition, databases, domain,
+    if exploration is not None:
+        _check_exploration(exploration, composition, databases, domain,
                            semantics, env_value_domain)
 
     n_workers = resolve_workers(workers)
@@ -596,25 +584,25 @@ def verify(composition: Composition,
                 check_input_bounded=False, budget=budget,
                 valuation_candidates=valuation_candidates,
                 env_value_domain=env_value_domain,
-                fair_scheduling=fair_scheduling, engine=engine,
+                fair_scheduling=fair_scheduling, exploration=exploration,
                 shard=own_shard,
             )]
         return run_local_shards(run, n_workers, shard)[0]
 
-    if isinstance(engine, SharedExploration):
-        space = engine
-    else:
-        space = TransitionCache(composition, databases, domain.values,
-                                semantics, budget=budget,
-                                env_value_domain=env_value_domain)
-        if resolve_engine(engine) == "shared":
-            space = SharedExploration(space)
+    if exploration is None:
+        exploration = SharedExploration(
+            composition, databases, domain.values, semantics, budget=budget,
+            env_value_domain=env_value_domain)
 
     return sweep_valuations(
         canonical_valuations(sentence.variables, domain,
                              valuation_candidates),
-        space,
-        sentence_unit(composition, sentence, domain, space, fair_scheduling),
+        exploration,
+        sentence_unit(composition, sentence, domain,
+                      lambda binding: InternedSnapshotEvaluator(
+                          composition, domain.values, binding,
+                          exploration.shared),
+                      fair_scheduling),
         str(sentence), domain, semantics, shard)
 
 
@@ -630,17 +618,15 @@ def _check_exploration(exploration: SharedExploration,
     only for the composition, databases, domain values, semantics and
     environment values it was built with.
     """
-    cache = exploration.cache
-
     def values(seq):
         return None if seq is None else tuple(seq)
 
     for field, built, called in (
-        ("composition", cache.composition, composition),
-        ("databases", cache.databases, dict(databases)),
-        ("domain values", cache.domain, tuple(domain.values)),
-        ("semantics", cache.semantics, semantics),
-        ("env_value_domain", values(cache.env_value_domain),
+        ("composition", exploration.composition, composition),
+        ("databases", exploration.databases, dict(databases)),
+        ("domain values", exploration.domain, tuple(domain.values)),
+        ("semantics", exploration.semantics, semantics),
+        ("env_value_domain", values(exploration.env_value_domain),
          values(env_value_domain)),
     ):
         if built != called:
@@ -718,7 +704,7 @@ def property_engines(composition: Composition,
     A sentence's domain is *domain* when given, else its own
     ``verification_domain(composition, [sentence], databases)``.
     Sentences with equal domains get one :class:`SharedExploration`
-    (pass it as ``verify(engine=...)``), so a batch expands each
+    (pass it as ``verify(exploration=...)``), so a batch expands each
     distinct snapshot once instead of once per property: Theorem 3.4's
     graph depends on the composition, databases, domain and semantics,
     not on the property, the valuation or the shard.  Domains must
@@ -734,8 +720,8 @@ def property_engines(composition: Composition,
         chosen = explorations.get(own)
         if chosen is None:
             chosen = explorations[own] = SharedExploration(
-                TransitionCache(composition, databases, own.values,
-                                semantics, budget=budget))
+                composition, databases, own.values, semantics,
+                budget=budget)
         plan.append((own, chosen))
     return plan
 
@@ -784,7 +770,7 @@ def verify_all(composition: Composition,
     return [
         verify(composition, s, databases, semantics=semantics,
                domain=domain, check_input_bounded=check_input_bounded,
-               budget=budget, engine=engine, shard=shard,
+               budget=budget, exploration=exploration, shard=shard,
                valuation_candidates=valuation_candidates)
-        for s, (_domain, engine) in zip(sentences, plan)
+        for s, (_domain, exploration) in zip(sentences, plan)
     ]

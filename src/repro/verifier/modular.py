@@ -28,7 +28,8 @@ so each affected payload is rewritten into an FO formula over the *pair*
 (previous snapshot, current snapshot) and prefixed with one outer ``X``.
 The product system tracks the previous snapshot, and ``prev.R`` atoms read
 it.  The violation search then looks for a run satisfying
-``psi_translated & ~phi(nu)``.
+``psi_translated & ~phi(nu)``, over pairs of the ids of one
+:class:`~repro.verifier.graph.SharedExploration`.
 """
 
 from __future__ import annotations
@@ -47,18 +48,19 @@ from ..ltl.formulas import LAtom, LTLFormula, land, limplies, lnot
 from ..ltl.translate import ltl_to_buchi
 from ..ltlfo.formulas import LTLFOSentence, map_payloads, relativize
 from ..ltlfo.parser import parse_ltlfo
-from ..runtime.state import GlobalState, snapshot_view
+from ..runtime.state import GlobalState
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
 from ..spec.rules import rename_formula_relations
-from .atoms import OccursAtom, bit_table
+from .atoms import OccursAtom, SharedSnapshotContext, bit_table
 from .domain import (
     VerificationDomain, canonical_valuations, verification_domain,
 )
 from .ltlfo_verifier import (
     _as_sentence, _check_restrictions, occurs_terms, sweep_valuations,
 )
-from .product import SearchBudget, TransitionCache
+from .graph import SharedExploration
+from .product import SearchBudget
 from .result import VerificationResult
 
 PREV_MARK = "@prev."
@@ -267,57 +269,50 @@ def translate_env_spec(spec: LTLFOSentence, composition: Composition,
 
 
 class PairCache:
-    """Wraps a :class:`TransitionCache`, tracking the previous snapshot.
+    """Wraps a :class:`SharedExploration`, tracking the previous snapshot.
 
-    Nodes are ``(previous, current)`` pairs; ``prev.R`` atoms of
-    translated payloads read the previous snapshot's view (empty relations
-    before the first step), and a counterexample run is the sequence of
-    current snapshots.
+    Nodes are ``(previous id, current id)`` pairs of interned state ids
+    (no previous id, ``None``, at an initial state); ``prev.R`` atoms of
+    translated payloads read the previous snapshot's view (empty
+    relations before the first step), and a counterexample run is the
+    sequence of current snapshots.
     """
 
-    def __init__(self, inner: TransitionCache) -> None:
-        self.inner = inner
-        self.budget = inner.budget
+    def __init__(self, exploration: SharedExploration) -> None:
+        self.exploration = exploration
+        self.budget = exploration.budget
 
     def initial(self) -> tuple:
-        return tuple((None, s) for s in self.inner.initial())
+        return tuple((None, sid) for sid in self.exploration.initial())
 
     def successors_of(self, pair) -> tuple:
-        _prev, cur = pair
-        return tuple((cur, nxt) for nxt in self.inner.successors_of(cur))
+        cur = pair[1]
+        return tuple((cur, nxt)
+                     for nxt in self.exploration.successors_of(cur))
 
     def state_of(self, pair) -> GlobalState:
-        return pair[1]
+        return self.exploration.state_of(pair[1])
 
     @property
     def states_expanded(self) -> int:
-        return self.inner.states_expanded
+        return self.exploration.states_expanded
 
 
 class PairEvaluator:
-    """AP valuation over (previous, current) snapshot pairs, as masks."""
+    """AP valuation over (previous, current) id pairs, as masks; views
+    and active domains come from the exploration's *shared* context."""
 
-    def __init__(self, composition: Composition,
-                 domain: Sequence, aps: frozenset) -> None:
-        self.composition = composition
+    def __init__(self, shared: SharedSnapshotContext, domain: Sequence,
+                 aps: frozenset) -> None:
+        self.shared = shared
         self.domain = tuple(domain)
-        self.aps = aps
         self.bits = bit_table(aps)
-        self._view_cache: dict[GlobalState, Instance] = {}
         self._letter_cache: dict[tuple, int] = {}
 
-    def _view(self, state: GlobalState) -> Instance:
-        view = self._view_cache.get(state)
-        if view is None:
-            view = snapshot_view(state, self.composition)
-            self._view_cache[state] = view
-        return view
-
-    def _pair_view(self, prev: GlobalState | None,
-                   cur: GlobalState) -> Instance:
-        view = self._view(cur)
+    def _pair_view(self, prev: int | None, cur: int) -> Instance:
+        view = self.shared.view(cur)
         if prev is not None:
-            prev_view = self._view(prev)
+            prev_view = self.shared.view(prev)
             marked = Instance({
                 PREV_MARK + name: prev_view[name]
                 for name in prev_view.relations()
@@ -334,7 +329,7 @@ class PairEvaluator:
         pair_view: Instance | None = None
         for ap, bit in self.bits.items():
             if isinstance(ap, OccursAtom):
-                if ap.value in cur.active_domain():
+                if ap.value in self.shared.active_domain(cur):
                     mask |= bit
                 continue
             if pair_view is None:
@@ -427,19 +422,19 @@ def verify_modular(composition: Composition,
                              if occurs else translated)
         premise = land(*conjuncts)
 
-    cache = PairCache(TransitionCache(
+    exploration = SharedExploration(
         composition, databases, domain.values, semantics, budget=budget,
-        env_value_domain=env_value_domain,
-    ))
+        env_value_domain=env_value_domain)
     text = f"{sentence}  under env spec  {spec}"
 
     def unit(valuation):
         negated = lnot(sentence.instantiate(valuation))
         nba = ltl_to_buchi(land(premise, negated,
                                 *occurs_terms(valuation, domain)))
-        return nba, PairEvaluator(composition, domain.values, nba.aps)
+        return nba, PairEvaluator(exploration.shared, domain.values,
+                                  nba.aps)
 
     return sweep_valuations(
         canonical_valuations(sentence.variables, domain,
                              valuation_candidates),
-        cache, unit, text, domain, semantics)
+        PairCache(exploration), unit, text, domain, semantics)

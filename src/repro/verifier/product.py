@@ -1,29 +1,19 @@
-"""On-the-fly product of the composition transition system with an NBA.
+"""On-the-fly product of the composition's snapshot graph with an NBA.
 
 The composition's reachable snapshot graph is finite once the data domain
 and the queue bound are fixed (the computational content of Theorem 3.4's
-reduction).  :class:`TransitionCache` memoizes successor computation per
-snapshot for the seed engine and the protocol and modular procedures; it
-also names the inputs (composition, databases, domain, semantics) a
-:class:`~repro.verifier.graph.SharedExploration` is built for, which
-expands slot keys through its own memo instead.  :class:`ProductSystem`
-lazily pairs the nodes of an exploration with Büchi states.
+reduction); :class:`~repro.verifier.graph.SharedExploration` explores it.
+:class:`ProductSystem` lazily pairs the nodes of an exploration with
+Büchi states, and :class:`SearchBudget` caps both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from ..errors import VerificationError
-from ..fo.instance import Instance
-from ..fo.terms import Value
 from ..ltl.buchi import BuchiAutomaton
-from ..obs import PHASE_EXPAND, counter, histogram, phase
-from ..spec.channels import ChannelSemantics
-from ..spec.composition import Composition
-from ..runtime.state import GlobalState
-from ..runtime.step import initial_states, successors
 
 
 @dataclass
@@ -41,70 +31,6 @@ class SearchBudget:
                 f"system-state budget ({self.max_system_states}) exceeded; "
                 "reduce the domain, queue bound, or composition size"
             )
-
-
-def count_expansion(branching: int) -> None:
-    """Count one expanded state with *branching* successors."""
-    counter("product.states_expanded").inc()
-    histogram("product.branching_factor",
-              boundaries=(1, 2, 4, 8, 16, 32, 64, 128, 256)
-              ).observe(branching)
-
-
-class TransitionCache:
-    """Memoized transition relation of one composition + database + domain."""
-
-    def __init__(self, composition: Composition,
-                 databases: Mapping[str, Instance],
-                 domain: Sequence[Value],
-                 semantics: ChannelSemantics,
-                 budget: SearchBudget | None = None,
-                 env_value_domain: Sequence[Value] | None = None) -> None:
-        if semantics.queue_bound is None:
-            raise VerificationError(
-                "verification requires bounded queues (Corollary 3.6: "
-                "unbounded queues make verification undecidable); "
-                "set ChannelSemantics.queue_bound"
-            )
-        self.composition = composition
-        self.databases = dict(databases)
-        self.domain = tuple(domain)
-        self.semantics = semantics
-        self.env_value_domain = env_value_domain
-        self.budget = budget or SearchBudget()
-        self._initial: tuple[GlobalState, ...] | None = None
-        self._successors: dict[GlobalState, tuple[GlobalState, ...]] = {}
-
-    def initial(self) -> tuple[GlobalState, ...]:
-        if self._initial is None:
-            self._initial = tuple(
-                initial_states(self.composition, self.databases, self.domain)
-            )
-        return self._initial
-
-    def successors_of(self, state: GlobalState) -> tuple[GlobalState, ...]:
-        cached = self._successors.get(state)
-        if cached is None:
-            self.budget.check_states(len(self._successors))
-            with phase(PHASE_EXPAND):
-                cached = tuple(
-                    successors(
-                        self.composition, state, self.domain,
-                        self.semantics, env_one_action_per_move=True,
-                        env_value_domain=self.env_value_domain,
-                    )
-                )
-            self._successors[state] = cached
-            count_expansion(len(cached))
-        return cached
-
-    def state_of(self, state: GlobalState) -> GlobalState:
-        """The snapshot of a node: this cache's nodes are the snapshots."""
-        return state
-
-    @property
-    def states_expanded(self) -> int:
-        return len(self._successors)
 
 
 #: A product node: (exploration node, dense Büchi state number).
@@ -149,11 +75,10 @@ class ProductSystem:
 
     ``cache`` is any exploration with ``initial()``,
     ``successors_of(node)``, a ``budget`` and ``state_of(node)``: a
-    :class:`TransitionCache` (nodes are snapshots), a
-    :class:`~repro.verifier.graph.SharedExploration` (interned ids) or
-    modular's :class:`~repro.verifier.modular.PairCache`
-    (previous/current pairs).  The evaluator reads letters off the same
-    nodes as int masks over its bit table ``evaluator.bits``, and
+    :class:`~repro.verifier.graph.SharedExploration` (interned ids),
+    modular's :class:`~repro.verifier.modular.PairCache` (id pairs) or
+    the reference engine's (snapshots).  The evaluator reads letters off
+    the same nodes as int masks over its bit table ``evaluator.bits``, and
     ``state_of`` maps a lasso's nodes back to snapshots.  The automaton
     is compiled once, against that table (:func:`compile_guards`), so
     product nodes are ``(node, int)`` pairs and a transition test is

@@ -1,9 +1,10 @@
-"""Differential testing of the shared-exploration engine vs the seed.
+"""Differential testing of the verifier vs the per-valuation reference.
 
-The shared engine (``repro.verifier.graph``) must be observationally
-identical to the seed per-valuation engine: interning preserves
-successor order, initial-state order, and Büchi target order, so for
-every case the two engines agree on
+:func:`repro.verifier.verify`, over its shared exploration
+(``repro.verifier.graph``), must be observationally identical to the
+per-valuation reference engine (:func:`repro.fuzz.seed_engine.
+verify_seed`): interning preserves successor order, initial-state order,
+and Büchi target order, so for every case the two engines agree on
 
 * the verdict,
 * the decisive counterexample valuation and its lasso (which must also
@@ -13,35 +14,40 @@ every case the two engines agree on
   not just in aggregate.
 
 ``system_states`` is deliberately NOT compared: freezing expands the
-full reachable graph, while the seed's lazy product may prune (the NBA
-can block before the composition frontier is exhausted).
+full reachable graph, while the reference's lazy product may prune (the
+NBA can block before the composition frontier is exhausted).
 
-Over a completed graph the shared engine searches once per letter
-class and charges every valuation its class's search, so E14's
-180-valuation sweep and every property of the libraries that ship
-``STANDARD_CANDIDATES`` must also agree with the per-valuation seed on
-the decisive order and ``nba_states_total``, and ``valuation_classes``
-must count the searches run.
+Over a completed graph the verifier searches once per letter class and
+charges every valuation its class's search, so E14's 180-valuation
+sweep and every property of the libraries that ship
+``STANDARD_CANDIDATES`` must also agree with the per-valuation reference
+on the decisive order and ``nba_states_total``, and
+``valuation_classes`` must count the searches run.
 
 Alongside the library/synthetic grid, a hypothesis suite fuzzes the
 sender/receiver database contents and property choice, and unit tests
 pin the graph machinery itself (interner stability, completed rows,
-budget fallback).
+budget fallback).  A last test keeps the reference out of the verifier.
 """
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fo import Instance
+from repro.fuzz.seed_engine import SnapshotExploration, verify_seed
 from repro.library import (
     dispatch, ecommerce, loan, payments, synthetic, travel,
 )
 from repro.obs import counters_snapshot
 from repro.runtime import validate_lasso
 from repro.spec import Composition, DECIDABLE_DEFAULT, PeerBuilder
-from repro.verifier import (
-    SharedExploration, TransitionCache, verification_domain, verify,
-)
+from repro.verifier import SharedExploration, verification_domain, verify
 
 from .test_letter_masks import WIDE_CANDIDATES
 
@@ -110,12 +116,10 @@ CASES = _cases()
 
 def run_differential(comp, dbs, prop, candidates, expected):
     dom = verification_domain(comp, [], dbs, fresh_count=1)
-    seed = verify(comp, prop, dbs, domain=dom,
-                  valuation_candidates=candidates, workers=1,
-                  engine="seed")
+    seed = verify_seed(comp, prop, dbs, domain=dom,
+                       valuation_candidates=candidates)
     shared = verify(comp, prop, dbs, domain=dom,
-                    valuation_candidates=candidates, workers=1,
-                    engine="shared")
+                    valuation_candidates=candidates, workers=1)
     assert seed.satisfied == expected, seed.summary()
     assert shared.satisfied == seed.satisfied, (
         f"verdict diverged: seed={seed.verdict} shared={shared.verdict}"
@@ -179,13 +183,12 @@ def _class_cases():
 CLASS_CASES = _class_cases()
 
 
-def _verify_counting_searches(comp, dbs, prop, candidates, engine):
-    """The result and the ``search.runs`` it added."""
+def _verify_counting_searches(verifier, comp, dbs, prop, candidates):
+    """The result of *verifier* and the ``search.runs`` it added."""
     dom = verification_domain(comp, [], dbs, fresh_count=1)
     before = counters_snapshot().get("search.runs", 0)
-    result = verify(comp, prop, dbs, domain=dom,
-                    valuation_candidates=candidates, workers=1,
-                    engine=engine)
+    result = verifier(comp, prop, dbs, domain=dom,
+                      valuation_candidates=candidates)
     return result, counters_snapshot()["search.runs"] - before
 
 
@@ -195,10 +198,10 @@ def _verify_counting_searches(comp, dbs, prop, candidates, engine):
 )
 def test_class_sweep_matches_per_valuation_sweep(label, comp, dbs, prop,
                                                  candidates):
-    seed, seed_runs = _verify_counting_searches(comp, dbs, prop,
-                                                candidates, "seed")
-    shared, shared_runs = _verify_counting_searches(comp, dbs, prop,
-                                                    candidates, "shared")
+    seed, seed_runs = _verify_counting_searches(verify_seed, comp, dbs,
+                                                prop, candidates)
+    shared, shared_runs = _verify_counting_searches(verify, comp, dbs,
+                                                    prop, candidates)
     assert shared.verdict == seed.verdict
     for field in ("decisive_order", "valuations_checked",
                   "product_nodes_visited", "nba_states_total"):
@@ -210,7 +213,7 @@ def test_class_sweep_matches_per_valuation_sweep(label, comp, dbs, prop,
         assert shared.counterexample.valuation == \
             seed.counterexample.valuation
         assert shared.counterexample.lasso == seed.counterexample.lasso
-    # the seed searches every valuation; classes count searches run
+    # the reference searches every valuation; classes count searches run
     assert seed.stats.valuation_classes == seed_runs == \
         seed.stats.valuations_checked
     assert shared.stats.valuation_classes == shared_runs
@@ -242,8 +245,8 @@ class TestHypothesisDifferential:
         dbs = {"S": Instance({"items": [(v,) for v in sorted(rows)]})}
         prop = SR_PROPERTIES[prop_idx]
         dom = verification_domain(comp, [], dbs, fresh_count=1)
-        seed = verify(comp, prop, dbs, domain=dom, engine="seed")
-        shared = verify(comp, prop, dbs, domain=dom, engine="shared")
+        seed = verify_seed(comp, prop, dbs, domain=dom)
+        shared = verify(comp, prop, dbs, domain=dom)
         assert shared.satisfied == seed.satisfied
         assert shared.stats.product_nodes_visited == \
             seed.stats.product_nodes_visited
@@ -261,8 +264,8 @@ class TestHypothesisDifferential:
         for prop in (synthetic.chain_safety_property(relays),
                      synthetic.chain_liveness_property(relays)):
             dom = verification_domain(comp, [], dbs, fresh_count=1)
-            seed = verify(comp, prop, dbs, domain=dom, engine="seed")
-            shared = verify(comp, prop, dbs, domain=dom, engine="shared")
+            seed = verify_seed(comp, prop, dbs, domain=dom)
+            shared = verify(comp, prop, dbs, domain=dom)
             assert shared.satisfied == seed.satisfied
             assert shared.stats.product_nodes_visited == \
                 seed.stats.product_nodes_visited
@@ -274,8 +277,8 @@ class TestGraphMachinery:
     def _exploration(self, rows=(("a",), ("b",))):
         comp, dbs = sender_receiver_case(rows)
         dom = verification_domain(comp, [], dbs, fresh_count=1)
-        cache = TransitionCache(comp, dbs, dom.values, DECIDABLE_DEFAULT)
-        return comp, SharedExploration(cache)
+        return comp, SharedExploration(comp, dbs, dom.values,
+                                       DECIDABLE_DEFAULT)
 
     def test_interning_is_stable(self):
         _, engine = self._exploration()
@@ -285,17 +288,21 @@ class TestGraphMachinery:
             assert engine.interner.intern(state) == sid
 
     def test_completed_rows_match_lazy(self):
-        _, engine = self._exploration()
+        comp, engine = self._exploration()
         # force some lazy exploration first
         lazy = {sid: engine.successors_of(sid) for sid in engine.initial()}
         assert engine.complete()
         for sid, row in lazy.items():
             assert engine.successors_of(sid) == row
-        # every row is the cache's successor list, interned in order
+        # every row is the reference's successor list, interned in order
+        reference = SnapshotExploration(comp, engine.databases,
+                                        engine.domain, DECIDABLE_DEFAULT)
+        assert tuple(map(engine.state_of, engine.initial())) == \
+            reference.initial()
         for sid in range(len(engine.interner)):
             row = engine.successors_of(sid)
             assert tuple(map(engine.state_of, row)) == \
-                engine.cache.successors_of(engine.state_of(sid))
+                reference.successors_of(engine.state_of(sid))
 
     def test_complete_is_idempotent(self):
         _, engine = self._exploration()
@@ -330,9 +337,47 @@ class TestGraphMachinery:
         from repro.verifier import SearchBudget
         comp, dbs = sender_receiver_case()
         dom = verification_domain(comp, [], dbs, fresh_count=1)
-        cache = TransitionCache(comp, dbs, dom.values, DECIDABLE_DEFAULT,
-                                budget=SearchBudget(max_system_states=3))
-        engine = SharedExploration(cache)
+        engine = SharedExploration(comp, dbs, dom.values, DECIDABLE_DEFAULT,
+                                   budget=SearchBudget(max_system_states=3))
         assert engine.complete(strict=False) is False
         with pytest.raises(VerificationError):
             engine.complete(strict=True)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Run by a fresh interpreter: what ``python -m repro verify`` loads.
+_CLI_PROBE = """
+import sys
+import repro.cli
+assert "repro.fuzz.seed_engine" not in sys.modules
+"""
+
+
+def test_the_reference_stays_out_of_the_verifier():
+    """The CLI does not load the reference engine, and no module of
+    ``repro`` outside ``repro.fuzz`` imports it, so a second engine can
+    grow back neither into production nor into the CLI's import cost."""
+    path = os.pathsep.join(filter(None, (str(SRC),
+                                         os.environ.get("PYTHONPATH"))))
+    child = subprocess.run(
+        [sys.executable, "-c", _CLI_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+
+    importers = []
+    for module in sorted((SRC / "repro").rglob("*.py")):
+        if module.relative_to(SRC / "repro").parts[0] == "fuzz":
+            continue
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or "",
+                         *(alias.name for alias in node.names)]
+            else:
+                continue
+            if any("seed_engine" in name for name in names):
+                importers.append(str(module.relative_to(SRC)))
+    assert importers == []

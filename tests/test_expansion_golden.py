@@ -1,7 +1,7 @@
 """Golden digests of the expansion kernel's output.
 
-The seed, shared, local-shard and shard differentials all call the same
-:func:`repro.runtime.step.successors`, so a change to the order in
+The reference-engine, local-shard and shard differentials all call the
+same :func:`repro.runtime.step.successors`, so a change to the order in
 which it lists successors would move every lasso and still pass them
 all.  This module pins that order, and the states themselves, against
 recorded sha256 digests:
@@ -16,9 +16,10 @@ recorded sha256 digests:
   shards (``workers=2``), which must both match the recorded row;
 * per ``verify_agnostic``, ``verify_aware`` and ``verify_modular`` case
   of ``test_protocols.py``, ``test_verifier_modular.py`` and
-  ``test_library_credit_check.py``, the verdict, decisive valuation,
-  lasso and search counters; every violated row's lasso must replay
-  through :func:`repro.runtime.validate_lasso`.
+  ``test_library_credit_check.py``, and E8's per-ssn protocol (the one
+  data-aware row over several valuations), the verdict, decisive
+  valuation, lasso and search counters; every violated row's lasso must
+  replay through :func:`repro.runtime.validate_lasso`.
 
 Renderings sort every set, and the GPVW translator
 (:mod:`repro.ltl.translate`) expands in a canonical order, so every row
@@ -56,8 +57,8 @@ from repro.spec import (
 )
 from repro.spec.dsl import load_document
 from repro.verifier import (
-    SharedExploration, TransitionCache, property_engines,
-    verification_domain, verify, verify_modular,
+    SharedExploration, property_engines, verification_domain, verify,
+    verify_modular,
 )
 from repro.verifier.domain import VerificationDomain
 
@@ -154,9 +155,9 @@ def _complete(exploration):
 
 
 def _explore(composition, databases, values, env_values=None):
-    return _complete(SharedExploration(TransitionCache(
+    return _complete(SharedExploration(
         composition, databases, values, DECIDABLE_DEFAULT,
-        env_value_domain=env_values)))
+        env_value_domain=env_values))
 
 
 def graph_case(key: str):
@@ -296,6 +297,21 @@ CREDIT_CHECK_EX51 = (
 )
 
 
+def per_ssn_request_answered():
+    """E8's per-ssn protocol on loan: every rating request for an ssn
+    is answered for that ssn.  Returns the composition, its databases,
+    its domain and the protocol."""
+    composition = loan.loan_composition()
+    databases = loan.standard_database("fair")
+    domain = verification_domain(composition, [], databases, fresh_count=1)
+    schema = composition.schema
+    protocol = DataAwareProtocol(
+        symbols={"req": parse_fo("O.!getRating(s)", schema),
+                 "rep": parse_fo("exists c: CR.!rating(s, c)", schema)},
+        ltl=lglobally(limplies(latom("req"), lfinally(latom("rep")))))
+    return composition, databases, domain, protocol
+
+
 def procedure_case(key: str):
     """Run one protocol or modular case as its test calls it.
 
@@ -323,6 +339,12 @@ def procedure_case(key: str):
         }[name]()
         result = verify_agnostic(composition, protocol, databases,
                                  semantics=semantics)
+    elif key == "aware.per_ssn_request_answered":
+        composition, databases, domain, protocol = \
+            per_ssn_request_answered()
+        values = domain.values
+        result = verify_aware(composition, protocol, databases,
+                              domain=domain)
     elif family == "aware":
         schema = composition.schema
         bad_msg = {"bad_msg": parse_fo('S.msg("zz")', schema)}
@@ -374,7 +396,7 @@ PROCEDURES = (
     "agnostic.no_ack_before_msg", "agnostic.msg_eventually_acked",
     "agnostic.buchi_no_ack", "agnostic.source_sees_lost_sends",
     "aware.no_bad_msg", "aware.msg_acked_with_content",
-    "aware.buchi_no_bad_msg",
+    "aware.buchi_no_bad_msg", "aware.per_ssn_request_answered",
     "modular.source_spec", "modular.recipient_spec",
     "modular.nonstrict_spec",
     "credit_check.source_spec", "credit_check.recipient_spec",
@@ -483,6 +505,10 @@ PROCEDURE_DIGESTS = {
         'SATISFIED', None,
         None,
         1, 58, 2, 58],
+    'aware.per_ssn_request_answered': [
+        'VIOLATED', "[('s', 's1')]",
+        'b117947511d1ae80f28fc91bbf01ef9cfbbc9546baeea388fb1c0696d417c855',
+        12, 2272, 48, 205],
     'modular.source_spec': [
         'SATISFIED', None,
         None,

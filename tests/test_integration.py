@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fo import Instance
+from repro.fuzz.seed_engine import SnapshotEvaluator
 from repro.ltl import evaluate_on_word, lnot
 from repro.ltlfo import parse_ltlfo
 from repro.protocols import AgnosticProtocol, trace_of, verify_agnostic
@@ -13,9 +14,10 @@ from repro.spec import (
     ChannelSemantics, DECIDABLE_DEFAULT, PERFECT_BOUNDED,
 )
 from repro.errors import VerificationError
+from repro.obs import counters_snapshot
 from repro.verifier import (
-    SharedExploration, SnapshotEvaluator, TransitionCache, decode_letter,
-    property_engines, verification_domain, verify,
+    SharedExploration, decode_letter, property_engines,
+    verification_domain, verify,
 )
 
 DB = {"S": Instance({"items": [("a",)]})}
@@ -120,19 +122,25 @@ class TestProtocolVsLtlfoConsistency:
         assert r.satisfied
 
 
-class TestSharedTransitionCache:
-    def test_cache_reused_across_properties(self, sender_receiver):
+class TestSuppliedExploration:
+    """``verify(exploration=...)`` walks the caller's exploration, and
+    refuses one built for other inputs."""
+
+    def test_exploration_reused_across_properties(self, sender_receiver):
+        """The first property explores the graph; the second, over the
+        same exploration, expands no state."""
         dom = verification_domain(sender_receiver, [], DB)
-        cache = TransitionCache(sender_receiver, DB, dom.values,
-                                DECIDABLE_DEFAULT)
-        r1 = verify(sender_receiver, "G true", DB, domain=dom,
-                    engine=SharedExploration(cache))
-        states_after_first = cache.states_expanded
-        r2 = verify(sender_receiver,
-                    "forall x: G( R.got(x) -> S.items(x) )", DB,
-                    domain=dom, engine=SharedExploration(cache))
-        assert r1.satisfied and r2.satisfied
-        assert cache.states_expanded >= states_after_first
+        exploration = SharedExploration(sender_receiver, DB, dom.values,
+                                        DECIDABLE_DEFAULT)
+        expanded = []
+        for prop in ("G true", "forall x: G( R.got(x) -> S.items(x) )"):
+            before = counters_snapshot().get("product.states_expanded", 0)
+            assert verify(sender_receiver, prop, DB, domain=dom,
+                          exploration=exploration).satisfied
+            expanded.append(
+                counters_snapshot()["product.states_expanded"] - before)
+        assert expanded == [exploration.states_expanded, 0]
+        assert expanded[0] > 0
 
     def test_refuses_exploration_built_for_other_semantics(
             self, sender_receiver):
@@ -148,18 +156,19 @@ class TestSharedTransitionCache:
         with pytest.raises(VerificationError, match="semantics"):
             verify(sender_receiver, sentence, DB,
                    semantics=PERFECT_BOUNDED, domain=dom,
-                   fair_scheduling=True, engine=lossy)
+                   fair_scheduling=True, exploration=lossy)
 
     def test_refuses_exploration_built_for_other_domain(
             self, sender_receiver):
         prop = "forall x: G( R.got(x) -> S.items(x) )"
         two = verification_domain(sender_receiver, [], DB, fresh_count=2)
         three = verification_domain(sender_receiver, [], DB, fresh_count=3)
-        [(_dom, engine)] = property_engines(
+        [(_dom, exploration)] = property_engines(
             sender_receiver, [parse_ltlfo(prop, sender_receiver.schema)],
             DB, domain=two)
         with pytest.raises(VerificationError, match="domain values"):
-            verify(sender_receiver, prop, DB, domain=three, engine=engine)
+            verify(sender_receiver, prop, DB, domain=three,
+                   exploration=exploration)
 
 
 class TestProcedureStats:

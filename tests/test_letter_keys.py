@@ -77,7 +77,7 @@ def payload_relation_sets(sentences) -> list[tuple[str, ...]]:
 def relation_sets(exploration, sentences) -> list[tuple[str, ...]]:
     """Every view or persistent relation alone, then the relations of
     every FO payload of *sentences*."""
-    composition = exploration.cache.composition
+    composition = exploration.composition
     names = {*exploration.interner.codec.relations,
              *_view_table(composition)}
     return [(name,) for name in sorted(names)] + \
@@ -87,7 +87,7 @@ def relation_sets(exploration, sentences) -> list[tuple[str, ...]]:
 def assert_keyed_ids_match_views(exploration, sets) -> None:
     """On every interned state, the keyed extension id of each relation
     set determines, and is determined by, its rendered extensions."""
-    composition = exploration.cache.composition
+    composition = exploration.composition
     shared = exploration.shared
     views = [snapshot_view(exploration.state_of(sid), composition)
              for sid in range(len(exploration.interner))]
@@ -106,7 +106,7 @@ def assert_keyed_ids_match_views(exploration, sets) -> None:
 def test_keyed_extension_ids_match_rendered_views(case):
     for exploration in _explorations(case):
         assert exploration.complete()
-        sentences = _sentences(case, exploration.cache.composition)
+        sentences = _sentences(case, exploration.composition)
         assert sentences, case
         assert_keyed_ids_match_views(
             exploration, relation_sets(exploration, sentences))
@@ -138,9 +138,9 @@ def test_ecommerce_decodes_only_misses_and_first_sights(monkeypatch):
     plan = property_engines(composition, sentences, databases,
                             domain=domain)
     [exploration] = {id(e): e for _d, e in plan}.values()
-    for sentence, (own_domain, engine) in zip(sentences, plan):
+    for sentence, (own_domain, own_exploration) in zip(sentences, plan):
         assert verify(composition, sentence, databases, domain=own_domain,
-                      engine=engine,
+                      exploration=own_exploration,
                       valuation_candidates=ECOMMERCE_CANDIDATES).satisfied
     moved = diff_numeric(counters_snapshot(), before)
     first_sights = sum(

@@ -22,6 +22,7 @@ from pathlib import Path
 from hypothesis import given, settings
 
 from repro.library import dispatch, loan, payments
+from repro.fuzz.seed_engine import SnapshotEvaluator
 from repro.ltl import (
     BuchiAutomaton, Edge, Guard, land, latom, lfinally, lglobally,
     limplies, lnot, ltl_to_buchi,
@@ -30,9 +31,9 @@ from repro.ltlfo.parser import parse_ltlfo
 from repro.spec import DECIDABLE_DEFAULT
 from repro.spec.dsl import load_document
 from repro.verifier import (
-    InternedSnapshotEvaluator, ProductSystem, SharedExploration,
-    SnapshotEvaluator, TransitionCache, bit_table, canonical_valuations,
-    decode_letter, property_engines, verification_domain,
+    InternedSnapshotEvaluator, ProductSystem, SharedExploration, bit_table,
+    canonical_valuations, decode_letter, property_engines,
+    verification_domain,
 )
 from repro.verifier.ltlfo_verifier import (
     letter_class, occurs_terms, sentence_unit,
@@ -143,8 +144,8 @@ def test_interned_letters_match_seed_on_loan_graph():
     composition = loan.loan_composition()
     databases = loan.standard_database("fair")
     domain = verification_domain(composition, [], databases, fresh_count=1)
-    exploration = SharedExploration(TransitionCache(
-        composition, databases, domain.values, DECIDABLE_DEFAULT))
+    exploration = SharedExploration(composition, databases, domain.values,
+                                    DECIDABLE_DEFAULT)
 
     def sentences(*texts):
         return [parse_ltlfo(text, composition.schema) for text in texts]
@@ -183,7 +184,10 @@ def letter_vector_classes(composition, domain, exploration, sentence,
     assert exploration.complete()
     states = [exploration.state_of(sid)
               for sid in range(len(exploration.interner))]
-    unit = sentence_unit(composition, sentence, domain, exploration)
+    unit = sentence_unit(
+        composition, sentence, domain,
+        lambda binding: InternedSnapshotEvaluator(
+            composition, domain.values, binding, exploration.shared))
     groups: dict = {}
     for valuation in canonical_valuations(sentence.variables, domain,
                                           candidates):
@@ -204,8 +208,8 @@ def test_letter_classes_on_loan_sweep():
     composition = loan.loan_composition()
     databases = loan.standard_database("fair")
     domain = verification_domain(composition, [], databases, fresh_count=1)
-    exploration = SharedExploration(TransitionCache(
-        composition, databases, domain.values, DECIDABLE_DEFAULT))
+    exploration = SharedExploration(composition, databases, domain.values,
+                                    DECIDABLE_DEFAULT)
     sentence = parse_ltlfo(loan.PROPERTY_LETTER_NEEDS_APPLICATION,
                            composition.schema)
     assert letter_vector_classes(composition, domain, exploration,
@@ -235,8 +239,8 @@ def test_letter_classes_on_payments_and_dispatch_graphs():
         databases = module.standard_database()
         domain = verification_domain(composition, [], databases,
                                      fresh_count=1)
-        exploration = SharedExploration(TransitionCache(
-            composition, databases, domain.values, DECIDABLE_DEFAULT))
+        exploration = SharedExploration(composition, databases,
+                                        domain.values, DECIDABLE_DEFAULT)
         for constant in sorted(vars(module)):
             if constant.startswith("PROPERTY_"):
                 sentence = parse_ltlfo(getattr(module, constant),

@@ -75,21 +75,13 @@ class TestModularWorkflow:
     def test_good_rating_actually_recorded(self, setup):
         """The satisfied case is not vacuous: a 'fair' rating flows in."""
         composition, databases, domain, env_values, _ = setup
-        from repro.runtime import reachable_states
         from repro.spec import DECIDABLE_DEFAULT
-        from repro.verifier.product import TransitionCache
-        cache = TransitionCache(composition, databases, domain.values,
-                                DECIDABLE_DEFAULT,
-                                env_value_domain=env_values)
-        seen = set()
-        frontier = list(cache.initial())
-        seen.update(frontier)
+        from repro.verifier import SharedExploration
+        exploration = SharedExploration(composition, databases,
+                                        domain.values, DECIDABLE_DEFAULT,
+                                        env_value_domain=env_values)
+        assert exploration.complete()
         recorded = set()
-        while frontier:
-            state = frontier.pop()
-            recorded |= state.data["O.gotRating"]
-            for nxt in cache.successors_of(state):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
+        for sid in range(len(exploration.interner)):
+            recorded |= exploration.state_of(sid).data["O.gotRating"]
         assert ("s1", "fair") in recorded

@@ -2,15 +2,17 @@
 
 Each domain documents two satisfied and two violated LTL-FO properties
 (the violated ones are races the lossy semantics makes real).  The
-verdicts must be identical under the ``seed`` engine, the ``shared``
-engine, and a worker pool -- the same determinism contract the fuzzer
-checks on random specs, pinned here on the curated ones.
+verdicts must be identical under the verifier, the per-valuation
+reference engine (:func:`repro.fuzz.seed_engine.verify_seed`), and a
+worker pool -- the same determinism contract the fuzzer checks on
+random specs, pinned here on the curated ones.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.fuzz.seed_engine import verify_seed
 from repro.library import dispatch, payments
 from repro.runtime import validate_lasso
 from repro.verifier import verification_domain, verify
@@ -53,14 +55,13 @@ def test_documented_verdicts(name):
 
 @pytest.mark.parametrize("name", ["payments", "dispatch"])
 def test_engines_and_workers_agree(name):
-    """seed engine, shared engine, and a 2-worker pool: same answers."""
+    """Reference engine, verifier, and a 2-worker pool: same answers."""
     comp, dbs, candidates, expected = _domain_case(name)
     for prop, _satisfied in expected:
         shared = verify(comp, prop, dbs,
-                        valuation_candidates=candidates,
-                        engine="shared")
-        seeded = verify(comp, prop, dbs,
-                        valuation_candidates=candidates, engine="seed")
+                        valuation_candidates=candidates)
+        seeded = verify_seed(comp, prop, dbs,
+                             valuation_candidates=candidates)
         pooled = verify(comp, prop, dbs,
                         valuation_candidates=candidates, workers=2)
         for other in (seeded, pooled):

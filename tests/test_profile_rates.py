@@ -21,7 +21,9 @@ import re
 import pytest
 
 from repro.cli import main
-from repro.obs import REGISTRY, counters_snapshot, diff_numeric, merge_numeric
+from repro.obs import (
+    MetricsRegistry, REGISTRY, counters_snapshot, diff_numeric, merge_numeric,
+)
 from repro.runtime.step import clear_rule_cache
 
 #: The phase-row parser of ``tests/test_cli.py``; rate lines must not
@@ -120,3 +122,21 @@ def test_workers_list_the_zero_counters_of_one_worker(tmp_path, capsys):
     assert {name: listed["2"]["counters"].get(name) for name in zeros} == (
         dict.fromkeys(zeros, 0))
     assert "run" not in listed["2"]
+
+
+def test_counting_looks_few_counters_up(monkeypatch, capsys):
+    """The exploration holds the metric objects it counts into: ``repro
+    profile ecommerce`` expands 4,260 states and serves thousands of
+    rows, but looks a counter up in the registry a few hundred times,
+    not once per row hit, expansion or decode."""
+    lookups = []
+    counter = MetricsRegistry.counter
+
+    def counted(self, name):
+        lookups.append(name)
+        return counter(self, name)
+
+    monkeypatch.setattr(MetricsRegistry, "counter", counted)
+    assert main(["profile", "ecommerce", "--workers", "1"]) == 0
+    capsys.readouterr()
+    assert 0 < len(lookups) < 500

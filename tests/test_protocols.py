@@ -173,6 +173,21 @@ class TestDataAware:
         r = verify_aware(comp, protocol, DB, semantics=PERFECT_BOUNDED)
         assert r.satisfied
 
+    def test_valuations_share_searches_by_letter_class(self):
+        """E8's per-ssn protocol checks twelve valuations of ``s`` over
+        loan's completed graph, but searches once per letter class."""
+        from repro.obs import counters_snapshot
+
+        from .test_expansion_golden import per_ssn_request_answered
+        composition, databases, domain, protocol = \
+            per_ssn_request_answered()
+        before = counters_snapshot().get("search.runs", 0)
+        r = verify_aware(composition, protocol, databases, domain=domain)
+        searches = counters_snapshot()["search.runs"] - before
+        assert r.counterexample.valuation == {"s": "s1"}
+        assert searches == r.stats.valuation_classes == 2
+        assert r.stats.valuations_checked == 12
+
 
 class TestGuardExpansion:
     def test_guards_from_formula(self):

@@ -37,7 +37,7 @@ from repro.runtime import validate_lasso
 from repro.spec import DECIDABLE_DEFAULT
 from repro.spec.dsl import load_document
 from repro.verifier import (
-    SharedExploration, TransitionCache, canonical_valuations,
+    SharedExploration, canonical_valuations,
     property_engines, verification_domain, verify, verify_all,
 )
 
@@ -70,8 +70,8 @@ def run_cli(argv):
 
 def distinct_states(composition, databases, domain, semantics) -> int:
     """States of the full reachable graph, from a fresh exploration."""
-    exploration = SharedExploration(TransitionCache(
-        composition, databases, domain.values, semantics))
+    exploration = SharedExploration(composition, databases, domain.values,
+                                    semantics)
     assert exploration.complete()
     return len(exploration.interner)
 
@@ -85,19 +85,19 @@ def check_batch(calls, expansions, *, own_domains: bool) -> dict:
     explorations = {}
     for args, kwargs, result in calls:
         composition, sentence, databases = args
-        domain, engine = kwargs["domain"], kwargs["engine"]
+        domain, exploration = kwargs["domain"], kwargs["exploration"]
         semantics = kwargs["semantics"]
-        assert isinstance(engine, SharedExploration)
+        assert isinstance(exploration, SharedExploration)
         if own_domains:
             assert domain == verification_domain(composition, [sentence],
                                                  databases)
         # one exploration per distinct domain, never across domains
-        assert explorations.setdefault(domain, engine) is engine
+        assert explorations.setdefault(domain, exploration) is exploration
 
         solo = verify(composition, sentence, databases, semantics=semantics,
                       domain=domain, fair_scheduling=kwargs["fair_scheduling"],
                       valuation_candidates=kwargs["valuation_candidates"],
-                      workers=1, engine="shared")
+                      workers=1)
         label = str(sentence)
         assert result.satisfied == solo.satisfied, label
         assert result.stats.valuations_checked == \
@@ -122,8 +122,8 @@ def check_batch(calls, expansions, *, own_domains: bool) -> dict:
         domain: distinct_states(composition, databases, domain, semantics)
         for domain in explorations
     }
-    for domain, engine in explorations.items():
-        assert engine.states_expanded == per_domain[domain]
+    for domain, exploration in explorations.items():
+        assert exploration.states_expanded == per_domain[domain]
     assert expansions == sum(per_domain.values())
     return explorations
 
@@ -195,18 +195,18 @@ def batch_sentences():
 def test_supplied_exploration_keeps_rows_and_extension_memo():
     composition, databases, sentences = batch_sentences()
     sentence = sentences["got_from_items"]
-    [(domain, engine)] = property_engines(composition, [sentence],
-                                          databases)
+    [(domain, exploration)] = property_engines(composition, [sentence],
+                                               databases)
     result = verify(composition, sentence, databases, domain=domain,
-                    engine=engine)
+                    exploration=exploration)
     assert result.satisfied
     # the graph (every interned state's successor row) and each payload
     # relation set's extension ids, by key projection, stay for the next
     # property
-    assert len(engine._succ) == len(engine.interner)
+    assert len(exploration._succ) == len(exploration.interner)
     for payload in sentence.fo_payloads():
         rels = tuple(sorted(relations(payload)))
-        assert engine.shared.extension_memo(rels).by_projection, rels
+        assert exploration.shared.extension_memo(rels).by_projection, rels
 
 
 def test_property_engines_share_per_domain():

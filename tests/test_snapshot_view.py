@@ -26,7 +26,7 @@ from repro.library import dispatch, loan, payments
 from repro.runtime import GlobalState, freeze_queues, snapshot_view
 from repro.spec import DECIDABLE_DEFAULT, ChannelSemantics
 from repro.verifier import (
-    SharedExploration, TransitionCache, verification_domain,
+    SharedExploration, verification_domain,
 )
 from repro.verifier.domain import VerificationDomain
 
@@ -93,9 +93,8 @@ def reachable(request):
     """(composition, every reachable state) of one set-up."""
     (composition, databases, domain, env_values,
      semantics) = SETUPS[request.param]()
-    exploration = SharedExploration(TransitionCache(
-        composition, databases, domain.values, semantics,
-        env_value_domain=env_values))
+    exploration = SharedExploration(composition, databases, domain.values,
+                                    semantics, env_value_domain=env_values)
     assert exploration.complete()
     return composition, [exploration.state_of(sid)
                          for sid in range(len(exploration.interner))]

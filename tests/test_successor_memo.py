@@ -3,8 +3,8 @@
 A shared exploration answers most successor rows from each mover's
 memoized share (:class:`repro.runtime.slots.SuccessorMemo`) and, on a
 miss, calls :func:`repro.runtime.step.successors` for the movers whose
-share is missing.  The seed engine and the protocol procedures call
-``successors()`` directly, so it is the unmemoized reference: on every
+share is missing.  The reference engine (:mod:`repro.fuzz.seed_engine`)
+calls ``successors()`` directly, so it is the unmemoized reference: on every
 state of every completed graph below, the exploration's row must equal
 the interned ``successors()`` of the decoded state, in the same order,
 and the decoded state must intern back to its own id.  A miss's mover
@@ -22,7 +22,7 @@ from repro.obs import counters_snapshot
 from repro.runtime import step
 from repro.runtime.step import successors
 from repro.spec import DECIDABLE_DEFAULT
-from repro.verifier import SharedExploration, TransitionCache
+from repro.verifier import SharedExploration
 from repro.verifier.domain import verification_domain
 
 from .test_expansion_golden import (
@@ -44,13 +44,13 @@ def _fuzz_spec(i: int):
 def _explorations(case: str) -> list[SharedExploration]:
     if case in LIBRARIES:
         _module, composition, databases, domain = _library(case)
-        return [SharedExploration(TransitionCache(
-            composition, databases, domain.values, DECIDABLE_DEFAULT))]
+        return [SharedExploration(composition, databases, domain.values,
+                                  DECIDABLE_DEFAULT)]
     if case == "credit_check":
         composition, databases, domain, env_values, _ = _credit_check()
-        return [SharedExploration(TransitionCache(
-            composition, databases, domain.values, DECIDABLE_DEFAULT,
-            env_value_domain=env_values))]
+        return [SharedExploration(composition, databases, domain.values,
+                                  DECIDABLE_DEFAULT,
+                                  env_value_domain=env_values)]
     if case in DOCUMENTS:
         return _document_explorations(case)
     spec = _fuzz_spec(int(case.removeprefix("fuzz#")))
@@ -58,8 +58,8 @@ def _explorations(case: str) -> list[SharedExploration]:
         pytest.skip("unbounded queues: nothing to explore")
     domain = verification_domain(spec.composition, [], spec.databases,
                                  fresh_count=1)
-    return [SharedExploration(TransitionCache(
-        spec.composition, spec.databases, domain.values, spec.semantics))]
+    return [SharedExploration(spec.composition, spec.databases,
+                              domain.values, spec.semantics)]
 
 
 def _complete(exploration: SharedExploration) -> dict[str, int]:
@@ -72,15 +72,14 @@ def _complete(exploration: SharedExploration) -> dict[str, int]:
 
 
 def _check_rows(exploration: SharedExploration) -> None:
-    cache = exploration.cache
     intern = exploration.interner.intern
     for sid in range(len(exploration.interner)):
         state = exploration.state_of(sid)
         assert intern(state) == sid
         expected = tuple(intern(successor) for successor in successors(
-            cache.composition, state, cache.domain, cache.semantics,
-            env_one_action_per_move=True,
-            env_value_domain=cache.env_value_domain))
+            exploration.composition, state, exploration.domain,
+            exploration.semantics, env_one_action_per_move=True,
+            env_value_domain=exploration.env_value_domain))
         assert exploration.successors_of(sid) == expected, sid
 
 
@@ -116,8 +115,7 @@ def test_one_movers_successors_are_its_block_of_the_row(case):
     compositions (the credit check), the environment."""
     for exploration in _explorations(case):
         assert exploration.complete()
-        cache = exploration.cache
-        composition = cache.composition
+        composition = exploration.composition
         movers = [peer.name for peer in composition.peers]
         if not composition.is_closed:
             movers.append(ENVIRONMENT_NAME)
@@ -125,9 +123,9 @@ def test_one_movers_successors_are_its_block_of_the_row(case):
 
         def expand(state, **subset):
             return successors(
-                composition, state, cache.domain, cache.semantics,
-                env_one_action_per_move=True,
-                env_value_domain=cache.env_value_domain, **subset)
+                composition, state, exploration.domain,
+                exploration.semantics, env_one_action_per_move=True,
+                env_value_domain=exploration.env_value_domain, **subset)
 
         for sid in range(len(exploration.interner)):
             state = exploration.state_of(sid)
@@ -140,11 +138,10 @@ def test_one_movers_successors_are_its_block_of_the_row(case):
 
 def test_an_unknown_mover_is_refused():
     (exploration,) = _explorations("ecommerce")
-    cache = exploration.cache
-    (state, *_rest) = cache.initial()
+    state = exploration.state_of(exploration.initial()[0])
     with pytest.raises(SpecificationError, match="no mover named"):
-        successors(cache.composition, state, cache.domain, cache.semantics,
-                   movers={ENVIRONMENT_NAME})
+        successors(exploration.composition, state, exploration.domain,
+                   exploration.semantics, movers={ENVIRONMENT_NAME})
 
 
 def test_a_miss_fires_only_the_movers_it_lacks(monkeypatch):

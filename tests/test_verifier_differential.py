@@ -17,12 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fo import Instance
+from repro.fuzz.seed_engine import SnapshotEvaluator
 from repro.ltlfo import parse_ltlfo
 from repro.runtime import initial_states, successors
 from repro.spec import DECIDABLE_DEFAULT, PERFECT_BOUNDED
 from repro.verifier import (
-    SnapshotEvaluator, canonical_valuations, decode_letter,
-    verification_domain, verify,
+    canonical_valuations, decode_letter, verification_domain, verify,
 )
 from repro.ltl import evaluate_on_word, lnot
 

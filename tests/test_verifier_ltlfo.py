@@ -9,7 +9,7 @@ from repro.spec import (
     PeerBuilder,
 )
 from repro.verifier import (
-    SearchBudget, TransitionCache, verify, verify_all,
+    SearchBudget, verify, verify_all,
     verify_over_databases,
 )
 

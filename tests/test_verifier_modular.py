@@ -12,7 +12,6 @@ from repro.verifier import (
     verify_modular,
 )
 from repro.verifier.domain import VerificationDomain
-from repro.verifier.product import TransitionCache
 
 DOMAIN = VerificationDomain(("a",), ("$f0",))
 DB = {"P0": Instance({"items": [("a",)]})}
