@@ -4,7 +4,7 @@ The verifier interns global states, completes the reachable
 snapshot graph into memoized successor rows after the first valuation
 (sound by Theorem 3.4: the snapshot graph does not depend on the
 valuation), and memoizes FO truths across valuations on
-``(ap_id, ext_id)`` int keys; each valuation reads its letters as
+``(template id, values, ext_id)`` keys; each valuation reads its letters as
 bitmasks over its evaluator's bit table, and valuations whose letters
 agree on every state share one search (one letter class: all 180 on
 the wide sweep).  Rows measured here:

@@ -9,17 +9,25 @@ exact.
 Two entry points:
 
 * :func:`evaluate` -- truth of a formula under a full binding of its free
-  variables;
+  variables.  The verifier reads every letter's FO truths through it, with
+  a payload *template* and the valuation's values of its free variables as
+  the binding, or a closed formula and no binding;
 * :func:`answers` -- the set of tuples for a head variable list that make a
   rule body true (used to fire input/state/action/send rules).
 
-The implementation computes *satisfying-binding sets* recursively.  For a
+``answers`` computes *satisfying-binding sets* recursively.  For a
 formula ``phi`` and a partial environment ``env``, ``sat_set`` returns the
 set of bindings of ``free_vars(phi) \\ dom(env)`` under which ``phi`` holds.
 Conjunction joins child binding sets; negation and universal quantification
 enumerate their unbound variables over the domain (sound and complete for
 finite domains; efficient for the guarded formulas that input-bounded
 specifications produce, where negations have few unbound variables).
+
+``evaluate`` needs one truth, not a binding set: its env binds every free
+variable, so it decides the quantifier-free skeleton (atoms by tuple
+membership, equalities, connectives) by short-circuit recursion, and hands
+only the ``Exists``/``Forall`` subformulas it reaches, with that env, to
+``sat_set``.
 """
 
 from __future__ import annotations
@@ -273,7 +281,46 @@ def evaluate(formula: Formula, inst: Instance, domain: Sequence[Value],
         )
     counter("fo.evaluate_calls").inc()
     with phase(PHASE_FO_EVAL):
-        return bool(sat_set(formula, inst, domain, env))
+        return _decide(formula, inst, domain, env)
+
+
+def _decide(formula: Formula, inst: Instance, domain: Sequence[Value],
+            env: Env) -> bool:
+    """Truth of *formula* under *env*, which binds its free variables.
+
+    The quantifier-free skeleton is decided by short circuit; a quantified
+    subformula goes, with *env*, to :func:`sat_set`, whose binding set
+    under a full env is ``{frozenset()}`` (true) or empty (false).
+    """
+    if isinstance(formula, Atom):
+        row = tuple(term.value if isinstance(term, Const) else env[term.name]
+                    for term in formula.terms)
+        rows = inst[formula.rel]
+        if row in rows:
+            return True
+        if rows and len(next(iter(rows))) != len(row):
+            raise FormulaError(
+                f"atom {formula} does not match arity of stored rows "
+                f"({len(next(iter(rows)))})")
+        return False
+    if isinstance(formula, Implies):
+        return (not _decide(formula.antecedent, inst, domain, env)
+                or _decide(formula.consequent, inst, domain, env))
+    if isinstance(formula, And):
+        return all(_decide(child, inst, domain, env)
+                   for child in formula.children)
+    if isinstance(formula, Or):
+        return any(_decide(child, inst, domain, env)
+                   for child in formula.children)
+    if isinstance(formula, Not):
+        return not _decide(formula.body, inst, domain, env)
+    if isinstance(formula, Eq):
+        return _resolve(formula.left, env) == _resolve(formula.right, env)
+    if isinstance(formula, TrueF):
+        return True
+    if isinstance(formula, FalseF):
+        return False
+    return bool(sat_set(formula, inst, domain, env))
 
 
 def answers(formula: Formula, head: Sequence[Var],

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from ..fo.evaluator import evaluate
+from ..fo.formulas import instantiate
 from ..fo.instance import Instance
 from ..fo.terms import Value
 from ..ltlfo.formulas import LTLFOSentence
@@ -25,7 +26,7 @@ from ..runtime.state import GlobalState, snapshot_view
 from ..runtime.step import initial_states, successors
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
-from ..verifier.atoms import OccursAtom, bindings, bit_table
+from ..verifier.atoms import BoundTemplate, OccursAtom, bindings, bit_table
 from ..verifier.domain import (
     VerificationDomain, canonical_valuations, verification_domain,
 )
@@ -80,7 +81,11 @@ class SnapshotEvaluator:
     view, an occurs atom on its active domain.
 
     *aps* are the automaton's APs, or their binding
-    (:func:`~repro.verifier.atoms.bindings`); bits follow its order.
+    (:func:`~repro.verifier.atoms.bindings`); bits follow its order.  A
+    :class:`~repro.verifier.atoms.BoundTemplate` is instantiated under
+    its valuation here, so the closed formula is what gets evaluated,
+    where the verifier evaluates the template under the valuation's
+    values.
     """
 
     def __init__(self, composition: Composition, domain: Iterable[Value],
@@ -90,6 +95,10 @@ class SnapshotEvaluator:
         self.binding = bindings(aps)
         self.aps = frozenset(self.binding)
         self.bits = bit_table(self.binding)
+        self._formulas = {
+            ap: instantiate(source.template, source.valuation)
+            if isinstance(source, BoundTemplate) else source
+            for ap, source in self.binding.items()}
         self._letters: dict[GlobalState, int] = {}
 
     def letter(self, state: GlobalState) -> int:
@@ -98,7 +107,7 @@ class SnapshotEvaluator:
             mask = 0
             view = snapshot_view(state, self.composition)
             for ap, bit in self.bits.items():
-                formula = self.binding[ap]
+                formula = self._formulas[ap]
                 if (formula.value in state.active_domain()
                         if isinstance(formula, OccursAtom)
                         else evaluate(formula, view, self.domain)):

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Callable, Hashable, Mapping
 
 from ..errors import VerificationError
-from ..fo import formulas as fo
 from ..fo.instance import Instance
 from ..ltl.buchi import BuchiAutomaton
 from ..ltl.formulas import land
@@ -23,12 +22,14 @@ from ..ltl.translate import ltl_to_buchi
 from ..runtime.run import Lasso
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
-from ..verifier.atoms import InternedSnapshotEvaluator, OccursAtom, bit_table
+from ..verifier.atoms import (
+    BoundTemplate, InternedSnapshotEvaluator, OccursAtom, bit_table,
+)
 from ..verifier.domain import (
     VerificationDomain, canonical_valuations, verification_domain,
 )
 from ..verifier.graph import SharedExploration
-from ..verifier.ltlfo_verifier import occurs_terms, sweep_valuations
+from ..verifier.ltlfo_verifier import Unit, occurs_terms, sweep_valuations
 from ..verifier.product import SearchBudget
 from ..verifier.result import VerificationResult
 from .base import AgnosticProtocol, DataAwareProtocol
@@ -100,6 +101,36 @@ def verify_agnostic(composition: Composition,
                             semantics)
 
 
+def aware_unit(protocol: DataAwareProtocol, domain: VerificationDomain,
+               evaluator: Callable[[dict], object]) -> Unit:
+    """The sweep unit of a data-aware protocol.
+
+    The violation automaton is intersected with the ``F occurs(v)``
+    terms once per occurs tuple, on first use.  A valuation's evaluator,
+    ``evaluator(binding)``, binds each symbol to its formula and the
+    valuation (a :class:`BoundTemplate`, read under the valuation's
+    values of the formula's free variables), and occurs atoms to
+    themselves; its bits follow the automaton's APs.
+    """
+    violation = protocol.violation_automaton()
+    #: occurs tuple -> the violation automaton intersected with it
+    automata: dict[tuple, BuchiAutomaton] = {}
+
+    def unit(valuation):
+        occurs = tuple(occurs_terms(valuation, domain))
+        nba = automata.get(occurs)
+        if nba is None:
+            nba = automata[occurs] = (
+                violation.intersection(ltl_to_buchi(land(*occurs)))
+                if occurs else violation)
+        return nba, evaluator({
+            ap: ap if isinstance(ap, OccursAtom)
+            else BoundTemplate(protocol.symbols[ap], valuation)
+            for ap in nba.aps})
+
+    return unit
+
+
 def verify_aware(composition: Composition,
                  protocol: DataAwareProtocol,
                  databases: Mapping[str, Instance],
@@ -113,8 +144,10 @@ def verify_aware(composition: Composition,
     run's active domain: each canonical valuation is checked, with
     ``F occurs(v)`` constraints forcing fresh valuation values to appear
     in the counterexample run (mirroring the LTL-FO verifier, whose
-    letter classes it shares: a valuation binds each symbol to its
-    formula instantiated under the valuation).
+    letter classes it shares).  A valuation's letters read each symbol's
+    formula under the valuation's values of its free variables
+    (:func:`aware_unit`), with truths memoized on those values and the
+    extensions the formula reads; no formula is instantiated.
     """
     variables = protocol.free_variables()
     if domain is None:
@@ -130,23 +163,10 @@ def verify_aware(composition: Composition,
     exploration = SharedExploration(composition, databases, domain.values,
                                     semantics, budget=budget)
     text = f"data-aware protocol over {sorted(protocol.symbols)}"
-    violation = protocol.violation_automaton()
-    #: occurs tuple -> the violation automaton intersected with it
-    automata: dict[tuple, BuchiAutomaton] = {}
-
-    def unit(valuation):
-        occurs = tuple(occurs_terms(valuation, domain))
-        nba = automata.get(occurs)
-        if nba is None:
-            nba = automata[occurs] = (
-                violation.intersection(ltl_to_buchi(land(*occurs)))
-                if occurs else violation)
-        binding = {ap: ap if isinstance(ap, OccursAtom)
-                   else fo.instantiate(protocol.symbols[ap], valuation)
-                   for ap in nba.aps}
-        return nba, InternedSnapshotEvaluator(
-            composition, domain.values, binding, exploration.shared)
-
+    unit = aware_unit(protocol, domain,
+                      lambda binding: InternedSnapshotEvaluator(
+                          composition, domain.values, binding,
+                          exploration.shared))
     return sweep_valuations(canonical_valuations(variables, domain),
                             exploration, unit, text, domain, semantics)
 

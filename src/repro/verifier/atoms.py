@@ -24,8 +24,13 @@ mask back into the set of true APs.
 An automaton AP is read through a *binding* (:func:`bindings`).  The
 LTL-FO verifier translates each sentence once, as a template whose APs
 are payload positions (:class:`PayloadAtom`); a valuation's evaluator
-binds position *i* to payload *i* instantiated under the valuation, and
-occurs and fairness atoms to themselves.
+binds position *i* to payload *i* as a :class:`BoundTemplate` (the
+payload and the valuation, which supplies the values of its free
+variables), and occurs and fairness atoms to themselves.  No formula is
+instantiated on this path: under Section 3's closure semantics a
+valuation reaches the automaton only through each payload's truth, which
+:class:`SharedSnapshotContext` keys on the template, the values of its
+free variables and the extensions it reads.
 """
 
 from __future__ import annotations
@@ -34,10 +39,11 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Hashable, Iterable, Mapping
 
+from ..errors import FormulaError
 from ..fo.evaluator import evaluate
-from ..fo.formulas import Formula, relations
+from ..fo.formulas import Formula, free_vars, relations
 from ..fo.instance import Instance
-from ..fo.terms import Value
+from ..fo.terms import Value, Var
 from ..spec.composition import Composition
 from ..runtime.state import snapshot_view
 
@@ -63,9 +69,24 @@ class PayloadAtom:
         return f"payload[{self.index}]"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class BoundTemplate:
+    """What a valuation's FO AP reads: the FO formula *template* with its
+    free variables taking their values from *valuation*.
+
+    The shared context evaluates the template under those values and
+    keys its truths on them (:meth:`SharedSnapshotContext.payload`); the
+    reference evaluator instantiates it.
+    """
+
+    template: Formula
+    valuation: Mapping[Var, Value]
+
+
 def bindings(aps: Iterable[Hashable] | Mapping) -> dict:
-    """Each AP with what its truth is read from: an FO sentence or an
-    :class:`OccursAtom`.
+    """Each AP with what its truth is read from: a :class:`BoundTemplate`,
+    a closed FO formula (a template with no free variables to bind) or
+    an :class:`OccursAtom`.
 
     A mapping is taken as the binding, in its order; any other iterable
     binds each of its APs to itself.
@@ -104,16 +125,37 @@ class ExtensionMemo:
         self.witness: dict[int, int] = {}
 
 
+class PayloadTruths:
+    """One bound template's truths, by extension id of its relations.
+
+    ``env`` binds the template's free variables to the valuation's
+    values; ``memo`` is its relation set's :class:`ExtensionMemo`, whose
+    witnesses the truths are evaluated on.
+    """
+
+    __slots__ = ("template", "env", "rels", "memo", "by_extension")
+
+    def __init__(self, template: Formula, env: dict, rels: tuple[str, ...],
+                 memo: ExtensionMemo) -> None:
+        self.template = template
+        self.env = env
+        self.rels = rels
+        self.memo = memo
+        self.by_extension: dict[int, bool] = {}
+
+
 class SharedSnapshotContext:
     """Per-exploration caches keyed on interned ids and slot keys.
 
     Owned by a :class:`~repro.verifier.graph.SharedExploration` and
-    shared by every valuation's :class:`InternedSnapshotEvaluator`
-    (modular's pair evaluator reads its views and active domains).  FO
-    truths are shared across valuations and properties, keyed on two
-    ints: the AP's id (:meth:`ap_id`, one per distinct formula) and an id
-    of the extensions its relations have at the state
-    (:meth:`extension_id`).
+    shared by every valuation's :class:`InternedSnapshotEvaluator` and
+    modular's pair evaluator.  FO truths are shared across valuations and
+    properties, keyed on a template's id (:meth:`template`, one per
+    distinct formula), the valuation's values of its free variables (none
+    for a closed formula) and an id of the extensions its relations have
+    at the state (:meth:`extension_id`).  A pair evaluator's truths are
+    keyed on the formula's id and the extension ids of the previous and
+    the current state (:meth:`pair_truths`).
 
     An FO AP's truth at a snapshot depends only on the extensions of the
     relations it mentions (Section 3), and those are a function of the
@@ -137,11 +179,15 @@ class SharedSnapshotContext:
         self.interner = interner
         self._views: dict[int, Instance] = {}
         self._domains: dict[int, frozenset] = {}
-        self._ap_ids: dict[Formula, int] = {}
+        #: template -> (id, sorted relations, free variables by name)
+        self._templates: dict[Formula, tuple] = {}
         self._extension_ids: dict[tuple, int] = {}
         #: relation set -> its extension memo
         self._memos: dict[tuple[str, ...], ExtensionMemo] = {}
-        self._truths: dict[tuple[int, int], bool] = {}
+        #: (template id, values) -> its truths
+        self._truths: dict[tuple[int, tuple], PayloadTruths] = {}
+        #: template id -> truths by (previous, current) extension ids
+        self._pair_truths: dict[int, dict[tuple[int, int], bool]] = {}
         #: relation set -> its distinct extension ids, in state order
         self._classes: dict[tuple[str, ...], tuple[int, ...]] = {}
 
@@ -160,9 +206,48 @@ class SharedSnapshotContext:
             self._domains[sid] = cached
         return cached
 
-    def ap_id(self, ap: Formula) -> int:
-        """The id of an FO AP, equal for equal formulas."""
-        return self._ap_ids.setdefault(ap, len(self._ap_ids))
+    def template(self, formula: Formula
+                 ) -> tuple[int, tuple[str, ...], tuple[Var, ...]]:
+        """An FO formula's id (equal for equal formulas), its relations
+        sorted, and its free variables in name order; interned once."""
+        entry = self._templates.get(formula)
+        if entry is None:
+            entry = self._templates[formula] = (
+                len(self._templates), tuple(sorted(relations(formula))),
+                tuple(sorted(free_vars(formula), key=lambda v: v.name)))
+        return entry
+
+    def payload(self, source: BoundTemplate | Formula) -> PayloadTruths:
+        """The truths of what an FO AP is bound to: a :class:`BoundTemplate`
+        or a closed formula, the same template with no values.
+
+        Interned on the template's id and the valuation's values of its
+        free variables, checked here, once per binding: a free variable
+        the valuation leaves unbound is a :class:`FormulaError`.
+        """
+        if isinstance(source, BoundTemplate):
+            template, valuation = source.template, source.valuation
+        else:
+            template, valuation = source, {}
+        tid, rels, variables = self.template(template)
+        missing = [v.name for v in variables if v not in valuation]
+        if missing:
+            raise FormulaError(
+                f"payload {template} has free variables {missing} that "
+                f"its valuation does not bind")
+        values = tuple(valuation[v] for v in variables)
+        payload = self._truths.get((tid, values))
+        if payload is None:
+            env = {v.name: value for v, value in zip(variables, values)}
+            payload = self._truths[(tid, values)] = PayloadTruths(
+                template, env, rels, self.extension_memo(rels))
+        return payload
+
+    def pair_truths(self, formula: Formula) -> dict[tuple[int, int], bool]:
+        """A closed pair formula's truths, by the extension ids of its
+        previous-state and current-state relations (modular's
+        ``PairEvaluator`` fills them in)."""
+        return self._pair_truths.setdefault(self.template(formula)[0], {})
 
     def extension_memo(self, rels: tuple[str, ...]) -> ExtensionMemo:
         """The extension memo of one relation set."""
@@ -201,17 +286,15 @@ class SharedSnapshotContext:
                 for sid in range(len(self.interner))))
         return classes
 
-    def truth(self, ap_id: int, formula: Formula, eid: int,
-              rels: tuple[str, ...], domain: tuple) -> bool:
-        """The FO AP *ap_id*'s truth on extension *eid* of its relations
-        *rels*, memoized; evaluated on the view of the first state seen
-        with that extension."""
-        key = (ap_id, eid)
-        truth = self._truths.get(key)
+    def truth(self, payload: PayloadTruths, eid: int, domain: tuple) -> bool:
+        """A bound template's truth on extension *eid* of its relations,
+        memoized; evaluated, under the valuation's values, on the view of
+        the first state seen with that extension."""
+        truth = payload.by_extension.get(eid)
         if truth is None:
-            witness = self._memos[rels].witness[eid]
-            truth = self._truths[key] = evaluate(formula, self.view(witness),
-                                                 domain)
+            witness = payload.memo.witness[eid]
+            truth = payload.by_extension[eid] = evaluate(
+                payload.template, self.view(witness), domain, payload.env)
         return truth
 
 
@@ -221,11 +304,11 @@ class InternedSnapshotEvaluator:
     *aps* are the automaton's APs, or their binding (:func:`bindings`);
     bits follow its order.  ``letter`` takes a dense state id, and the
     views, active domains and FO truths belong to the exploration's
-    :class:`SharedSnapshotContext`, so valuations 2..N of a sweep mostly
-    re-read memoized truths instead of re-evaluating formulas.  Each
-    bound formula is hashed once, here; ``letter`` looks truths up by
-    ``(ap_id, extension id)`` and memoizes this evaluator's letters per
-    state.
+    :class:`SharedSnapshotContext`, so valuations that bind a payload's
+    free variables alike share its truths.  Each FO AP's truths are
+    looked up once, here (:meth:`SharedSnapshotContext.payload`);
+    ``letter`` reads them by extension id and memoizes this evaluator's
+    letters per state.
     """
 
     def __init__(self, composition: Composition, domain: Iterable[Value],
@@ -239,13 +322,11 @@ class InternedSnapshotEvaluator:
         self._occurs = []
         self._fo = []
         for ap, bit in self.bits.items():
-            formula = self.binding[ap]
-            if isinstance(formula, OccursAtom):
-                self._occurs.append((bit, formula.value))
+            source = self.binding[ap]
+            if isinstance(source, OccursAtom):
+                self._occurs.append((bit, source.value))
             else:
-                rels = tuple(sorted(relations(formula)))
-                self._fo.append((bit, shared.ap_id(formula), formula, rels,
-                                 shared.extension_memo(rels)))
+                self._fo.append((bit, shared.payload(source)))
         self._letters: dict[int, int] = {}
 
     def letter(self, sid: int) -> int:
@@ -260,11 +341,12 @@ class InternedSnapshotEvaluator:
                 if value in present:
                     mask |= bit
         key = shared.interner.key_of(sid)
-        for bit, ap_id, formula, rels, memo in self._fo:
+        for bit, payload in self._fo:
+            memo = payload.memo
             eid = memo.by_projection.get(memo.project(key))
             if eid is None:
-                eid = shared.extension_id(sid, rels)
-            if shared.truth(ap_id, formula, eid, rels, self.domain):
+                eid = shared.extension_id(sid, payload.rels)
+            if shared.truth(payload, eid, self.domain):
                 mask |= bit
         self._letters[sid] = mask
         return mask
@@ -282,10 +364,10 @@ class InternedSnapshotEvaluator:
         """
         shared = self.shared
         signature = []
-        for _bit, ap_id, formula, rels, _memo in self._fo:
+        for _bit, payload in self._fo:
             mask = 0
-            for i, eid in enumerate(shared.extension_classes(rels)):
-                if shared.truth(ap_id, formula, eid, rels, self.domain):
+            for i, eid in enumerate(shared.extension_classes(payload.rels)):
+                if shared.truth(payload, eid, self.domain):
                     mask |= 1 << i
             signature.append(mask)
         return tuple(signature)

@@ -11,8 +11,10 @@ sentence, by exhaustive search over the bounded verification domain:
    conjoined with ``F occurs(v)`` for each fresh value a valuation uses
    (the ``Dom(rho)`` restriction of the closure semantics), is
    translated to a Büchi automaton (GPVW) once per occurs tuple; a
-   valuation's letters read position *i* as payload *i* instantiated
-   under it.
+   valuation's letters read position *i* as the truth of payload *i*
+   with its free variables bound to the valuation's values (no formula
+   is instantiated), memoized on those values and the extensions the
+   payload reads.
 3. The on-the-fly product with the composition's snapshot graph is
    searched for an accepting lasso (nested DFS).  A lasso is a genuine
    infinite counterexample run; none anywhere means the property holds
@@ -41,7 +43,6 @@ import time
 from typing import Callable, Mapping, Sequence
 
 from ..errors import InputBoundednessError, VerificationError
-from ..fo.formulas import instantiate
 from ..fo.instance import Instance
 from ..fo.terms import Value, Var, value_sort_key
 from ..ib.checker import check_composition, check_sentence
@@ -60,7 +61,9 @@ from ..runtime.run import Lasso
 from ..runtime.step import rule_cache_delta, rule_cache_info
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
-from .atoms import InternedSnapshotEvaluator, OccursAtom, PayloadAtom
+from .atoms import (
+    BoundTemplate, InternedSnapshotEvaluator, OccursAtom, PayloadAtom,
+)
 from .domain import (
     VerificationDomain, canonical_valuations, verification_domain,
 )
@@ -229,7 +232,9 @@ def sentence_unit(composition: Composition, sentence: LTLFOSentence,
     valuation with that tuple; canonical valuations use fresh values as
     a prefix, so there are at most ``len(domain.fresh) + 1``.  A
     valuation's evaluator, ``evaluator(binding)``, binds position *i* to
-    payload *i* instantiated under the valuation, and occurs and
+    payload *i* and the valuation (a :class:`BoundTemplate`, which the
+    evaluator reads under the valuation's values of the payload's free
+    variables; nothing is instantiated per valuation), and occurs and
     fairness atoms to themselves; its bits follow the template's atoms
     in walk order.
     """
@@ -248,9 +253,9 @@ def sentence_unit(composition: Composition, sentence: LTLFOSentence,
                                         if isinstance(node, LAtom)))
             template = templates[occurs] = (ltl_to_buchi(formula), atoms)
         nba, atoms = template
-        bound = [instantiate(p, valuation) for p in payloads]
         return nba, evaluator({
-            ap: bound[ap.index] if isinstance(ap, PayloadAtom) else ap
+            ap: BoundTemplate(payloads[ap.index], valuation)
+            if isinstance(ap, PayloadAtom) else ap
             for ap in atoms})
 
     return unit

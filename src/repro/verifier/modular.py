@@ -298,15 +298,43 @@ class PairCache:
         return self.exploration.states_expanded
 
 
+#: The previous-state extension id of a pair with no previous state.
+NO_PREVIOUS = -1
+
+
 class PairEvaluator:
-    """AP valuation over (previous, current) id pairs, as masks; views
-    and active domains come from the exploration's *shared* context."""
+    """AP valuation over (previous, current) id pairs, as masks; views,
+    active domains and FO truths come from the exploration's *shared*
+    context.
+
+    A closed pair formula's truth depends only on the extensions of the
+    relations it reads: its ``@prev.R`` atoms read ``R`` at the previous
+    state, its other atoms the current state.  So truths are keyed on
+    the formula's id and the extension ids of the two relation sets
+    (:meth:`SharedSnapshotContext.pair_truths`), :data:`NO_PREVIOUS`
+    standing for the previous side at an initial state, and each is
+    evaluated on the pair view of the first pair seen with those ids.
+    """
 
     def __init__(self, shared: SharedSnapshotContext, domain: Sequence,
                  aps: frozenset) -> None:
         self.shared = shared
         self.domain = tuple(domain)
         self.bits = bit_table(aps)
+        self._occurs = []
+        self._fo = []
+        for ap, bit in self.bits.items():
+            if isinstance(ap, OccursAtom):
+                self._occurs.append((bit, ap.value))
+                continue
+            rels = fo.relations(ap)
+            previous = tuple(sorted(rel.removeprefix(PREV_MARK)
+                                    for rel in rels
+                                    if rel.startswith(PREV_MARK)))
+            current = tuple(sorted(rel for rel in rels
+                                   if not rel.startswith(PREV_MARK)))
+            self._fo.append((bit, ap, previous, current,
+                             shared.pair_truths(ap)))
         self._letter_cache: dict[tuple, int] = {}
 
     def _pair_view(self, prev: int | None, cur: int) -> Instance:
@@ -325,16 +353,24 @@ class PairEvaluator:
         if cached is not None:
             return cached
         prev, cur = pair
+        shared = self.shared
         mask = 0
-        pair_view: Instance | None = None
-        for ap, bit in self.bits.items():
-            if isinstance(ap, OccursAtom):
-                if ap.value in self.shared.active_domain(cur):
+        if self._occurs:
+            present = shared.active_domain(cur)
+            for bit, value in self._occurs:
+                if value in present:
                     mask |= bit
-                continue
-            if pair_view is None:
-                pair_view = self._pair_view(prev, cur)
-            if evaluate(ap, pair_view, self.domain):
+        pair_view: Instance | None = None
+        for bit, ap, previous, current, truths in self._fo:
+            key = (NO_PREVIOUS if prev is None
+                   else shared.extension_id(prev, previous),
+                   shared.extension_id(cur, current))
+            truth = truths.get(key)
+            if truth is None:
+                if pair_view is None:
+                    pair_view = self._pair_view(prev, cur)
+                truth = truths[key] = evaluate(ap, pair_view, self.domain)
+            if truth:
                 mask |= bit
         self._letter_cache[pair] = mask
         return mask

@@ -37,6 +37,31 @@ class TestBasics:
         with pytest.raises(FormulaError):
             evaluate(atom("r", Var("x")), inst(), DOMAIN)
 
+    def test_unbound_free_var_raises_wherever_it_occurs(self):
+        """Unbound in an equality, behind a short circuit, or free in a
+        quantified subformula: every case raises before evaluating."""
+        i = inst(r=[("a", "b")])
+        for formula in (
+            eq(Var("x"), "a"),
+            disj(atom("r", "a", "b"), atom("r", Var("x"), "b")),
+            exists(["y"], atom("r", Var("x"), Var("y"))),
+        ):
+            with pytest.raises(FormulaError, match="missing"):
+                evaluate(formula, i, DOMAIN)
+
+    def test_atom_arity_clash_raises(self):
+        """An evaluated atom whose stored rows have another arity raises,
+        decided by membership or matched under a quantifier."""
+        i = inst(r=[("a", "b")])
+        for formula, env in (
+            (atom("r", "a"), {}),
+            (atom("r", Var("x")), {"x": "a"}),
+            (neg(atom("r", "a", "b", "c")), {}),
+            (exists(["x"], atom("r", Var("x"))), {}),
+        ):
+            with pytest.raises(FormulaError, match="arity"):
+                evaluate(formula, i, DOMAIN, env)
+
     def test_exists(self):
         i = inst(r=[("b",)])
         assert evaluate(exists(["x"], atom("r", Var("x"))), i, DOMAIN)
@@ -150,10 +175,12 @@ def _formulas(depth=3):
     )
 
 
+# up to all 9 rows, so atoms are matched both by scan and, from 5 rows,
+# through the instance's hash index
 _instances = st.builds(
     lambda r_rows, s_rows: Instance({"r": r_rows, "s": s_rows}),
-    st.lists(st.tuples(_values, _values), max_size=4),
-    st.lists(st.tuples(_values, _values), max_size=4),
+    st.lists(st.tuples(_values, _values), max_size=9, unique=True),
+    st.lists(st.tuples(_values, _values), max_size=9, unique=True),
 )
 
 

@@ -1,13 +1,13 @@
 """Extension ids read off slot keys, checked against rendered views.
 
-A letter's FO truths are memoised on ``(ap_id, extension id)``, and
-:meth:`SharedSnapshotContext.extension_id` reads a state's id off the
-projection of its slot key onto the slots behind the relations
-(:meth:`SlotCodec.slots_of`), decoding a state only the first time a
-projection is seen.  A projection that misses a slot would give two
-states with different extensions one id, and every letter after the
-first would read the first state's truths; one that ids finer than the
-extensions would split letter classes.
+A letter's FO truths are memoised on ``(template id, values, extension
+id)``, and :meth:`SharedSnapshotContext.extension_id` reads a state's
+id off the projection of its slot key onto the slots behind the
+relations (:meth:`SlotCodec.slots_of`), decoding a state only the first
+time a projection is seen.  A projection that misses a slot would give
+two states with different extensions one id, and every letter after
+the first would read the first state's truths; one that ids finer than
+the extensions would split letter classes.
 
 So on every state of each case graph of ``tests/test_successor_memo.py``,
 for every view or persistent relation alone and for the relations of

@@ -9,18 +9,29 @@ keep that encoding honest:
   letter of the alphabet, the same destinations in the same order as
   ``Guard.satisfied`` does, and agrees on initial and accepting states;
 * on completed library graphs the shared engine's letters, whose FO
-  truths are memoised across valuations on ``(ap_id, extension id)``,
-  decode to the same AP sets as the seed evaluator's.  A key collision
+  truths are memoised across valuations on ``(template id, values,
+  extension id)``, decode to the same AP sets as the seed evaluator's
+  (a closed formula is a template with no values).  A key collision
   that flips no verdict would pass the digests but not this;
 * the letter classes a sweep searches once each are exactly the classes
   of valuations whose seed letters agree on every state of the graph,
-  checked against the seed evaluator, not the signature code.
+  checked against the seed evaluator, not the signature code;
+* the bindings ``sentence_unit`` and ``aware_unit`` build, each payload
+  template with the valuation whose values the shared truths are keyed
+  on, read the letters the reference evaluator reads on the formulas
+  instantiated from the sentence or protocol directly.  Values bound to
+  the wrong free variable pass the automaton-AP cases above, not this.
 """
 
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 
+from repro.errors import FormulaError
+from repro.fo import formulas
+from repro.fo.formulas import instantiate
+from repro.fo.terms import Var
 from repro.library import dispatch, loan, payments
 from repro.fuzz.seed_engine import SnapshotEvaluator
 from repro.ltl import (
@@ -28,17 +39,20 @@ from repro.ltl import (
     limplies, lnot, ltl_to_buchi,
 )
 from repro.ltlfo.parser import parse_ltlfo
+from repro.protocols.verify import aware_unit, verify_aware
 from repro.spec import DECIDABLE_DEFAULT
 from repro.spec.dsl import load_document
 from repro.verifier import (
-    InternedSnapshotEvaluator, ProductSystem, SharedExploration, bit_table,
-    canonical_valuations, decode_letter, property_engines,
-    verification_domain,
+    InternedSnapshotEvaluator, OccursAtom, ProductSystem, SharedExploration,
+    bit_table, canonical_valuations, decode_letter, property_engines,
+    verification_domain, verify,
 )
+from repro.verifier.atoms import BoundTemplate, PayloadAtom
 from repro.verifier.ltlfo_verifier import (
     letter_class, occurs_terms, sentence_unit,
 )
 
+from .test_expansion_golden import per_ssn_request_answered
 from .test_ltl_translate import _ltl
 
 AUCTION = Path(__file__).resolve().parents[1] / "examples/specs/auction.dws"
@@ -247,3 +261,145 @@ def test_letter_classes_on_payments_and_dispatch_graphs():
                                        composition.schema)
                 assert letter_vector_classes(
                     composition, domain, exploration, sentence) > 1
+
+
+def assert_bound_letters_match_reference(composition, domain, exploration,
+                                         unit, valuations, instantiated):
+    """On every state, each valuation's letters read through *unit*'s
+    own binding equal the reference evaluator's on closed formulas.
+
+    ``instantiated(ap, valuation)`` is the closed formula an FO AP of
+    the unit's automaton stands for, built from the sentence or protocol
+    without the binding; occurs and fairness atoms stand for themselves.
+    """
+    assert exploration.complete()
+    states = [exploration.state_of(sid)
+              for sid in range(len(exploration.interner))]
+    assert valuations
+    for valuation in valuations:
+        _nba, interned = unit(valuation)
+        reference = SnapshotEvaluator(composition, domain.values, {
+            ap: ap if isinstance(ap, OccursAtom)
+            else instantiated(ap, valuation)
+            for ap in interned.binding})
+        for sid, state in enumerate(states):
+            assert decode_letter(interned.bits, interned.letter(sid)) == \
+                decode_letter(reference.bits, reference.letter(state)), \
+                (valuation, sid)
+
+
+def assert_sentence_bindings_match_reference(
+        composition, domain, exploration, sentence, valuations,
+        fair_scheduling=False):
+    payloads = sentence.fo_payloads()
+
+    def instantiated(ap, valuation):
+        if isinstance(ap, PayloadAtom):
+            return instantiate(payloads[ap.index], valuation)
+        return ap  # a fairness atom
+
+    unit = sentence_unit(
+        composition, sentence, domain,
+        lambda binding: InternedSnapshotEvaluator(
+            composition, domain.values, binding, exploration.shared),
+        fair_scheduling)
+    assert_bound_letters_match_reference(
+        composition, domain, exploration, unit, valuations, instantiated)
+
+
+def test_sentence_bindings_match_reference_on_loan_graph():
+    """E14's 180 valuations, then the standard candidates of properties
+    whose payloads bind two to four variables to values that differ per
+    variable, one of them with the fairness atoms."""
+    composition = loan.loan_composition()
+    databases = loan.standard_database("fair")
+    domain = verification_domain(composition, [], databases, fresh_count=1)
+    exploration = SharedExploration(composition, databases, domain.values,
+                                    DECIDABLE_DEFAULT)
+    wide = parse_ltlfo(loan.PROPERTY_LETTER_NEEDS_APPLICATION,
+                       composition.schema)
+    assert_sentence_bindings_match_reference(
+        composition, domain, exploration, wide,
+        canonical_valuations(wide.variables, domain, WIDE_CANDIDATES))
+    for text in (loan.PROPERTY_BANK_POLICY,
+                 loan.PROPERTY_BANK_POLICY_POINTWISE,
+                 loan.PROPERTY_RESPONSIVENESS):
+        sentence = parse_ltlfo(text, composition.schema)
+        assert_sentence_bindings_match_reference(
+            composition, domain, exploration, sentence,
+            canonical_valuations(sentence.variables, domain,
+                                 loan.STANDARD_CANDIDATES),
+            fair_scheduling=text == loan.PROPERTY_RESPONSIVENESS)
+
+
+def test_sentence_bindings_match_reference_on_auction_graph():
+    """Every canonical valuation of both auction properties, fresh
+    values (and so occurs atoms) included."""
+    composition, databases, properties = load_document(AUCTION.read_text())
+    sentences = [parse_ltlfo(text, composition.schema)
+                 for _name, text in sorted(properties.items())]
+    plan = property_engines(composition, sentences, databases)
+    [(domain, exploration)] = {id(e): (d, e) for d, e in plan}.values()
+    for sentence in sentences:
+        assert_sentence_bindings_match_reference(
+            composition, domain, exploration, sentence,
+            canonical_valuations(sentence.variables, domain))
+
+
+def test_aware_bindings_match_reference_on_per_ssn_protocol():
+    """E8's per-ssn protocol: every canonical valuation of ``s``, bound
+    as ``verify_aware`` binds it."""
+    composition, databases, domain, protocol = per_ssn_request_answered()
+    exploration = SharedExploration(composition, databases, domain.values,
+                                    DECIDABLE_DEFAULT)
+    unit = aware_unit(protocol, domain,
+                      lambda binding: InternedSnapshotEvaluator(
+                          composition, domain.values, binding,
+                          exploration.shared))
+    assert_bound_letters_match_reference(
+        composition, domain, exploration, unit,
+        canonical_valuations(protocol.free_variables(), domain),
+        lambda ap, valuation: instantiate(protocol.symbols[ap], valuation))
+
+
+def test_a_binding_that_leaves_a_free_variable_unbound_is_refused():
+    """A payload's free variables are checked against its valuation once,
+    when the evaluator is built; a closed formula is a template with no
+    values, so an open one bound alone is refused too."""
+    composition = loan.loan_composition()
+    databases = loan.standard_database("fair")
+    domain = verification_domain(composition, [], databases, fresh_count=1)
+    exploration = SharedExploration(composition, databases, domain.values,
+                                    DECIDABLE_DEFAULT)
+    sentence = parse_ltlfo(loan.PROPERTY_LETTER_NEEDS_APPLICATION,
+                           composition.schema)
+    [payload] = sentence.fo_payloads()
+    for source in (BoundTemplate(payload, {Var("id"): "c1"}), payload):
+        with pytest.raises(FormulaError, match="does not bind"):
+            InternedSnapshotEvaluator(composition, domain.values,
+                                      {PayloadAtom(0): source},
+                                      exploration.shared)
+
+
+def test_sweeps_build_no_formula_per_valuation(monkeypatch):
+    """E14's sweep and E8's per-ssn protocol bind payload templates:
+    no formula is substituted into, whatever the valuation count."""
+    calls = []
+    substitute = formulas.substitute
+
+    def counting(*args):
+        calls.append(args)
+        return substitute(*args)
+
+    monkeypatch.setattr(formulas, "substitute", counting)
+    composition = loan.loan_composition()
+    databases = loan.standard_database("fair")
+    domain = verification_domain(composition, [], databases, fresh_count=1)
+    result = verify(composition, loan.PROPERTY_LETTER_NEEDS_APPLICATION,
+                    databases, domain=domain,
+                    valuation_candidates=WIDE_CANDIDATES)
+    assert result.stats.valuations_checked == 180
+    composition, databases, domain, protocol = per_ssn_request_answered()
+    result = verify_aware(composition, protocol, databases, domain=domain)
+    assert result.stats.valuations_checked == 12
+    assert calls == []

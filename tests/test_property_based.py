@@ -2,9 +2,13 @@
 valuation canonicalizer.
 
 Two independently implemented evaluators must agree on random formulas
-over random small instances: the production satisfying-binding-set
-evaluator (:func:`repro.fo.evaluator.evaluate`) and the textbook
-brute-force one (:func:`repro.fo.evaluator.evaluate_naive`).  The same
+over random small instances: the production evaluator
+(:func:`repro.fo.evaluator.evaluate`, which decides the quantifier-free
+skeleton by short circuit and quantified subformulas by
+satisfying-binding sets under the bound env) and the textbook
+brute-force one (:func:`repro.fo.evaluator.evaluate_naive`).  Binary
+relations reach 9 rows, past the 5 from which the atom matcher probes a
+hash index instead of scanning, so both paths are drawn.  The same
 instances also check :func:`answers` against direct enumeration.
 
 For :mod:`repro.verifier.domain`, the symmetry canonicalization must
@@ -15,6 +19,7 @@ a valuation is invariant under any permutation of the fresh values.
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fo.evaluator import answers, evaluate, evaluate_naive
@@ -23,6 +28,7 @@ from repro.fo.formulas import (
 )
 from repro.fo.instance import Instance
 from repro.fo.terms import Const, Var
+from repro.obs import counters_snapshot
 from repro.verifier.domain import (
     VerificationDomain, canonical_valuations, canonicalize_valuation,
 )
@@ -74,7 +80,7 @@ rows1 = st.frozensets(
     st.tuples(st.sampled_from(DOMAIN)), max_size=3
 )
 rows2 = st.frozensets(
-    st.tuples(st.sampled_from(DOMAIN), st.sampled_from(DOMAIN)), max_size=4
+    st.tuples(st.sampled_from(DOMAIN), st.sampled_from(DOMAIN)), max_size=9
 )
 instances = st.builds(
     lambda s, r: Instance({"S": s, "R": r}), rows1, rows2
@@ -84,13 +90,41 @@ full_envs = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=120, deadline=None)
-@given(formula=formulas(), inst=instances, env=full_envs)
-def test_evaluator_agrees_with_naive(formula, inst, env):
+def assert_evaluators_agree(formula, inst, env):
     assert evaluate(formula, inst, DOMAIN, env) == \
         evaluate_naive(formula, inst, DOMAIN, env), (
             f"evaluators disagree on {formula} over {dict(env)}"
         )
+
+
+@settings(max_examples=120, deadline=None)
+@given(formula=formulas(), inst=instances, env=full_envs)
+def test_evaluator_agrees_with_naive(formula, inst, env):
+    assert_evaluators_agree(formula, inst, env)
+
+
+@pytest.mark.slow
+@settings(max_examples=2000, deadline=None)
+@given(formula=formulas(), inst=instances, env=full_envs)
+def test_evaluator_agrees_with_naive_at_depth(formula, inst, env):
+    """The same differential over 2,000 examples."""
+    assert_evaluators_agree(formula, inst, env)
+
+
+def test_quantified_subformula_under_a_bound_env_probes_the_index():
+    """A quantified subformula that ``evaluate`` hands to the binding-set
+    evaluator under its env matches a bound atom against a relation of 5+
+    rows through the hash index; the truths still match the reference."""
+    rows = [(u, v) for u in DOMAIN for v in DOMAIN if (u, v) != ("a", "c")]
+    inst = Instance({"S": [("a",), ("c",)], "R": rows})
+    x, y = Var("x"), Var("y")
+    formula = Implies(
+        Atom("S", (x,)),
+        Exists((y,), And((Atom("R", (x, y)), Not(Atom("S", (y,)))))))
+    before = counters_snapshot().get("fo.index_builds", 0)
+    for value in DOMAIN:
+        assert_evaluators_agree(formula, inst, {"x": value})
+    assert counters_snapshot()["fo.index_builds"] > before
 
 
 @settings(max_examples=60, deadline=None)
