@@ -4,10 +4,11 @@ The verifier interns global states, completes the reachable
 snapshot graph into memoized successor rows after the first valuation
 (sound by Theorem 3.4: the snapshot graph does not depend on the
 valuation), and memoizes FO truths across valuations on
-``(template id, values, ext_id)`` keys; each valuation reads its letters as
-bitmasks over its evaluator's bit table, and valuations whose letters
-agree on every state share one search (one letter class: all 180 on
-the wide sweep).  Rows measured here:
+``(template id, values, ext_id)`` keys; valuations whose letters
+agree on every state, read off their bindings, share one search and
+its letter evaluator, which reads letters as bitmasks over its bit
+table (one letter class: all 180 on the wide sweep).  Rows measured
+here:
 
 * a wide loan sweep (>= 8 valuations of the letter property) run
   sequentially by the verifier and by the per-valuation reference

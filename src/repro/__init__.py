@@ -58,6 +58,7 @@ Sub-packages
 ==================  =====================================================
 """
 
+from ._lazy import lazy_exports
 from .errors import (
     FormulaError, InputBoundednessError, ParseError, ReproError,
     SchemaError, SemanticsError, SimulationError, SpecificationError,
@@ -69,15 +70,17 @@ from .spec import (
     ChannelSemantics, Composition, DECIDABLE_DEFAULT, PERFECT_BOUNDED,
     PeerBuilder,
 )
-from .protocols import (
-    AgnosticProtocol, DataAwareProtocol, Observer, verify_agnostic,
-    verify_aware,
-)
 from .verifier import (
     VerificationResult, verification_domain, verify, verify_all,
-    verify_modular,
 )
 from .runtime import reachable_states, simulate
+
+# loaded on first use: ``repro verify`` runs neither procedure
+__getattr__ = lazy_exports(__name__, {
+    ".protocols": ("AgnosticProtocol", "DataAwareProtocol", "Observer",
+                   "verify_agnostic", "verify_aware"),
+    ".verifier.modular": ("verify_modular",),
+})
 
 __version__ = "1.0.0"
 

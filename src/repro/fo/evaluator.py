@@ -9,9 +9,12 @@ exact.
 Two entry points:
 
 * :func:`evaluate` -- truth of a formula under a full binding of its free
-  variables.  The verifier reads every letter's FO truths through it, with
-  a payload *template* and the valuation's values of its free variables as
-  the binding, or a closed formula and no binding;
+  variables: a check that the binding covers them, then :func:`decide`,
+  timed under the ``fo-eval`` phase.  The verifier's truth memo calls
+  :func:`decide` directly, with a payload *template* and the valuation's
+  values of its free variables as the binding (or a closed formula and
+  no binding): it checks the template's free variables once per binding,
+  not once per truth, and enters the phase once per batch of truths;
 * :func:`answers` -- the set of tuples for a head variable list that make a
   rule body true (used to fire input/state/action/send rules).
 
@@ -279,9 +282,20 @@ def evaluate(formula: Formula, inst: Instance, domain: Sequence[Value],
             f"evaluate() requires all free variables bound; "
             f"missing {sorted(unbound)} in {formula}"
         )
-    counter("fo.evaluate_calls").inc()
     with phase(PHASE_FO_EVAL):
-        return _decide(formula, inst, domain, env)
+        return decide(formula, inst, domain, env)
+
+
+def decide(formula: Formula, inst: Instance, domain: Sequence[Value],
+           env: Env) -> bool:
+    """:func:`evaluate` without its free-variable check and its phase:
+    the caller guarantees that *env* binds every free variable of
+    *formula*, and times the call under the ``fo-eval`` phase.
+
+    Counted in ``fo.evaluate_calls``, as :func:`evaluate` is.
+    """
+    counter("fo.evaluate_calls").inc()
+    return _decide(formula, inst, domain, env)
 
 
 def _decide(formula: Formula, inst: Instance, domain: Sequence[Value],

@@ -207,16 +207,23 @@ def _compare_results(reference, other, what: str) -> list[str]:
 
 def _verify_oracles(spec: GeneratedSpec,
                     verify_hook: VerifyHook) -> list[OracleViolation]:
+    """Oracles 3-6 on each property, over the property's own Theorem 3.4
+    domain (:func:`verification_domain` of the composition, the property
+    and the databases), the domain ``repro verify`` uses, also when it
+    replays a minimized reproducer."""
+    from ..ltlfo.parser import parse_ltlfo
+
     comp, dbs = spec.composition, spec.databases
-    domain = verification_domain(comp, [], dbs, fresh_count=1)
     out: list[OracleViolation] = []
 
     for name, text in sorted(spec.properties.items()):
-        kwargs = dict(
-            semantics=spec.semantics, domain=domain,
-            check_input_bounded=spec.check_input_bounded,
-        )
         try:
+            domain = verification_domain(
+                comp, [parse_ltlfo(text, comp.schema)], dbs)
+            kwargs = dict(
+                semantics=spec.semantics, domain=domain,
+                check_input_bounded=spec.check_input_bounded,
+            )
             reference = verify(comp, text, dbs, **kwargs)
         except Exception as err:
             out.append(OracleViolation(

@@ -139,8 +139,7 @@ def verify_seed(composition: Composition, prop: LTLFOSentence | str,
         canonical_valuations(sentence.variables, domain,
                              valuation_candidates),
         exploration,
-        sentence_unit(composition, sentence, domain,
-                      lambda binding: SnapshotEvaluator(
-                          composition, domain.values, binding),
-                      fair_scheduling),
+        sentence_unit(composition, sentence, domain, fair_scheduling),
+        lambda binding: SnapshotEvaluator(composition, domain.values,
+                                          binding),
         str(sentence), domain, semantics)

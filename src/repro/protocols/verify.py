@@ -12,6 +12,7 @@ the valuation loop the LTL-FO verifier uses
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Hashable, Mapping
 
 from ..errors import VerificationError
@@ -29,7 +30,9 @@ from ..verifier.domain import (
     VerificationDomain, canonical_valuations, verification_domain,
 )
 from ..verifier.graph import SharedExploration
-from ..verifier.ltlfo_verifier import Unit, occurs_terms, sweep_valuations
+from ..verifier.ltlfo_verifier import (
+    Unit, fresh_of, occurs_terms, sweep_valuations,
+)
 from ..verifier.product import SearchBudget
 from ..verifier.result import VerificationResult
 from .base import AgnosticProtocol, DataAwareProtocol
@@ -91,42 +94,47 @@ def verify_agnostic(composition: Composition,
 
     def unit(_valuation):
         nba = protocol.violation_automaton()
-        return nba, CallbackEvaluator(
-            frozenset(nba.aps),
-            lambda ap, sid: ap in protocol.letter_of(
-                exploration.state_of(sid)),
-        )
+        return nba, frozenset(nba.aps)
 
-    return sweep_valuations([{}], exploration, unit, text, domain,
-                            semantics)
+    def evaluator(aps):
+        return CallbackEvaluator(
+            aps, lambda ap, sid: ap in protocol.letter_of(
+                exploration.state_of(sid)))
+
+    return sweep_valuations([{}], exploration, unit, evaluator, text,
+                            domain, semantics)
 
 
-def aware_unit(protocol: DataAwareProtocol, domain: VerificationDomain,
-               evaluator: Callable[[dict], object]) -> Unit:
+def aware_unit(protocol: DataAwareProtocol,
+               domain: VerificationDomain) -> Unit:
     """The sweep unit of a data-aware protocol.
 
     The violation automaton is intersected with the ``F occurs(v)``
-    terms once per occurs tuple, on first use.  A valuation's evaluator,
-    ``evaluator(binding)``, binds each symbol to its formula and the
-    valuation (a :class:`BoundTemplate`, read under the valuation's
-    values of the formula's free variables), and occurs atoms to
-    themselves; its bits follow the automaton's APs.
+    terms of the valuation's fresh values once per tuple of them, on
+    first use.  A valuation's binding maps each symbol to its formula
+    and the valuation (a :class:`BoundTemplate`, read under the
+    valuation's values of the formula's free variables), and occurs
+    atoms to themselves, in the automaton's AP order, which letter bits
+    follow.  The unit builds no evaluator: the sweep does, for the
+    searches it runs.
     """
     violation = protocol.violation_automaton()
-    #: occurs tuple -> the violation automaton intersected with it
+    #: fresh values -> the violation automaton intersected with their
+    #: occurs terms
     automata: dict[tuple, BuchiAutomaton] = {}
 
     def unit(valuation):
-        occurs = tuple(occurs_terms(valuation, domain))
-        nba = automata.get(occurs)
+        fresh = fresh_of(valuation, domain)
+        nba = automata.get(fresh)
         if nba is None:
-            nba = automata[occurs] = (
-                violation.intersection(ltl_to_buchi(land(*occurs)))
-                if occurs else violation)
-        return nba, evaluator({
+            nba = automata[fresh] = (
+                violation.intersection(ltl_to_buchi(
+                    land(*occurs_terms(valuation, domain))))
+                if fresh else violation)
+        return nba, {
             ap: ap if isinstance(ap, OccursAtom)
             else BoundTemplate(protocol.symbols[ap], valuation)
-            for ap in nba.aps})
+            for ap in nba.aps}
 
     return unit
 
@@ -147,7 +155,8 @@ def verify_aware(composition: Composition,
     letter classes it shares).  A valuation's letters read each symbol's
     formula under the valuation's values of its free variables
     (:func:`aware_unit`), with truths memoized on those values and the
-    extensions the formula reads; no formula is instantiated.
+    extensions the formula reads; no formula is instantiated, and a
+    letter evaluator is built only for each letter class searched.
     """
     variables = protocol.free_variables()
     if domain is None:
@@ -163,12 +172,11 @@ def verify_aware(composition: Composition,
     exploration = SharedExploration(composition, databases, domain.values,
                                     semantics, budget=budget)
     text = f"data-aware protocol over {sorted(protocol.symbols)}"
-    unit = aware_unit(protocol, domain,
-                      lambda binding: InternedSnapshotEvaluator(
-                          composition, domain.values, binding,
-                          exploration.shared))
-    return sweep_valuations(canonical_valuations(variables, domain),
-                            exploration, unit, text, domain, semantics)
+    return sweep_valuations(
+        canonical_valuations(variables, domain), exploration,
+        aware_unit(protocol, domain),
+        partial(InternedSnapshotEvaluator, shared=exploration.shared),
+        text, domain, semantics)
 
 
 def trace_of(lasso: Lasso, protocol: AgnosticProtocol

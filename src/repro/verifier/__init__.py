@@ -1,6 +1,7 @@
 """Decision procedures: LTL-FO verification, protocol compliance,
 modular (assume-guarantee) verification."""
 
+from .._lazy import lazy_exports
 from .atoms import (
     InternedSnapshotEvaluator, OccursAtom, SharedSnapshotContext,
     bit_table, decode_letter,
@@ -10,11 +11,6 @@ from .domain import (
     enumerate_databases, fresh_values, verification_domain,
 )
 from .graph import SharedExploration, StateInterner
-from .shards import (
-    MERGED_SCHEMA, SHARD_SCHEMA, merge_fragments,
-    merge_metrics_snapshots, result_from_merged, shard_fragment,
-    spec_sha,
-)
 from .product import ProductSystem, SearchBudget
 from .result import (
     Counterexample, TaskStats, VerificationResult, VerifierStats,
@@ -25,10 +21,16 @@ from .ltlfo_verifier import (
     resolve_workers, run_local_shards, shard_filter, verify, verify_all,
     verify_over_databases,
 )
-from .modular import (
-    environment_schema, observer_translate, parse_env_spec,
-    translate_env_spec, verify_modular,
-)
+
+# loaded on first use: an in-process ``verify`` needs neither the shard
+# plane (``--workers``/``--shard``/``merge-shards``) nor modular
+__getattr__ = lazy_exports(__name__, {
+    ".shards": ("MERGED_SCHEMA", "SHARD_SCHEMA", "merge_fragments",
+                "merge_metrics_snapshots", "result_from_merged",
+                "shard_fragment", "spec_sha"),
+    ".modular": ("environment_schema", "observer_translate",
+                 "parse_env_spec", "translate_env_spec", "verify_modular"),
+})
 
 __all__ = [
     "Counterexample", "InternedSnapshotEvaluator", "LassoNodes",

@@ -23,14 +23,17 @@ mask back into the set of true APs.
 
 An automaton AP is read through a *binding* (:func:`bindings`).  The
 LTL-FO verifier translates each sentence once, as a template whose APs
-are payload positions (:class:`PayloadAtom`); a valuation's evaluator
-binds position *i* to payload *i* as a :class:`BoundTemplate` (the
-payload and the valuation, which supplies the values of its free
-variables), and occurs and fairness atoms to themselves.  No formula is
-instantiated on this path: under Section 3's closure semantics a
-valuation reaches the automaton only through each payload's truth, which
+are payload positions (:class:`PayloadAtom`); a valuation's binding maps
+position *i* to payload *i* as a :class:`BoundTemplate` (the payload and
+the valuation, which supplies the values of its free variables), and
+occurs and fairness atoms to themselves.  No formula is instantiated on
+this path: under Section 3's closure semantics a valuation reaches the
+automaton only through each payload's truth, which
 :class:`SharedSnapshotContext` keys on the template, the values of its
-free variables and the extensions it reads.
+free variables and the extensions it reads.  So a sweep files a
+valuation under its letter class straight from its binding
+(:meth:`SharedSnapshotContext.signature`), and builds an
+:class:`InternedSnapshotEvaluator` only for the bindings it searches.
 """
 
 from __future__ import annotations
@@ -40,10 +43,11 @@ from operator import itemgetter
 from typing import Hashable, Iterable, Mapping
 
 from ..errors import FormulaError
-from ..fo.evaluator import evaluate
+from ..fo.evaluator import decide
 from ..fo.formulas import Formula, free_vars, relations
 from ..fo.instance import Instance
 from ..fo.terms import Value, Var
+from ..obs import PHASE_FO_EVAL, phase
 from ..spec.composition import Composition
 from ..runtime.state import snapshot_view
 
@@ -148,12 +152,13 @@ class SharedSnapshotContext:
     """Per-exploration caches keyed on interned ids and slot keys.
 
     Owned by a :class:`~repro.verifier.graph.SharedExploration` and
-    shared by every valuation's :class:`InternedSnapshotEvaluator` and
-    modular's pair evaluator.  FO truths are shared across valuations and
-    properties, keyed on a template's id (:meth:`template`, one per
-    distinct formula), the valuation's values of its free variables (none
-    for a closed formula) and an id of the extensions its relations have
-    at the state (:meth:`extension_id`).  A pair evaluator's truths are
+    shared by every search's :class:`InternedSnapshotEvaluator`, the
+    letter classes of a sweep (:meth:`signature`) and modular's pair
+    evaluator.  FO truths are shared across valuations and properties,
+    keyed on a template's id (:meth:`template`, one per distinct
+    formula), the valuation's values of its free variables (none for a
+    closed formula) and an id of the extensions its relations have at
+    the state (:meth:`extension_id`).  A pair evaluator's truths are
     keyed on the formula's id and the extension ids of the previous and
     the current state (:meth:`pair_truths`).
 
@@ -168,15 +173,17 @@ class SharedSnapshotContext:
     states a pair evaluator reads), and active domains for the states an
     occurs atom reads.
 
-    FO truths are keyed without the domain, so one context serves one
-    verification domain only.  Over a completed exploration,
+    FO truths are keyed without the domain, so a context evaluates them
+    over its exploration's *domain* only.  Over a completed exploration,
     :meth:`extension_classes` lists the distinct extensions a relation
     set takes across the graph, which letter classes are read on.
     """
 
-    def __init__(self, composition: Composition, interner) -> None:
+    def __init__(self, composition: Composition, interner,
+                 domain: tuple[Value, ...]) -> None:
         self.composition = composition
         self.interner = interner
+        self.domain = domain
         self._views: dict[int, Instance] = {}
         self._domains: dict[int, frozenset] = {}
         #: template -> (id, sorted relations, free variables by name)
@@ -230,12 +237,13 @@ class SharedSnapshotContext:
         else:
             template, valuation = source, {}
         tid, rels, variables = self.template(template)
-        missing = [v.name for v in variables if v not in valuation]
-        if missing:
+        try:
+            values = tuple([valuation[v] for v in variables])
+        except KeyError:
+            missing = [v.name for v in variables if v not in valuation]
             raise FormulaError(
                 f"payload {template} has free variables {missing} that "
-                f"its valuation does not bind")
-        values = tuple(valuation[v] for v in variables)
+                f"its valuation does not bind") from None
         payload = self._truths.get((tid, values))
         if payload is None:
             env = {v.name: value for v, value in zip(variables, values)}
@@ -286,36 +294,77 @@ class SharedSnapshotContext:
                 for sid in range(len(self.interner))))
         return classes
 
-    def truth(self, payload: PayloadTruths, eid: int, domain: tuple) -> bool:
+    def truth(self, payload: PayloadTruths, eid: int) -> bool:
         """A bound template's truth on extension *eid* of its relations,
-        memoized; evaluated, under the valuation's values, on the view of
-        the first state seen with that extension."""
+        memoized (:meth:`truths`)."""
         truth = payload.by_extension.get(eid)
         if truth is None:
-            witness = payload.memo.witness[eid]
-            truth = payload.by_extension[eid] = evaluate(
-                payload.template, self.view(witness), domain, payload.env)
+            truth = self.truths(payload, (eid,))[eid]
         return truth
+
+    def truths(self, payload: PayloadTruths, eids) -> dict[int, bool]:
+        """A bound template's truths by extension id, once those on the
+        ids *eids* it lacks are decided, under one ``fo-eval`` phase
+        entry.
+
+        Each is decided, under the valuation's values, on the view of
+        the first state seen with that extension (:meth:`payload` checked
+        that the values bind every free variable).
+        """
+        known = payload.by_extension
+        missing = [eid for eid in eids if eid not in known]
+        if missing:
+            with phase(PHASE_FO_EVAL):
+                for eid in missing:
+                    known[eid] = decide(
+                        payload.template,
+                        self.view(payload.memo.witness[eid]), self.domain,
+                        payload.env)
+        return known
+
+    def signature(self, binding: Mapping) -> tuple[int, ...]:
+        """The FO part of a binding's letters on every state.
+
+        For each FO AP in binding (bit) order, the mask of its truths on
+        the distinct extensions its relations take across the graph
+        (:meth:`extension_classes`): an FO AP's truth at a state is its
+        truth on the state's extension.  Two bindings of one template
+        automaton with equal signatures read the same letter on every
+        state, since their occurs atoms are the template's.  Call it
+        only on a completed exploration.
+        """
+        signature = []
+        for source in binding.values():
+            if isinstance(source, OccursAtom):
+                continue
+            payload = self.payload(source)
+            classes = self.extension_classes(payload.rels)
+            truths = self.truths(payload, classes)
+            mask = 0
+            for i, eid in enumerate(classes):
+                if truths[eid]:
+                    mask |= 1 << i
+            signature.append(mask)
+        return tuple(signature)
 
 
 class InternedSnapshotEvaluator:
     """Letter evaluation over interned state ids, with shared caches.
 
     *aps* are the automaton's APs, or their binding (:func:`bindings`);
-    bits follow its order.  ``letter`` takes a dense state id, and the
-    views, active domains and FO truths belong to the exploration's
-    :class:`SharedSnapshotContext`, so valuations that bind a payload's
-    free variables alike share its truths.  Each FO AP's truths are
-    looked up once, here (:meth:`SharedSnapshotContext.payload`);
-    ``letter`` reads them by extension id and memoizes this evaluator's
-    letters per state.
+    bits follow its order.  A sweep builds one per search, not one per
+    valuation: valuations whose bindings have equal signatures
+    (:meth:`SharedSnapshotContext.signature`) share the search of the
+    first.  ``letter`` takes a dense state id, and the views, active
+    domains and FO truths belong to the exploration's *shared* context,
+    so valuations that bind a payload's free variables alike share its
+    truths.  Each FO AP's truths are looked up once, here
+    (:meth:`SharedSnapshotContext.payload`); ``letter`` reads them by
+    extension id and memoizes this evaluator's letters per state.
     """
 
-    def __init__(self, composition: Composition, domain: Iterable[Value],
-                 aps: Iterable[Hashable] | Mapping,
+    def __init__(self, aps: Iterable[Hashable] | Mapping,
                  shared: SharedSnapshotContext) -> None:
-        self.composition = composition
-        self.domain = tuple(domain)
         self.binding = bindings(aps)
         self.shared = shared
         self.bits = bit_table(self.binding)
@@ -346,28 +395,7 @@ class InternedSnapshotEvaluator:
             eid = memo.by_projection.get(memo.project(key))
             if eid is None:
                 eid = shared.extension_id(sid, payload.rels)
-            if shared.truth(payload, eid, self.domain):
+            if shared.truth(payload, eid):
                 mask |= bit
         self._letters[sid] = mask
         return mask
-
-    def signature(self) -> tuple[int, ...]:
-        """The FO part of this evaluator's letters on every state.
-
-        For each FO AP in bit order, the mask of its truths on the
-        distinct extensions its relations take across the graph
-        (:meth:`SharedSnapshotContext.extension_classes`): an FO AP's
-        truth at a state is its truth on the state's extension.  Two
-        evaluators of one template automaton with equal signatures read
-        the same letter on every state, since their occurs atoms are the
-        template's.  Call it only on a completed exploration.
-        """
-        shared = self.shared
-        signature = []
-        for _bit, payload in self._fo:
-            mask = 0
-            for i, eid in enumerate(shared.extension_classes(payload.rels)):
-                if shared.truth(payload, eid, self.domain):
-                    mask |= 1 << i
-            signature.append(mask)
-        return tuple(signature)

@@ -131,7 +131,8 @@ class SharedExploration:
         self._generation = -1
         self._fetch_metrics()
         from .atoms import SharedSnapshotContext
-        self.shared = SharedSnapshotContext(composition, self.interner)
+        self.shared = SharedSnapshotContext(composition, self.interner,
+                                            self.domain)
 
     def _fetch_metrics(self) -> None:
         """Fetch the metric objects, if the registry was reset since."""

@@ -10,17 +10,18 @@ sentence, by exhaustive search over the bounded verification domain:
 2. The negated body, as a *template* whose APs are payload positions,
    conjoined with ``F occurs(v)`` for each fresh value a valuation uses
    (the ``Dom(rho)`` restriction of the closure semantics), is
-   translated to a Büchi automaton (GPVW) once per occurs tuple; a
-   valuation's letters read position *i* as the truth of payload *i*
-   with its free variables bound to the valuation's values (no formula
-   is instantiated), memoized on those values and the extensions the
-   payload reads.
+   translated to a Büchi automaton (GPVW) once per tuple of fresh
+   values; a valuation's *binding* reads position *i* as the truth of
+   payload *i* with its free variables bound to the valuation's values
+   (no formula is instantiated), memoized on those values and the
+   extensions the payload reads.
 3. The on-the-fly product with the composition's snapshot graph is
    searched for an accepting lasso (nested DFS).  A lasso is a genuine
    infinite counterexample run; none anywhere means the property holds
    over the explored domain.  Over a completed shared graph, valuations
-   whose letters agree on every state (one *letter class*) share one
-   search.
+   whose letters agree on every state (one *letter class*, read off the
+   binding) share one search, and a letter evaluator is built only for
+   the searches run.
 
 Completeness beyond the fixed databases follows the bounded-domain
 principle: callers either supply the databases of interest or enumerate
@@ -40,6 +41,7 @@ from __future__ import annotations
 import os
 import signal
 import time
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from ..errors import InputBoundednessError, VerificationError
@@ -63,6 +65,7 @@ from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
 from .atoms import (
     BoundTemplate, InternedSnapshotEvaluator, OccursAtom, PayloadAtom,
+    SharedSnapshotContext,
 )
 from .domain import (
     VerificationDomain, canonical_valuations, verification_domain,
@@ -74,7 +77,6 @@ from .result import (
     VerifierStats,
 )
 from .search import find_accepting_lasso
-from .shards import merge_fragments, result_from_merged, shard_fragment
 
 
 def _as_sentence(prop: LTLFOSentence | str,
@@ -82,6 +84,14 @@ def _as_sentence(prop: LTLFOSentence | str,
     if isinstance(prop, str):
         return parse_ltlfo(prop, composition.schema)
     return prop
+
+
+def fresh_of(valuation: Mapping[Var, Value],
+             domain: VerificationDomain) -> tuple[Value, ...]:
+    """The fresh values *valuation* uses, sorted: what its occurs terms,
+    and so its template automaton, depend on."""
+    return tuple(sorted({v for v in valuation.values()
+                         if v not in domain.constants}, key=value_sort_key))
 
 
 def occurs_terms(valuation: Mapping[Var, Value],
@@ -93,11 +103,8 @@ def occurs_terms(valuation: Mapping[Var, Value],
     the conjunct order (hence the GPVW translation) is identical across
     processes regardless of hash randomization.
     """
-    return [
-        lfinally(latom(OccursAtom(v)))
-        for v in sorted(set(valuation.values()), key=value_sort_key)
-        if v not in domain.constants
-    ]
+    return [lfinally(latom(OccursAtom(v)))
+            for v in fresh_of(valuation, domain)]
 
 
 def _check_restrictions(composition: Composition,
@@ -213,13 +220,14 @@ def fairness_terms(composition: Composition) -> list:
 
 
 #: Per-valuation unit of a sweep: the valuation's violation automaton
-#: and the evaluator of its letters on the exploration's nodes.
+#: and its *binding*, what each of the automaton's APs is read from (a
+#: mapping, or the APs themselves), from which the sweep's evaluator
+#: builder makes a letter evaluator for the searches it runs.
 Unit = Callable[[Mapping[Var, Value]], tuple[BuchiAutomaton, object]]
 
 
 def sentence_unit(composition: Composition, sentence: LTLFOSentence,
                   domain: VerificationDomain,
-                  evaluator: Callable[[dict], object],
                   fair_scheduling: bool = False) -> Unit:
     """The sweep unit of an LTL-FO sentence.
 
@@ -228,15 +236,15 @@ def sentence_unit(composition: Composition, sentence: LTLFOSentence,
     ``sentence.fo_payloads()`` (:class:`PayloadAtom`), conjoined with
     the ``F occurs(v)`` terms of the valuation's fresh values and, with
     *fair_scheduling*, the fairness terms.  One automaton is translated
-    per distinct occurs tuple, on first use, and shared by every
-    valuation with that tuple; canonical valuations use fresh values as
-    a prefix, so there are at most ``len(domain.fresh) + 1``.  A
-    valuation's evaluator, ``evaluator(binding)``, binds position *i* to
-    payload *i* and the valuation (a :class:`BoundTemplate`, which the
-    evaluator reads under the valuation's values of the payload's free
-    variables; nothing is instantiated per valuation), and occurs and
-    fairness atoms to themselves; its bits follow the template's atoms
-    in walk order.
+    per distinct tuple of fresh values, on first use, and shared by
+    every valuation with that tuple; canonical valuations use fresh
+    values as a prefix, so there are at most ``len(domain.fresh) + 1``.
+    A valuation's binding maps position *i* to payload *i* and the
+    valuation (a :class:`BoundTemplate`, read under the valuation's
+    values of the payload's free variables; nothing is instantiated per
+    valuation), and occurs and fairness atoms to themselves, in the
+    template's walk order, which letter bits follow.  The unit builds no
+    evaluator: :func:`sweep_valuations` does, for the searches it runs.
     """
     payloads = sentence.fo_payloads()
     position = {p: PayloadAtom(i) for i, p in enumerate(payloads)}
@@ -245,36 +253,40 @@ def sentence_unit(composition: Composition, sentence: LTLFOSentence,
     templates: dict[tuple, tuple[BuchiAutomaton, tuple]] = {}
 
     def unit(valuation):
-        occurs = tuple(occurs_terms(valuation, domain))
-        template = templates.get(occurs)
+        fresh = fresh_of(valuation, domain)
+        template = templates.get(fresh)
         if template is None:
-            formula = land(negated, *occurs, *extra)
+            formula = land(negated, *occurs_terms(valuation, domain),
+                           *extra)
             atoms = tuple(dict.fromkeys(node.ap for node in lwalk(formula)
                                         if isinstance(node, LAtom)))
-            template = templates[occurs] = (ltl_to_buchi(formula), atoms)
+            template = templates[fresh] = (ltl_to_buchi(formula), atoms)
         nba, atoms = template
-        return nba, evaluator({
+        return nba, {
             ap: BoundTemplate(payloads[ap.index], valuation)
             if isinstance(ap, PayloadAtom) else ap
-            for ap in atoms})
+            for ap in atoms}
 
     return unit
 
 
-def letter_class(nba: BuchiAutomaton, evaluator) -> tuple:
+def letter_class(nba: BuchiAutomaton, binding: Mapping,
+                 shared: SharedSnapshotContext) -> tuple:
     """A valuation's letter class over a completed shared exploration.
 
     The automaton (shared by identity among the valuations of one
-    template) and the evaluator's signature
-    (:meth:`~repro.verifier.atoms.InternedSnapshotEvaluator.signature`).
+    template) and the signature of the valuation's binding
+    (:meth:`~repro.verifier.atoms.SharedSnapshotContext.signature`),
+    read off the exploration's truths without building an evaluator.
     Valuations with equal classes read equal letters on every reachable
     state, so their products, and their searches, are identical.
     """
-    return (nba, evaluator.signature())
+    return (nba, shared.signature(binding))
 
 
 def sweep_valuations(valuations: Sequence[Mapping[Var, Value]],
-                     space, unit: Unit, property_text: str,
+                     space, unit: Unit, evaluator: Callable[[object], object],
+                     property_text: str,
                      domain: VerificationDomain,
                      semantics: ChannelSemantics,
                      shard: tuple[int, int] | None = None
@@ -287,19 +299,23 @@ def sweep_valuations(valuations: Sequence[Mapping[Var, Value]],
     closure valuations and search, for each, the product of the
     exploration *space* with the valuation's violation automaton.  For
     each valuation *shard* owns (:func:`shard_filter`), ``unit`` gives
-    the automaton and the letter evaluator; the first accepting lasso,
-    mapped back to snapshots with ``space.state_of``, decides the
-    verdict and stops the loop.  Sharded runs record one ``per_task``
-    row per valuation.
+    the automaton and the valuation's binding, and
+    ``evaluator(binding)`` builds the letter evaluator of a search; the
+    first accepting lasso, mapped back to snapshots with
+    ``space.state_of``, decides the verdict and stops the loop.
+    Sharded runs record one ``per_task`` row per valuation.
 
     Over a :class:`SharedExploration` the first valuation explores
     lazily (it may decide the verdict without the full graph); from the
     second on the graph is completed, and each valuation's
-    :func:`letter_class` (its evaluator must have ``signature()``)
-    picks the search: the first valuation of a class runs it, later
-    members reuse its result.  The lazily searched first valuation is
-    filed under its class once the graph is complete; if completing
-    overruns the budget, every valuation is searched.  The loop still
+    :func:`letter_class`, read off its binding (which must then map FO
+    APs as :meth:`SharedSnapshotContext.signature` reads them), picks
+    the search: the first valuation of a class builds an evaluator and
+    runs it, later members reuse its result without an evaluator.  The
+    lazily searched first valuation is filed under its class once the
+    graph is complete; if completing overruns the budget, or *space* is
+    not a :class:`SharedExploration` (modular's pairs, the reference
+    engine's snapshots), every valuation is searched.  The loop still
     walks valuations in order and stops at the first violation, so the
     decisive valuation and its lasso are a per-valuation sweep's.
 
@@ -309,7 +325,7 @@ def sweep_valuations(valuations: Sequence[Mapping[Var, Value]],
     so they are equal for any worker count and shard split;
     ``valuation_classes`` counts the searches actually run.
     """
-    shared = isinstance(space, SharedExploration)
+    shared = space.shared if isinstance(space, SharedExploration) else None
     stats = VerifierStats()
     counterexample: Counterexample | None = None
     #: letter class -> its search, once the graph is complete
@@ -320,19 +336,20 @@ def sweep_valuations(valuations: Sequence[Mapping[Var, Value]],
 
     with Stopwatch(stats):
         for order, valuation in shard_filter(valuations, shard):
-            if (shared and stats.valuations_checked == 1
+            if (shared is not None and stats.valuations_checked == 1
                     and space.complete(strict=False)):
                 # file the first valuation (it satisfied: the loop went
-                # on) under its class; nba, evaluator and search are its
-                classes = {letter_class(nba, evaluator): search}
+                # on) under its class; nba, binding and search are its
+                classes = {letter_class(nba, binding, shared): search}
             started = time.perf_counter()
-            nba, evaluator = unit(valuation)
-            key = None if classes is None else letter_class(nba, evaluator)
+            nba, binding = unit(valuation)
+            key = (None if classes is None
+                   else letter_class(nba, binding, shared))
             search = None if key is None else classes.get(key)
             lasso = None
             if search is None:
                 lasso, search = find_accepting_lasso(
-                    ProductSystem(space, nba, evaluator))
+                    ProductSystem(space, nba, evaluator(binding)))
                 stats.valuation_classes += 1
                 if key is not None:
                     classes[key] = search
@@ -405,6 +422,8 @@ def _shard_child(slot: int, shard: tuple[int, int]) -> dict:
     The child starts a fresh registry, so the fragment's metrics are
     its own work.
     """
+    from .shards import shard_fragment
+
     _SHARD_PIDS[slot] = os.getpid()
     reset_for_worker()
     return shard_fragment(_run_shard(shard), shard)
@@ -444,6 +463,8 @@ def run_local_shards(run: Callable[[tuple[int, int]],
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
+
+    from .shards import merge_fragments, result_from_merged
 
     shards = local_shards(resolve_shard(shard), workers)
     fork = multiprocessing.get_context("fork")
@@ -503,14 +524,14 @@ def verify(composition: Composition,
            ) -> VerificationResult:
     """Decide ``composition |= prop`` over the given databases.
 
-    The sentence is translated once per occurs tuple, as a template
-    whose APs are payload positions (:func:`sentence_unit`), and the
-    canonical valuations are swept in order (:func:`sweep_valuations`)
-    over one :class:`SharedExploration` of the snapshot graph: the
-    graph is completed into memoized successor rows after the first
-    valuation, and valuations that read the same letters on every state
-    share one search, a pure graph walk (see
-    :mod:`repro.verifier.graph`).  ``product_nodes_visited`` and
+    The sentence is translated once per tuple of fresh values, as a
+    template whose APs are payload positions (:func:`sentence_unit`),
+    and the canonical valuations are swept in order
+    (:func:`sweep_valuations`) over one :class:`SharedExploration` of
+    the snapshot graph: the graph is completed into memoized successor
+    rows after the first valuation, and valuations that read the same
+    letters on every state share one search, a pure graph walk (see
+    :mod:`repro.verifier.graph`), with one letter evaluator.  ``product_nodes_visited`` and
     ``nba_states_total`` still charge every valuation its class's
     search, and ``valuation_classes`` counts the searches run.
 
@@ -603,11 +624,8 @@ def verify(composition: Composition,
         canonical_valuations(sentence.variables, domain,
                              valuation_candidates),
         exploration,
-        sentence_unit(composition, sentence, domain,
-                      lambda binding: InternedSnapshotEvaluator(
-                          composition, domain.values, binding,
-                          exploration.shared),
-                      fair_scheduling),
+        sentence_unit(composition, sentence, domain, fair_scheduling),
+        partial(InternedSnapshotEvaluator, shared=exploration.shared),
         str(sentence), domain, semantics, shard)
 
 

@@ -316,10 +316,9 @@ class PairEvaluator:
     evaluated on the pair view of the first pair seen with those ids.
     """
 
-    def __init__(self, shared: SharedSnapshotContext, domain: Sequence,
+    def __init__(self, shared: SharedSnapshotContext,
                  aps: frozenset) -> None:
         self.shared = shared
-        self.domain = tuple(domain)
         self.bits = bit_table(aps)
         self._occurs = []
         self._fo = []
@@ -369,7 +368,8 @@ class PairEvaluator:
             if truth is None:
                 if pair_view is None:
                     pair_view = self._pair_view(prev, cur)
-                truth = truths[key] = evaluate(ap, pair_view, self.domain)
+                truth = truths[key] = evaluate(ap, pair_view,
+                                               shared.domain)
             if truth:
                 mask |= bit
         self._letter_cache[pair] = mask
@@ -467,10 +467,11 @@ def verify_modular(composition: Composition,
         negated = lnot(sentence.instantiate(valuation))
         nba = ltl_to_buchi(land(premise, negated,
                                 *occurs_terms(valuation, domain)))
-        return nba, PairEvaluator(exploration.shared, domain.values,
-                                  nba.aps)
+        return nba, nba.aps
 
     return sweep_valuations(
         canonical_valuations(sentence.variables, domain,
                              valuation_candidates),
-        PairCache(exploration), unit, text, domain, semantics)
+        PairCache(exploration), unit,
+        lambda aps: PairEvaluator(exploration.shared, aps),
+        text, domain, semantics)

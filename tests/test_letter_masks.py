@@ -13,14 +13,16 @@ keep that encoding honest:
   extension id)``, decode to the same AP sets as the seed evaluator's
   (a closed formula is a template with no values).  A key collision
   that flips no verdict would pass the digests but not this;
-* the letter classes a sweep searches once each are exactly the classes
-  of valuations whose seed letters agree on every state of the graph,
-  checked against the seed evaluator, not the signature code;
+* the letter classes a sweep searches once each, read off the units'
+  bindings (``SharedSnapshotContext.signature``), are exactly the
+  classes of valuations whose seed letters agree on every state of the
+  graph, checked against the seed evaluator, not the signature code;
 * the bindings ``sentence_unit`` and ``aware_unit`` build, each payload
   template with the valuation whose values the shared truths are keyed
   on, read the letters the reference evaluator reads on the formulas
   instantiated from the sentence or protocol directly.  Values bound to
-  the wrong free variable pass the automaton-AP cases above, not this.
+  the wrong free variable pass the automaton-AP cases above, not this;
+* a sweep builds a letter evaluator only for the searches it runs.
 """
 
 from pathlib import Path
@@ -141,8 +143,8 @@ def assert_evaluators_agree(composition, domain, exploration, sentences,
         for valuation in valuations:
             nba = ltl_to_buchi(land(lnot(sentence.instantiate(valuation)),
                                     *occurs_terms(valuation, domain)))
-            interned = InternedSnapshotEvaluator(
-                composition, domain.values, nba.aps, exploration.shared)
+            interned = InternedSnapshotEvaluator(nba.aps,
+                                                 exploration.shared)
             seed = SnapshotEvaluator(composition, domain.values, nba.aps)
             for sid in range(len(exploration.interner)):
                 state = exploration.state_of(sid)
@@ -185,36 +187,44 @@ def test_interned_letters_match_seed_on_auction_graph():
     assert_evaluators_agree(composition, domain, exploration, sentences)
 
 
-def letter_vector_classes(composition, domain, exploration, sentence,
-                          candidates=None) -> int:
-    """Group a sentence's valuations by :func:`letter_class` and check
-    that the groups are the letter-vector classes; return their number.
+def letter_vector_classes(composition, domain, exploration, unit,
+                          valuations, what="") -> int:
+    """Group *valuations* by the :func:`letter_class` of *unit*'s
+    binding and check that the groups are the letter-vector classes;
+    return their number.
 
-    A valuation's letter vector is its template automaton's APs with
-    the seed evaluator's letter on every state of the completed graph,
-    decoded.  Members of one group must have one vector; members of two
-    groups must differ on some state (or in their APs).
+    A valuation's letter vector is its automaton's APs with the seed
+    evaluator's letter, read through the same binding, on every state
+    of the completed graph, decoded.  Members of one group must have one
+    vector; members of two groups must differ on some state (or in their
+    APs).
     """
     assert exploration.complete()
     states = [exploration.state_of(sid)
               for sid in range(len(exploration.interner))]
-    unit = sentence_unit(
-        composition, sentence, domain,
-        lambda binding: InternedSnapshotEvaluator(
-            composition, domain.values, binding, exploration.shared))
     groups: dict = {}
-    for valuation in canonical_valuations(sentence.variables, domain,
-                                          candidates):
-        nba, interned = unit(valuation)
-        seed = SnapshotEvaluator(composition, domain.values,
-                                 interned.binding)
+    for valuation in valuations:
+        nba, binding = unit(valuation)
+        seed = SnapshotEvaluator(composition, domain.values, binding)
         vector = (seed.aps, tuple(decode_letter(seed.bits, seed.letter(s))
                                   for s in states))
-        groups.setdefault(letter_class(nba, interned), set()).add(vector)
+        groups.setdefault(letter_class(nba, binding, exploration.shared),
+                          set()).add(vector)
     vectors = [vector for group in groups.values() for vector in group]
-    assert all(len(group) == 1 for group in groups.values()), str(sentence)
-    assert len(set(vectors)) == len(vectors), str(sentence)
+    assert all(len(group) == 1 for group in groups.values()), what
+    assert len(set(vectors)) == len(vectors), what
     return len(groups)
+
+
+def sentence_classes(composition, domain, exploration, sentence,
+                     candidates=None) -> int:
+    """:func:`letter_vector_classes` of a sentence's canonical
+    valuations, bound as :func:`verify` binds them."""
+    return letter_vector_classes(
+        composition, domain, exploration,
+        sentence_unit(composition, sentence, domain),
+        canonical_valuations(sentence.variables, domain, candidates),
+        str(sentence))
 
 
 def test_letter_classes_on_loan_sweep():
@@ -226,8 +236,8 @@ def test_letter_classes_on_loan_sweep():
                                     DECIDABLE_DEFAULT)
     sentence = parse_ltlfo(loan.PROPERTY_LETTER_NEEDS_APPLICATION,
                            composition.schema)
-    assert letter_vector_classes(composition, domain, exploration,
-                                 sentence, WIDE_CANDIDATES) == 1
+    assert sentence_classes(composition, domain, exploration, sentence,
+                            WIDE_CANDIDATES) == 1
 
 
 def test_letter_classes_on_auction_graph():
@@ -239,8 +249,8 @@ def test_letter_classes_on_auction_graph():
     plan = property_engines(composition, sentences, databases)
     [(domain, exploration)] = {id(e): (d, e) for d, e in plan}.values()
     for sentence in sentences:
-        assert letter_vector_classes(composition, domain, exploration,
-                                     sentence) > 1
+        assert sentence_classes(composition, domain, exploration,
+                                sentence) > 1
 
 
 def test_letter_classes_on_payments_and_dispatch_graphs():
@@ -259,8 +269,22 @@ def test_letter_classes_on_payments_and_dispatch_graphs():
             if constant.startswith("PROPERTY_"):
                 sentence = parse_ltlfo(getattr(module, constant),
                                        composition.schema)
-                assert letter_vector_classes(
+                assert sentence_classes(
                     composition, domain, exploration, sentence) > 1
+
+
+def test_letter_classes_on_per_ssn_protocol():
+    """E8's per-ssn protocol, bound as ``verify_aware`` binds it: its 14
+    canonical valuations form 3 classes (its sweep stops at a violation
+    at the 12th, after searching 2 of them)."""
+    composition, databases, domain, protocol = per_ssn_request_answered()
+    exploration = SharedExploration(composition, databases, domain.values,
+                                    DECIDABLE_DEFAULT)
+    valuations = canonical_valuations(protocol.free_variables(), domain)
+    assert len(valuations) == 14
+    assert letter_vector_classes(
+        composition, domain, exploration, aware_unit(protocol, domain),
+        valuations, "per-ssn protocol") == 3
 
 
 def assert_bound_letters_match_reference(composition, domain, exploration,
@@ -277,7 +301,8 @@ def assert_bound_letters_match_reference(composition, domain, exploration,
               for sid in range(len(exploration.interner))]
     assert valuations
     for valuation in valuations:
-        _nba, interned = unit(valuation)
+        _nba, binding = unit(valuation)
+        interned = InternedSnapshotEvaluator(binding, exploration.shared)
         reference = SnapshotEvaluator(composition, domain.values, {
             ap: ap if isinstance(ap, OccursAtom)
             else instantiated(ap, valuation)
@@ -298,11 +323,7 @@ def assert_sentence_bindings_match_reference(
             return instantiate(payloads[ap.index], valuation)
         return ap  # a fairness atom
 
-    unit = sentence_unit(
-        composition, sentence, domain,
-        lambda binding: InternedSnapshotEvaluator(
-            composition, domain.values, binding, exploration.shared),
-        fair_scheduling)
+    unit = sentence_unit(composition, sentence, domain, fair_scheduling)
     assert_bound_letters_match_reference(
         composition, domain, exploration, unit, valuations, instantiated)
 
@@ -352,33 +373,32 @@ def test_aware_bindings_match_reference_on_per_ssn_protocol():
     composition, databases, domain, protocol = per_ssn_request_answered()
     exploration = SharedExploration(composition, databases, domain.values,
                                     DECIDABLE_DEFAULT)
-    unit = aware_unit(protocol, domain,
-                      lambda binding: InternedSnapshotEvaluator(
-                          composition, domain.values, binding,
-                          exploration.shared))
     assert_bound_letters_match_reference(
-        composition, domain, exploration, unit,
+        composition, domain, exploration, aware_unit(protocol, domain),
         canonical_valuations(protocol.free_variables(), domain),
         lambda ap, valuation: instantiate(protocol.symbols[ap], valuation))
 
 
 def test_a_binding_that_leaves_a_free_variable_unbound_is_refused():
-    """A payload's free variables are checked against its valuation once,
-    when the evaluator is built; a closed formula is a template with no
+    """A payload's free variables are checked against its valuation once
+    per binding, whether a sweep reads the binding's letter class or
+    builds an evaluator on it; a closed formula is a template with no
     values, so an open one bound alone is refused too."""
     composition = loan.loan_composition()
     databases = loan.standard_database("fair")
     domain = verification_domain(composition, [], databases, fresh_count=1)
     exploration = SharedExploration(composition, databases, domain.values,
                                     DECIDABLE_DEFAULT)
+    assert exploration.complete()
     sentence = parse_ltlfo(loan.PROPERTY_LETTER_NEEDS_APPLICATION,
                            composition.schema)
     [payload] = sentence.fo_payloads()
     for source in (BoundTemplate(payload, {Var("id"): "c1"}), payload):
+        binding = {PayloadAtom(0): source}
         with pytest.raises(FormulaError, match="does not bind"):
-            InternedSnapshotEvaluator(composition, domain.values,
-                                      {PayloadAtom(0): source},
-                                      exploration.shared)
+            exploration.shared.signature(binding)
+        with pytest.raises(FormulaError, match="does not bind"):
+            InternedSnapshotEvaluator(binding, exploration.shared)
 
 
 def test_sweeps_build_no_formula_per_valuation(monkeypatch):
@@ -403,3 +423,42 @@ def test_sweeps_build_no_formula_per_valuation(monkeypatch):
     result = verify_aware(composition, protocol, databases, domain=domain)
     assert result.stats.valuations_checked == 12
     assert calls == []
+
+
+def test_a_sweep_builds_one_evaluator_per_search(monkeypatch):
+    """Valuations are filed under their letter class from their binding:
+    an evaluator is built only for a search, so as many as the sweep's
+    ``valuation_classes``.  E14's 180 valuations take 1, E8's 12 take 2,
+    and each auction property as many as its classes."""
+    built = []
+    init = InternedSnapshotEvaluator.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(InternedSnapshotEvaluator, "__init__", counting)
+
+    def searches(result, valuations):
+        assert result.stats.valuations_checked == valuations
+        assert len(built) == result.stats.valuation_classes
+        built.clear()
+        return result.stats.valuation_classes
+
+    composition = loan.loan_composition()
+    databases = loan.standard_database("fair")
+    domain = verification_domain(composition, [], databases, fresh_count=1)
+    assert searches(verify(composition,
+                           loan.PROPERTY_LETTER_NEEDS_APPLICATION,
+                           databases, domain=domain,
+                           valuation_candidates=WIDE_CANDIDATES), 180) == 1
+    composition, databases, domain, protocol = per_ssn_request_answered()
+    assert searches(verify_aware(composition, protocol, databases,
+                                 domain=domain), 12) == 2
+    composition, databases, properties = load_document(AUCTION.read_text())
+    for _name, text in sorted(properties.items()):
+        sentence = parse_ltlfo(text, composition.schema)
+        domain = verification_domain(composition, [sentence], databases)
+        valuations = len(canonical_valuations(sentence.variables, domain))
+        assert 1 < searches(verify(composition, sentence, databases),
+                            valuations) < valuations
