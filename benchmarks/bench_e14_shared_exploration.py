@@ -21,8 +21,6 @@ here:
   full expansion per child (``product.states_expanded``);
 * a quick parity row over the standard candidates for the CI smoke
   job.
-
-All rows land in ``BENCH_PR5.json`` (see harness.snapshot_metrics).
 """
 
 import os
@@ -37,9 +35,9 @@ from repro.library.loan import (
 from repro.obs import counters_snapshot
 from repro.verifier import verification_domain, verify
 
-from harness import bench_workers, record, record_speedup, snapshot_metrics
+from harness import bench_workers, record, record_speedup
 
-EXPERIMENT = "PR5"
+EXPERIMENT = "E14"
 
 #: Candidate pool for the wide sweep: every value is drawn from the
 #: standard database's active domain, widened so the letter property is
@@ -101,10 +99,6 @@ def test_workers_serve_frozen_graph(benchmark):
         "graph.reuse_hits", 0)
     expanded = after.get("product.states_expanded", 0) - before.get(
         "product.states_expanded", 0)
-    snapshot_metrics(EXPERIMENT, f"frozen-graph counters x{workers}",
-                     result, extra={"reuse_hits": reuse,
-                                    "states_expanded": expanded,
-                                    "workers": workers})
     assert reuse > 0, "no frozen-graph serving recorded"
     # One expansion per local shard at most (the children's counters
     # are folded into this process): re-expanding per valuation would

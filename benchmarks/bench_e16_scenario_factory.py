@@ -16,8 +16,6 @@ semantics makes real).  Rows measured here:
   full oracle stack (classifier, dump/load round-trip, reference-engine
   differential, 2-worker pool, 2-shard merge, lasso replay) -- zero
   oracle violations expected.
-
-All rows land in ``BENCH_PR7.json`` (see harness.snapshot_metrics).
 """
 
 import pytest
@@ -27,9 +25,9 @@ from repro.fuzz.seed_engine import verify_seed
 from repro.library import dispatch, payments
 from repro.verifier import verify
 
-from harness import record, repro_seed, snapshot_metrics
+from harness import record, repro_seed
 
-EXPERIMENT = "PR7"
+EXPERIMENT = "E16"
 
 DOMAINS = {
     "payments": (
@@ -112,22 +110,6 @@ def test_fuzz_batch(benchmark):
     verified = sum(1 for o in report.outcomes if o.verified)
     # every 3.4/3.7/3.9 case has bounded queues, so all sweep
     assert verified == 20
-
-    # snapshot one aggregate row: campaign size + violation count
-    class _Stats:
-        def to_dict(self):
-            return {"cases": len(report.outcomes),
-                    "verified": verified,
-                    "violations": len(report.failures)}
-
-    class _Result:
-        verdict = "SATISFIED" if report.ok else "VIOLATED"
-        stats = _Stats()
-
-    snapshot_metrics(EXPERIMENT, "fuzz batch rows 3.4/3.7/3.9 x20",
-                     _Result(),
-                     extra={"seed": report.seed,
-                            "rows": list(report.rows)})
     print(f"[{EXPERIMENT}] fuzz batch: {len(report.outcomes)} cases, "
           f"{verified} verified, {len(report.failures)} violations "
           f"(seed {report.seed})")

@@ -7,25 +7,14 @@ experiments demonstrate its theorems and examples).  Benchmarks run under
 ``benchmark`` fixture and *asserts the expected verdicts*, so a benchmark
 run doubles as an end-to-end correctness check.  The measured rows are
 printed so EXPERIMENTS.md can be regenerated from the output.
-
-Each recorded row also lands in a metrics *trajectory* file
-(``BENCH_<experiment>.json`` under ``REPRO_BENCH_METRICS_DIR``, default
-``benchmarks/metrics/``): a JSON list, appended to on every run, whose
-entries carry the row plus the full ``VerifierStats`` snapshot
-(per-phase seconds, rule-cache counters, per-worker breakdowns -- see
-:mod:`repro.obs`).  Comparing entries across commits turns the
-benchmark log into a regression trajectory for each phase, not just
-the headline wall time.
+Performance across commits is measured by ``perfbench/``, not here.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
-import time
 from dataclasses import dataclass
-from pathlib import Path
 
 
 @dataclass
@@ -57,71 +46,12 @@ def repro_seed(default: int = 0) -> int:
     Benchmarks and the randomized synthetic families draw their seeds
     from here so a run is reproducible end to end: ``REPRO_SEED=7
     pytest benchmarks/`` replays the exact same compositions, sweeps,
-    and fuzz cases.  Every metrics entry records the seed it ran under.
+    and fuzz cases.
     """
     raw = os.environ.get("REPRO_SEED", "").strip()
     if raw:
         return int(raw)
     return default
-
-
-def metrics_dir() -> Path:
-    """Directory of the ``BENCH_*.json`` metrics trajectory files.
-
-    Created on first access: the trajectory directory is part of the
-    harness contract (ROADMAP/CI reference it), so a fresh checkout
-    must not silently drop metrics because the directory is absent.
-    """
-    raw = os.environ.get("REPRO_BENCH_METRICS_DIR", "").strip()
-    path = (Path(raw) if raw
-            else Path(__file__).resolve().parent / "metrics")
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError:  # pragma: no cover - read-only checkout
-        pass
-    return path
-
-
-def snapshot_metrics(experiment: str, case: str, result,
-                     extra: dict | None = None) -> None:
-    """Append one metrics entry to ``BENCH_<experiment>.json``.
-
-    The entry pairs the row identity with the result's full
-    ``VerifierStats`` dict (phase seconds/counts, rule-cache counters,
-    per-worker breakdowns).  The file is a JSON list ordered by append
-    time -- a trajectory across benchmark runs.  Failures to write
-    (read-only checkout, etc.) are ignored: metrics must never fail a
-    benchmark.
-    """
-    from repro.obs.metrics import SCHEMA as METRICS_SCHEMA
-
-    entry = {
-        "schema": METRICS_SCHEMA,
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "experiment": experiment,
-        "case": case,
-        "verdict": result.verdict,
-        "repro_seed": repro_seed(),
-        "stats": result.stats.to_dict(),
-    }
-    if extra:
-        entry.update(extra)
-    try:
-        directory = metrics_dir()
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"BENCH_{experiment}.json"
-        entries = []
-        if path.exists():
-            try:
-                entries = json.loads(path.read_text())
-            except (OSError, ValueError):
-                entries = []
-        if not isinstance(entries, list):
-            entries = []
-        entries.append(entry)
-        path.write_text(json.dumps(entries, indent=2, default=str) + "\n")
-    except OSError:  # pragma: no cover - filesystem-dependent
-        pass
 
 
 def record(experiment: str, case: str, result, expected_satisfied: bool
@@ -137,7 +67,6 @@ def record(experiment: str, case: str, result, expected_satisfied: bool
         seconds=result.stats.wall_seconds,
     )
     report(row)
-    snapshot_metrics(experiment, case, result)
     assert result.verdict == expected, row.render()
     return row
 
@@ -179,9 +108,6 @@ def record_speedup(experiment: str, case: str, seq_result, par_result,
     seq_s = seq_result.stats.wall_seconds
     par_s = par_result.stats.wall_seconds
     speedup = seq_s / par_s if par_s > 0 else float("inf")
-    snapshot_metrics(experiment, f"{case} [seq]", seq_result)
-    snapshot_metrics(experiment, f"{case} [par x{workers}]", par_result,
-                     extra={"workers": workers, "speedup": speedup})
     print(
         f"[{experiment}] {case:42s} {seq_result.verdict:9s} "
         f"seq={seq_s:.3f}s par={par_s:.3f}s x{workers} workers "

@@ -36,8 +36,7 @@ __all__ = [
     "has_errors", "make", "render_github", "render_report", "sort_key",
     "to_json",
     # lazy:
-    "lint_composition", "lint_text", "lint_path",
-    "structural_diagnostics", "error_codes", "classify",
+    "lint_composition", "lint_text", "structural_diagnostics", "classify",
     "classify_protocol", "classification_diagnostics", "Classification",
     "to_sarif", "sarif_document", "ALL_PASSES", "AnalysisContext",
     "AnalysisPass", "run_passes",
@@ -50,9 +49,7 @@ __all__ = [
 _LAZY = {
     "lint_composition": "lint",
     "lint_text": "lint",
-    "lint_path": "lint",
     "structural_diagnostics": "lint",
-    "error_codes": "lint",
     "ALL_PASSES": "passes",
     "AnalysisContext": "passes",
     "AnalysisPass": "passes",

@@ -134,8 +134,4 @@ def tarjan_sccs(nodes: Sequence[N],
     return sccs
 
 
-def has_self_loop(node: N, successors: Callable[[N], Iterable[N]]) -> bool:
-    return node in set(successors(node))
-
-
-__all__ = ["has_self_loop", "solve", "tarjan_sccs"]
+__all__ = ["solve", "tarjan_sccs"]

@@ -20,7 +20,6 @@ Text that does not match the surface grammar at all still raises
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from ..ltlfo.formulas import LTLFOSentence
@@ -209,23 +208,4 @@ def lint_text(text: str,
     return report
 
 
-def lint_path(path: str | Path,
-              semantics: ChannelSemantics = DECIDABLE_DEFAULT,
-              strict: bool = False) -> LintReport:
-    """Lint one ``.dws`` file."""
-    return lint_text(Path(path).read_text(), semantics=semantics,
-                     strict=strict)
-
-
-def error_codes(report: LintReport) -> list[str]:
-    """The codes of the error-severity diagnostics (exit-status gate)."""
-    return sorted({
-        d.code for d in report.diagnostics
-        if d.severity is Severity.ERROR
-    })
-
-
-__all__ = [
-    "error_codes", "lint_composition", "lint_path", "lint_text",
-    "structural_diagnostics",
-]
+__all__ = ["lint_composition", "lint_text", "structural_diagnostics"]

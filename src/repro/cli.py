@@ -13,7 +13,6 @@ Usage::
     python -m repro simulate SPEC.dws [--steps N] [--seed S]
     python -m repro profile SPEC.dws|LIBRARY [--workers N] ...
     python -m repro merge-shards shard_*.json [--output FILE]
-    python -m repro bench check [--metrics-dir DIR] [--json]
 
 ``verify`` runs every ``property`` statement in the document (or just
 ``--property NAME``) and reports verdicts; the exit status is 0 iff all
@@ -53,8 +52,6 @@ added in), per-layer rates, and the expansions per distinct state (a
 ``warning:`` when a state was expanded more than once); its target is
 either a ``.dws`` file or one of the built-in library examples
 (``loan``, ``ecommerce``, ``travel``, ``payments``, ``dispatch``).
-``repro bench check`` is the regression sentinel over
-``benchmarks/metrics/BENCH_*.json``.
 """
 
 from __future__ import annotations
@@ -697,7 +694,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 def cmd_merge_shards(args: argparse.Namespace) -> int:
     from .obs import merge_registry_snapshot
-    from .verifier import merge_fragments, result_from_merged
+    from .verifier import merge_fragments
 
     fragments = []
     for path in args.fragments:
@@ -717,25 +714,30 @@ def cmd_merge_shards(args: argparse.Namespace) -> int:
         merged = merge_fragments(fragments)
     except ValueError as err:
         raise ReproError(str(err))
+    except KeyError as err:
+        raise ReproError(f"malformed shard fragment: no key {err}")
+    except TypeError as err:
+        raise ReproError(f"malformed shard fragment: {err}")
 
     # fold the merged registry into this process so --metrics-json (and
     # anything else reading REGISTRY) reports fleet-wide totals
     merge_registry_snapshot(merged["metrics"])
 
+    # fragments are files from elsewhere: read the merged entries as
+    # JSON, never unpickle their counterexamples
     all_ok = True
     entries: list[dict] = []
     for entry in merged["properties"]:
-        result = result_from_merged(entry)
-        stats = result.stats
+        stats = entry["stats"]
         where = ""
         if entry["decisive_shard"] is not None:
             where = (f", decisive: order {entry['decisive_order']} "
                      f"in shard {entry['decisive_shard']}")
-        print(f"{result.property_text}: {result.verdict}  "
-              f"(valuations={stats.valuations_checked}, "
-              f"states={stats.system_states}, "
-              f"product nodes={stats.product_nodes_visited}{where})")
-        if not result.satisfied:
+        print(f"{entry['property']}: {entry['verdict']}  "
+              f"(valuations={stats['valuations_checked']}, "
+              f"states={stats['system_states']}, "
+              f"product nodes={stats['product_nodes_visited']}{where})")
+        if not entry["satisfied"]:
             all_ok = False
             if args.counterexample and entry["counterexample"]:
                 print(entry["counterexample"]["text"])
@@ -751,29 +753,6 @@ def cmd_merge_shards(args: argparse.Namespace) -> int:
               file=sys.stderr)
     _write_metrics_json(args.metrics_json, "merge-shards", entries)
     return 0 if all_ok else 1
-
-
-# ---------------------------------------------------------------------------
-# bench check
-
-
-def cmd_bench_check(args: argparse.Namespace) -> int:
-    """The bench regression sentinel over BENCH_*.json trajectories."""
-    from .obs.bench import check_directory
-
-    try:
-        report = check_directory(
-            args.metrics_dir,
-            max_wall_ratio=args.max_wall_ratio,
-            min_wall_seconds=args.min_wall_seconds,
-        )
-    except (OSError, ValueError, KeyError, TypeError) as err:
-        raise ReproError(f"cannot check {args.metrics_dir}: {err}")
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render())
-    return 0 if report.ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -937,35 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the merged document as JSON")
     _add_obs_options(p_merge)
     p_merge.set_defaults(func=cmd_merge_shards)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="operate on benchmark trajectories",
-    )
-    bench_sub = p_bench.add_subparsers(dest="bench_command",
-                                       required=True)
-    p_check_bench = bench_sub.add_parser(
-        "check",
-        help="regression sentinel over BENCH_*.json (exit 1 on "
-             "regression)",
-    )
-    p_check_bench.add_argument("--metrics-dir", metavar="DIR",
-                               dest="metrics_dir",
-                               default="benchmarks/metrics",
-                               help="directory of BENCH_*.json files "
-                                    "(default: benchmarks/metrics)")
-    p_check_bench.add_argument("--max-wall-ratio", type=float,
-                               dest="max_wall_ratio", default=1.5,
-                               help="fail when the newest wall_seconds "
-                                    "exceeds this multiple of the "
-                                    "baseline median (default 1.5)")
-    p_check_bench.add_argument("--min-wall-seconds", type=float,
-                               dest="min_wall_seconds", default=0.05,
-                               help="ignore absolute slowdowns smaller "
-                                    "than this (default 0.05s)")
-    p_check_bench.add_argument("--json", action="store_true",
-                               help="print the report as JSON")
-    p_check_bench.set_defaults(func=cmd_bench_check)
 
     return parser
 

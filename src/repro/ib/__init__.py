@@ -5,11 +5,11 @@ from .checker import (
     check_sentence, is_input_bounded_composition, is_input_bounded_sentence,
     require_input_bounded,
 )
-from .report import Violation, summarize, violations_to_diagnostics
+from .report import Violation, summarize
 
 __all__ = [
     "Violation", "check_composition", "check_exists_star_rule",
     "check_formula", "check_peer", "check_sentence",
     "is_input_bounded_composition", "is_input_bounded_sentence",
-    "require_input_bounded", "summarize", "violations_to_diagnostics",
+    "require_input_bounded", "summarize",
 ]

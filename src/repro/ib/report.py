@@ -54,11 +54,6 @@ class Violation:
         return f"[{self.where}] {self.reason}: {self.formula}"
 
 
-def violations_to_diagnostics(violations: list[Violation]
-                              ) -> list[Diagnostic]:
-    return [v.as_diagnostic() for v in violations]
-
-
 def summarize(violations: list[Violation],
               composition=None) -> str:
     """A multi-line report, one code-prefixed violation per entry.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import FormulaError, VerificationError
 from .formulas import AP
@@ -291,18 +291,6 @@ class BuchiAutomaton:
                 accepting.add((a, b, 1))
         return BuchiAutomaton(states, initial, edges, accepting,
                               self.aps | other.aps)
-
-    def map_states(self, rename: Callable[[State], State]
-                   ) -> "BuchiAutomaton":
-        """A copy with every state renamed through *rename* (injective)."""
-        return BuchiAutomaton(
-            (rename(s) for s in self.states),
-            (rename(s) for s in self.initial),
-            (Edge(rename(e.src), e.guard, rename(e.dst))
-             for e in self.all_edges()),
-            (rename(s) for s in self.accepting),
-            self.aps,
-        )
 
     def __repr__(self) -> str:
         return (f"BuchiAutomaton(states={len(self.states)}, "

@@ -23,9 +23,7 @@ from typing import Mapping
 from ..errors import FormulaError
 from ..fo import formulas as fo
 from ..fo.terms import Value, Var
-from ..ltl.formulas import (
-    LAtom, LTLFormula, lnot, lwalk,
-)
+from ..ltl.formulas import LAtom, LTLFormula, lwalk
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,10 +108,6 @@ class LTLFOSentence:
         return map_payloads(
             self.body, lambda p: fo.instantiate(p, valuation)
         )
-
-    def negated_body(self) -> LTLFormula:
-        """``~body`` -- the paper verifies by searching for a violation."""
-        return lnot(self.body)
 
     def __str__(self) -> str:
         if self.variables:

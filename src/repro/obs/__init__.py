@@ -12,9 +12,7 @@ A zero-dependency measurement substrate for the verifier pipeline:
   total instrumented wall time.
 
 ``repro profile``, ``--stats``, ``--metrics-json`` and the benchmarks
-read these two.  :mod:`repro.obs.bench`, the regression sentinel over
-``benchmarks/metrics/BENCH_*.json``, is imported only by ``repro bench
-check``.
+read these two.
 
 The registry is per process.  The forked children of ``workers > 1``
 start from a clean slate (:func:`reset_for_worker`) and ship their

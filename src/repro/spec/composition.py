@@ -47,14 +47,6 @@ class Channel:
     sender: str | None
     receiver: str | None
 
-    @property
-    def from_environment(self) -> bool:
-        return self.sender is None
-
-    @property
-    def to_environment(self) -> bool:
-        return self.receiver is None
-
     def __str__(self) -> str:
         src = self.sender or ENVIRONMENT_NAME
         dst = self.receiver or ENVIRONMENT_NAME

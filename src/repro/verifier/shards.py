@@ -269,7 +269,11 @@ def result_from_merged(entry: Mapping) -> VerificationResult:
 
     The counterexample is unpickled from the decisive shard's fragment,
     so differential tests can compare the merged lasso bit-for-bit
-    against an unsharded run.
+    against an unsharded run.  Unpickling runs whatever the pickle
+    names, so call this only on fragments this process tree made
+    (:func:`~repro.verifier.run_local_shards`, the fuzz harness,
+    tests); ``repro merge-shards`` reads fragment files and prints the
+    merged entry's own fields instead.
     """
     stats_in = entry["stats"]
     stats = VerifierStats(

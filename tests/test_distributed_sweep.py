@@ -219,8 +219,7 @@ def test_shard_combines_with_supplied_cache():
 
 
 #: Run in a fresh interpreter: ``import repro.cli`` and a one-worker
-#: ``repro verify`` must not load the process-pool machinery, nor the
-#: bench sentinel, which only ``repro bench check`` imports.
+#: ``repro verify`` must not load the process-pool machinery.
 _NO_POOL_PROBE = """
 import sys
 import repro.cli
@@ -230,10 +229,8 @@ def pool_modules():
                   if m.split(".")[0] in ("multiprocessing", "concurrent"))
 
 assert pool_modules() == [], pool_modules()
-assert "repro.obs.bench" not in sys.modules
 assert repro.cli.main(["verify", "--workers", "1", sys.argv[1]]) == 1
 assert pool_modules() == [], pool_modules()
-assert "repro.obs.bench" not in sys.modules
 """
 
 

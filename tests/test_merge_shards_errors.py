@@ -8,12 +8,17 @@ interesting ones:
   happen to declare the same property list (the silent-garbage case
   the ``spec_sha`` stamp exists to catch);
 * overlapping shard indices -- the same residue class submitted twice;
-* an empty or non-object fragment file.
+* an empty or non-object fragment file, or one that lacks a key.
+
+Fragment files are untrusted input: ``repro merge-shards`` never
+unpickles the counterexample a fragment carries.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import pickle
 
 import pytest
 
@@ -51,6 +56,16 @@ def _run(capsys, argv):
     code = main(argv)
     err = capsys.readouterr().err
     return code, err
+
+
+class _OpensFile:
+    """Unpickles as ``open(path, "w")``: code a crafted pickle runs."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
 
 
 class TestValidateFragments:
@@ -130,9 +145,68 @@ class TestCliErrors:
         assert code == 2
         assert "error:" in err and "cannot read fragment" in err
 
+    def test_fragment_without_shard_exit_2(self, payment_fragments,
+                                           tmp_path, capsys):
+        argv = ["merge-shards",
+                _write(tmp_path, "a.json", {"schema": "repro.shard/1"}),
+                _write(tmp_path, "b.json", payment_fragments[1])]
+        code, err = _run(capsys, argv)
+        assert code == 2
+        assert "error:" in err and "no key 'shard'" in err
+
+    def test_property_without_stats_exit_2(self, payment_fragments,
+                                           tmp_path, capsys):
+        broken = json.loads(json.dumps(payment_fragments[1]))
+        del broken["properties"][0]["stats"]
+        argv = ["merge-shards",
+                _write(tmp_path, "a.json", payment_fragments[0]),
+                _write(tmp_path, "b.json", broken)]
+        code, err = _run(capsys, argv)
+        assert code == 2
+        assert "error:" in err and "no key 'stats'" in err
+
+    def test_wrong_typed_shard_exit_2(self, payment_fragments, tmp_path,
+                                      capsys):
+        broken = dict(payment_fragments[1], shard=None)
+        argv = ["merge-shards",
+                _write(tmp_path, "a.json", payment_fragments[0]),
+                _write(tmp_path, "b.json", broken)]
+        code, err = _run(capsys, argv)
+        assert code == 2
+        assert "error:" in err and "malformed shard fragment" in err
+
     def test_no_fragment_arguments_exit_2(self, capsys):
         """argparse rejects an empty fragment list with usage + exit 2."""
         with pytest.raises(SystemExit) as exc:
             main(["merge-shards"])
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err
+
+
+def test_counterexample_pickle_is_never_loaded(payment_fragments, tmp_path,
+                                               capsys):
+    """A fragment's pickled counterexample stays bytes: the merged
+    verdict, stats and counterexample text come off the JSON."""
+    target = tmp_path / "created-by-unpickling"
+    crafted = json.loads(json.dumps(payment_fragments[0]))
+    entry = crafted["properties"][0]
+    order = entry["stats"]["per_task"][0]["order"]
+    entry.update(
+        satisfied=False, verdict="VIOLATED", decisive_order=order,
+        counterexample={
+            "pickle": base64.b64encode(
+                pickle.dumps(_OpensFile(str(target)))).decode("ascii"),
+            "text": "counterexample text from the fragment",
+        },
+    )
+    argv = ["merge-shards", "--counterexample",
+            _write(tmp_path, "a.json", crafted),
+            _write(tmp_path, "b.json", payment_fragments[1])]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert not target.exists()
+    assert code == 1
+    assert (f"{entry['property']}: VIOLATED  (valuations=1, "
+            in out)
+    assert f"decisive: order {order} in shard 0)" in out
+    assert "counterexample text from the fragment" in out
