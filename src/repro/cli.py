@@ -620,7 +620,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if memo_rows:
         print(f"  successor memo: {memo_hits} hits / "
               f"{memo_rows - memo_hits} misses "
-              f"({100.0 * memo_hits / memo_rows:.1f}% of rows)")
+              f"({100.0 * memo_hits / memo_rows:.1f}% of rows), "
+              f"{counters.get('graph.moves_fired', 0)} moves fired")
         # every memo row is one interned state expanded; a state is
         # decoded only to fire rules or evaluate a formula
         print(f"  decoded states: "

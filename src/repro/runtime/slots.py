@@ -14,19 +14,21 @@ numbered in encounter order, so no key depends on ``PYTHONHASHSEED``.
 
 Under serialized runs (Definitions 2.4 and 2.6) one mover -- a peer, or
 the environment of an open composition -- changes only the slots its move
-writes, and what it writes depends only on the slots it reads and the old
-values of the relations and channels it writes.  :class:`SuccessorMemo`
-therefore files each mover's share of a successor row under the key's
-projection onto those slots (:func:`mover_slots`, derived from the peer's
-move plan and the snapshot view table) and answers a later state with the
-same projection without firing a rule.  Reads alone are not enough: a
-previous input keeps its old value when the current input is empty, and
-a state relation or a queue is rewritten from its old value.  The mover,
-enqueued and sent slots are the exception: every move sets them afresh,
-so they enter a key only where a rule reads them (``move_W``,
-``received_Q``).  Which slots a relation of the snapshot view reads is
-one rule, :meth:`SlotCodec.slots_of`, shared by the memo and by letters,
-whose extension ids are read off the same projections.
+writes, and what it writes depends only on the slots its rules read and
+the old values of the relations and channels it rewrites.
+:class:`SuccessorMemo` therefore files each mover's share of a successor
+row under the key's projection onto those slots (:func:`mover_slots`,
+derived from the peer's move plan and the snapshot view table) and
+answers a later state with the same projection without firing a rule.
+Reads alone are not enough: a previous input keeps its old value when the
+current input is empty, and a state relation or a queue is rewritten from
+its old value.  Writes are more than needed: actions and ``error_Q``
+flags, like the mover, enqueued and sent slots, are set afresh by every
+move, so they enter a key only where a rule reads them (``error_Q``,
+``move_W``, ``received_Q``; no rule reads an action).  Which slots a
+relation of the snapshot view reads is one rule,
+:meth:`SlotCodec.slots_of`, shared by the memo and by letters, whose
+extension ids are read off the same projections.
 
 The memo never computes a successor itself.  For a state whose row it
 cannot complete, :meth:`SuccessorMemo.row` names the movers whose share
@@ -156,17 +158,20 @@ class SlotCodec:
 
 def mover_slots(composition: Composition, codec: SlotCodec
                 ) -> list[tuple[str, frozenset[int], frozenset[int]]]:
-    """``(mover, slots read, relation and channel slots written)`` per
-    mover, in the order :func:`~repro.runtime.step.successors` lists
-    their moves: every peer in composition order, then the environment
-    when the composition is open.  Every move also writes the mover,
-    enqueued and sent slots.
+    """``(mover, slots its move depends on, relation and channel slots
+    written)`` per mover, in the order
+    :func:`~repro.runtime.step.successors` lists their moves: every peer
+    in composition order, then the environment when the composition is
+    open.  Every move also writes the mover, enqueued and sent slots.
 
-    A peer reads the slots behind every relation its rules mention
-    (:meth:`SlotCodec.slots_of`) and writes its inputs, previous inputs,
-    updated states, actions, error flags, and consumed and sent
-    channels.  The environment reads and writes the channels it consumes
-    or feeds.
+    A peer's move depends on the slots behind every relation its rules
+    mention (:meth:`SlotCodec.slots_of`) and on the old values of what
+    it rewrites: its inputs (copied into previous inputs), previous
+    inputs, updated states, and consumed and sent channels.  It also
+    writes its actions and error flags, which every move recomputes, so
+    they are depended on only where a rule reads them (an error flag;
+    no rule reads an action).  The environment depends on and writes
+    the channels it consumes or feeds.
     """
     out = []
     rel, chan = codec.relation_slot, codec.channel_slot
@@ -175,19 +180,21 @@ def mover_slots(composition: Composition, codec: SlotCodec
         rules += [rule for _name, *pair in plan.updates for rule in pair]
         rules += [rule for _name, rule in plan.actions]
         rules += [rule for _channel, rule, _flag in plan.sends]
-        reads = frozenset(codec.slots_of(
-            name for rule in rules if rule is not None
-            for name in rule.relations))
-        writes = frozenset().union(
+        rewritten = frozenset().union(
             [rel[name] for name, _arity, _rule in plan.inputs],
             [rel[prev] for _name, prev in plan.prev_inputs],
             [rel[name] for name, _ins, _dels in plan.updates],
-            [rel[name] for name, _rule in plan.actions],
-            [rel[flag] for _c, _r, flag in plan.sends if flag is not None],
             [chan[name] for name in plan.consumed],
             [chan[channel.name] for channel, _r, _f in plan.sends],
         )
-        out.append((plan.mover, reads, writes))
+        depends = rewritten.union(codec.slots_of(
+            name for rule in rules if rule is not None
+            for name in rule.relations))
+        writes = rewritten.union(
+            [rel[name] for name, _rule in plan.actions],
+            [rel[flag] for _c, _r, flag in plan.sends if flag is not None],
+        )
+        out.append((plan.mover, depends, writes))
     if not composition.is_closed:
         channels = frozenset(
             chan[c.name] for c in composition.environment_channels())
@@ -204,8 +211,8 @@ class _Mover:
     def __init__(self, name: str, key_slots: Sequence[int],
                  writes: Sequence[int], width: int) -> None:
         self.name = name
-        # a mover that reads and writes no relation or channel has one
-        # share for every state
+        # a mover whose move depends on no slot has one share for
+        # every state
         self.project = (itemgetter(*key_slots) if key_slots
                         else lambda key: ())
         # every move writes the mover, enqueued and sent slots, so
@@ -220,7 +227,8 @@ class _Mover:
 
 class SuccessorMemo:
     """Each mover's share of a successor row, keyed on the slots that
-    mover reads or writes (:func:`mover_slots`)."""
+    mover's move depends on and holding every slot it writes
+    (:func:`mover_slots`)."""
 
     __slots__ = ("codec", "_movers")
 
@@ -228,9 +236,9 @@ class SuccessorMemo:
         self.codec = codec
         events = {codec.mover, codec.enqueued, codec.sent}
         self._movers = [
-            _Mover(name, sorted(reads | writes), sorted(writes | events),
+            _Mover(name, sorted(depends), sorted(writes | events),
                    len(codec))
-            for name, reads, writes in mover_slots(composition, codec)
+            for name, depends, writes in mover_slots(composition, codec)
         ]
 
     def row(self, key: SlotKey) -> tuple[list, list[str]]:

@@ -143,6 +143,7 @@ class SharedExploration:
         self._reuse_hits = counter("graph.reuse_hits")
         self._memo_hits = counter("graph.successor_memo_hits")
         self._memo_misses = counter("graph.successor_memo_misses")
+        self._moves_fired = counter("graph.moves_fired")
         self._expanded = counter("product.states_expanded")
         self._branching = histogram(
             "product.branching_factor",
@@ -179,6 +180,7 @@ class SharedExploration:
             blocks, missing = self.memo.row(key)
             if missing:
                 self._memo_misses.inc()
+                self._moves_fired.inc(len(missing))
                 self.memo.file(key, blocks, successors(
                     self.composition, self.state_of(sid), self.domain,
                     self.semantics, env_one_action_per_move=True,

@@ -8,7 +8,8 @@ already holds and the run's ``search.blue_visited`` +
 ``--metrics-json`` writes out.  ``product_nodes_visited`` charges every
 valuation its letter class's search, so it would count nodes no search
 visited.  It also prints the successor memo's hits and misses, which
-add up to the expansions, and the states decoded out of them.
+add up to the expansions, the moves its misses fire, and the states
+decoded out of them.
 
 Those counters must not depend on how the run is split: ``--workers
 2`` counts what its two shards count in process, and its registry lists
@@ -35,7 +36,7 @@ EXPAND = re.compile(r"^  expand rate: (\d+\.\d) us per expansion "
 SEARCH = re.compile(r"^  search rate: (\d+) ns per product node "
                     r"\((\d+) nodes\)$", re.M)
 MEMO = re.compile(r"^  successor memo: (\d+) hits / (\d+) misses "
-                  r"\(\d+\.\d% of rows\)$", re.M)
+                  r"\(\d+\.\d% of rows\), (\d+) moves fired$", re.M)
 DECODED = re.compile(r"^  decoded states: (\d+) of (\d+) interned$", re.M)
 
 
@@ -61,6 +62,9 @@ def test_rates_come_from_the_results(tmp_path, capsys):
     assert int(memo.group(1)) + int(memo.group(2)) == expansions
     assert int(memo.group(1)) == counters["graph.successor_memo_hits"] \
         - before.get("graph.successor_memo_hits", 0) > 0
+    # a miss fires the moves of the movers whose share it lacks
+    assert int(memo.group(2)) <= int(memo.group(3)) \
+        == counters["graph.moves_fired"] - before.get("graph.moves_fired", 0)
     # a state is decoded only to fire rules or evaluate a formula
     assert int(decoded.group(2)) == expansions
     assert 0 < int(decoded.group(1)) == counters["graph.states_decoded"] \

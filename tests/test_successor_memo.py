@@ -9,19 +9,29 @@ state of every completed graph below, the exploration's row must equal
 the interned ``successors()`` of the decoded state, in the same order,
 and the decoded state must intern back to its own id.  A miss's mover
 subset must be exactly those movers' block of the full row.
+
+A mover's share is keyed on what its move depends on, not on every slot
+it writes: actions and error flags are recomputed by every move, so one
+enters a key only where a rule reads it.  ``error_flag.dws`` is the case
+where a rule does.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import SpecificationError
-from repro.fo.schema import ENVIRONMENT_NAME
+from repro.fo.formulas import relations
+from repro.fo.schema import ENVIRONMENT_NAME, RelationKind
 from repro.fuzz.generate import generate
 from repro.obs import counters_snapshot
 from repro.runtime import step
 from repro.runtime.step import successors
 from repro.spec import DECIDABLE_DEFAULT
+from repro.spec.channels import ChannelSemantics, FlatSendDiscipline
+from repro.spec.dsl import load_document
 from repro.verifier import SharedExploration
 from repro.verifier.domain import verification_domain
 
@@ -32,9 +42,19 @@ from .test_expansion_golden import (
 #: The case ``repro fuzz --count 25 --seed 7 --row 3.4 --row 3.9`` runs.
 FUZZ_SEED, FUZZ_COUNT, FUZZ_ROWS = 7, 25, ("3.4", "3.9")
 
-#: What a row counts: memo hits, memo misses, expanded states.
+#: A sender that reads its own flat out-queue's ``error_Q`` flag, under
+#: the flat-send discipline that raises it (a document cannot choose one).
+ERROR_FLAG_CASE = "error_flag.dws"
+ERROR_FLAG_DOCUMENT = Path(__file__).resolve().parent / "fixtures" \
+    / ERROR_FLAG_CASE
+ERROR_FLAG_SEMANTICS = ChannelSemantics(
+    lossy=True, queue_bound=1,
+    flat_send=FlatSendDiscipline.DETERMINISTIC_ERROR)
+
+#: What a row counts: memo hits, memo misses, expanded states, and the
+#: moves a miss fires.
 COUNTERS = ("graph.successor_memo_hits", "graph.successor_memo_misses",
-            "product.states_expanded")
+            "product.states_expanded", "graph.moves_fired")
 
 
 def _fuzz_spec(i: int):
@@ -53,6 +73,13 @@ def _explorations(case: str) -> list[SharedExploration]:
                                   env_value_domain=env_values)]
     if case in DOCUMENTS:
         return _document_explorations(case)
+    if case == ERROR_FLAG_CASE:
+        composition, databases, _properties = load_document(
+            ERROR_FLAG_DOCUMENT.read_text())
+        domain = verification_domain(composition, [], databases,
+                                     fresh_count=1)
+        return [SharedExploration(composition, databases, domain.values,
+                                  ERROR_FLAG_SEMANTICS)]
     spec = _fuzz_spec(int(case.removeprefix("fuzz#")))
     if not spec.verifiable:
         pytest.skip("unbounded queues: nothing to explore")
@@ -83,7 +110,7 @@ def _check_rows(exploration: SharedExploration) -> None:
         assert exploration.successors_of(sid) == expected, sid
 
 
-CASES = [*LIBRARIES, "credit_check", *DOCUMENTS,
+CASES = [*LIBRARIES, "credit_check", *DOCUMENTS, ERROR_FLAG_CASE,
          *(f"fuzz#{i}" for i in range(FUZZ_COUNT))]
 
 
@@ -91,9 +118,13 @@ CASES = [*LIBRARIES, "credit_check", *DOCUMENTS,
 def test_every_row_is_successors_of_the_decoded_state(case):
     for exploration in _explorations(case):
         moved = _complete(exploration)
-        hits, misses, expanded = (moved[name] for name in COUNTERS)
+        hits, misses, expanded, fired = (moved[name] for name in COUNTERS)
         assert hits + misses == expanded == exploration.states_expanded \
             == len(exploration.interner)
+        # a miss fires each mover that lacks a share, and at least one
+        composition = exploration.composition
+        movers = len(composition.peers) + (not composition.is_closed)
+        assert misses <= fired <= movers * misses
         _check_rows(exploration)
 
 
@@ -144,9 +175,69 @@ def test_an_unknown_mover_is_refused():
                    exploration.semantics, movers={ENVIRONMENT_NAME})
 
 
+def _key_slots(exploration: SharedExploration) -> dict[str, set[int]]:
+    """The slots each mover's memo share is keyed on: its projection of
+    the key whose every slot holds its own index."""
+    identity = tuple(range(len(exploration.interner.codec)))
+    held = {mover.name: mover.project(identity)
+            for mover in exploration.memo._movers}
+    return {name: set(slots if isinstance(slots, tuple) else (slots,))
+            for name, slots in held.items()}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_keys_hold_no_action_and_only_read_error_flags(case):
+    """Every move recomputes its actions and error flags, so no mover's
+    key holds an action slot (no rule reads one), and an error-flag slot
+    is in a key only where that peer's rules read the flag."""
+    for exploration in _explorations(case):
+        composition = exploration.composition
+        codec = exploration.interner.codec
+        slots_of_kind = {kind: {codec.relation_slot[sym.qualified_name]
+                                for sym in composition.schema
+                                if sym.kind is kind}
+                         for kind in (RelationKind.ACTION,
+                                      RelationKind.ERROR_FLAG)}
+        for mover, key in _key_slots(exploration).items():
+            assert not key & slots_of_kind[RelationKind.ACTION], mover
+            flags = key & slots_of_kind[RelationKind.ERROR_FLAG]
+            if mover == ENVIRONMENT_NAME:
+                assert not flags
+                continue
+            read = codec.slots_of(
+                name for rule in composition.qualified_rules(mover)
+                for name in relations(rule.body))
+            assert flags <= set(read), mover
+
+
+def test_a_read_error_flag_keys_its_movers_share():
+    """``error_flag.dws`` reaches states that differ only in
+    ``S.error_msg``, and S's moves differ between some of them: the flag
+    is in S's key, and only there, as R's rules do not read it."""
+    (exploration,) = _explorations(ERROR_FLAG_CASE)
+    assert exploration.complete()
+    interner, composition = exploration.interner, exploration.composition
+    flag = interner.codec.relation_slot["S.error_msg"]
+    keys = [interner.key_of(sid) for sid in range(len(interner))]
+    twins = [(a, b) for i, a in enumerate(keys) for b in keys[:i]
+             if [j for j, (x, y) in enumerate(zip(a, b)) if x != y]
+             == [flag]]
+    assert twins
+    key_slots = _key_slots(exploration)
+    assert flag in key_slots["S"] and flag not in key_slots["R"]
+
+    def moves_of_s(key):
+        return [interner.intern(state) for state in successors(
+            composition, interner.codec.decode(key), exploration.domain,
+            exploration.semantics, movers={"S"})]
+
+    assert any(moves_of_s(a) != moves_of_s(b) for a, b in twins)
+
+
 def test_a_miss_fires_only_the_movers_it_lacks(monkeypatch):
-    """Completing e-commerce breadth-first misses 522 rows, 515 of which
-    lack one peer's share: the misses fire 530 moves, not 3 x 522."""
+    """Completing e-commerce breadth-first misses 306 rows, 299 of which
+    lack one peer's share: the misses fire 314 moves, not 3 x 306, and
+    ``graph.moves_fired`` counts each of them."""
     fired = []
     move = step._move_successors
 
@@ -159,8 +250,8 @@ def test_a_miss_fires_only_the_movers_it_lacks(monkeypatch):
     moved = _complete(exploration)
     assert (moved["graph.successor_memo_hits"],
             moved["graph.successor_memo_misses"],
-            moved["product.states_expanded"]) == (3738, 522, 4260)
-    assert len(fired) == 530
+            moved["product.states_expanded"]) == (3954, 306, 4260)
+    assert len(fired) == moved["graph.moves_fired"] == 314
 
 
 def test_building_an_exploration_fires_no_rules():
