@@ -73,12 +73,13 @@ from .spec import (
 from .verifier import (
     VerificationResult, verification_domain, verify, verify_all,
 )
-from .runtime import reachable_states, simulate
 
-# loaded on first use: ``repro verify`` runs neither procedure
+# loaded on first use: ``repro verify`` runs neither procedure, and
+# simulates no run
 __getattr__ = lazy_exports(__name__, {
     ".protocols": ("AgnosticProtocol", "DataAwareProtocol", "Observer",
                    "verify_agnostic", "verify_aware"),
+    ".runtime.run": ("reachable_states", "simulate"),
     ".verifier.modular": ("verify_modular",),
 })
 

@@ -34,7 +34,6 @@ written atomically (tmp + rename), safe under concurrent linting.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -42,6 +41,7 @@ import tempfile
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .._record import asdict
 from ..obs import counter
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
@@ -185,7 +185,7 @@ def _payload_from_report(report: LintReport) -> dict:
         "diagnostics": [d.to_dict() for d in report.diagnostics],
         "passes_run": list(report.passes_run),
         "classifications": {
-            name: dataclasses.asdict(c)
+            name: asdict(c)
             for name, c in report.classifications.items()
         },
     }

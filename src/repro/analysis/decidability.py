@@ -33,9 +33,9 @@ finding over the bounded domain; only exhaustiveness loses meaning).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
+from .._record import field, record
 from ..ib.checker import check_composition, check_sentence
 from ..ltlfo.formulas import LTLFOSentence
 from ..spec.channels import (
@@ -43,11 +43,14 @@ from ..spec.channels import (
     NestedEmptySend,
 )
 from ..spec.composition import Composition
-from .diagnostics import Diagnostic, make
-from .passes import AnalysisContext
+
+# the lint functions' types: ``repro verify`` only calls classify()
+if TYPE_CHECKING:
+    from .diagnostics import Diagnostic
+    from .passes import AnalysisContext
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Classification:
     """Which theorem row applies to one verification configuration."""
 
@@ -193,6 +196,8 @@ def classify_protocol(protocol) -> Classification:
 def classification_diagnostics(classification: Classification
                                ) -> list[Diagnostic]:
     """The classifier verdict as ``DWV401``/``DWV402`` diagnostics."""
+    from .diagnostics import make
+
     if classification.decidable:
         return [make(
             "DWV401", classification.describe(),

@@ -7,8 +7,9 @@ severity, a location path (peer / rule / subformula), a human message,
 and a fix hint.  The code catalog below maps each code to the paper
 section or theorem it enforces (the same table lives in DESIGN.md).
 
-This module deliberately imports nothing from the rest of ``repro`` so
-that low-level modules (``ib.report``) can import it without cycles.
+This module imports nothing from the rest of ``repro`` but
+:mod:`repro._record`, so that low-level modules (``ib.report``) can
+import it without cycles.
 
 Code ranges:
 
@@ -26,8 +27,9 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
+
+from .._record import asdict, field, record
 
 
 class Severity(enum.Enum):
@@ -42,7 +44,7 @@ class Severity(enum.Enum):
         return {"error": 0, "warning": 1, "note": 2}[self.value]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class CodeInfo:
     """Catalog entry for one stable diagnostic code."""
 
@@ -219,7 +221,7 @@ CODES: dict[str, CodeInfo] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Diagnostic:
     """One analyzer finding with a stable code and a location path.
 
@@ -365,7 +367,7 @@ def to_json(diagnostics: Sequence[Diagnostic], *, extra: dict | None = None,
     return json.dumps(payload, indent=2, default=str)
 
 
-@dataclass
+@record
 class LintReport:
     """The aggregate result of one analyzer run."""
 

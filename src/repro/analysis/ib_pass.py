@@ -17,8 +17,7 @@ rest of the composition changes.
 
 from __future__ import annotations
 
-import dataclasses
-
+from .._record import replace
 from ..ib.checker import check_peer, check_sentence
 from ..ltlfo.formulas import LTLFOSentence
 from ..spec.composition import Composition
@@ -32,7 +31,7 @@ from .provenance import compute_provenance, explain_relations, \
 def _attach(diag: Diagnostic, lines: list[str]) -> Diagnostic:
     if not lines:
         lines = ["values originate in this rule alone"]
-    return dataclasses.replace(diag, provenance=tuple(lines))
+    return replace(diag, provenance=tuple(lines))
 
 
 def attach_provenance(composition: Composition, facts,

@@ -17,9 +17,9 @@ decidability classification that consumes the earlier findings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from .._record import field, record
 from ..ltlfo.formulas import LTLFOSentence
 from ..obs import PHASE_LINT, counter, lint_phase, phase
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
@@ -27,7 +27,7 @@ from ..spec.composition import Composition
 from .diagnostics import Diagnostic, LintReport
 
 
-@dataclass
+@record
 class AnalysisContext:
     """Everything a pass may look at.
 
@@ -45,7 +45,7 @@ class AnalysisContext:
 PassFn = Callable[[AnalysisContext], list[Diagnostic]]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class AnalysisPass:
     """One named analysis pass."""
 

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import os
 import re
 import sys
@@ -72,7 +71,6 @@ from .obs import (
     REGISTRY, counters_snapshot, diff_numeric, phase_counts, phase_seconds,
 )
 from .obs.metrics import SCHEMA as METRICS_SCHEMA
-from .runtime import simulate
 from .spec import DECIDABLE_DEFAULT, ChannelSemantics
 from .spec.dsl import load_document
 from .verifier import (
@@ -120,6 +118,8 @@ def _write_shard_fragment(args: argparse.Namespace,
                           shard: tuple[int, int],
                           results: list, composition) -> None:
     """Write this shard's verdict/stats fragment for ``merge-shards``."""
+    import json
+
     from .verifier import shard_fragment
 
     index, count = shard
@@ -152,6 +152,8 @@ def _write_metrics_json(path: str | None, command: str,
     """
     if not path:
         return
+    import json
+
     payload = {
         "schema": METRICS_SCHEMA,
         "command": command,
@@ -350,6 +352,8 @@ def _lint_one(target: str, semantics, cache):
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
+    import json
+
     from .analysis import (
         LintCache, count_by_severity, render_github, render_report,
         sarif_document, to_json, Severity,
@@ -450,6 +454,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .runtime import simulate
+
     composition, databases, _properties = _load(args.spec)
     domain = verification_domain(composition, [], databases,
                                  fresh_count=args.fresh or 1)
@@ -694,6 +700,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_merge_shards(args: argparse.Namespace) -> int:
+    import json
+
     from .obs import merge_registry_snapshot
     from .verifier import merge_fragments
 

@@ -10,10 +10,10 @@ readable; they never change semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
 
+from .._record import record
 from ..errors import FormulaError
 from .terms import Const, Term, Value, Var
 
@@ -23,7 +23,7 @@ Formula = Union[
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class TrueF:
     """The constant true formula."""
 
@@ -31,7 +31,7 @@ class TrueF:
         return "true"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class FalseF:
     """The constant false formula."""
 
@@ -39,7 +39,7 @@ class FalseF:
         return "false"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Atom:
     """A relational atom ``R(t1, ..., tk)``.
 
@@ -56,7 +56,7 @@ class Atom:
         return f"{self.rel}({', '.join(map(str, self.terms))})"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Eq:
     """An equality atom ``t1 = t2``."""
 
@@ -67,7 +67,7 @@ class Eq:
         return f"{self.left} = {self.right}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Not:
     """Negation."""
 
@@ -77,7 +77,7 @@ class Not:
         return f"~({self.body})"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class And:
     """N-ary conjunction."""
 
@@ -87,7 +87,7 @@ class And:
         return "(" + " & ".join(map(str, self.children)) + ")"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Or:
     """N-ary disjunction."""
 
@@ -97,7 +97,7 @@ class Or:
         return "(" + " | ".join(map(str, self.children)) + ")"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Implies:
     """Implication ``antecedent -> consequent``."""
 
@@ -108,7 +108,7 @@ class Implies:
         return f"({self.antecedent} -> {self.consequent})"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Exists:
     """Existential quantification over one or more variables."""
 
@@ -126,7 +126,7 @@ class Exists:
         return f"exists {names}. ({self.body})"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Forall:
     """Universal quantification over one or more variables."""
 

@@ -31,8 +31,8 @@ literals are constants.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
+from .._record import record
 from ..errors import ParseError, SchemaError
 from .formulas import (
     Atom, Formula, conj, disj, eq, exists, forall, implies, neg,
@@ -54,7 +54,7 @@ _KEYWORDS = frozenset({
 })
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Token:
     """One lexical token with its source position."""
 

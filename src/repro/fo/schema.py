@@ -20,9 +20,9 @@ every peer relation as ``Peer.relation``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
+from .._record import record
 from ..errors import SchemaError
 
 
@@ -59,7 +59,7 @@ DERIVED_KINDS = frozenset({
 })
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RelationSymbol:
     """A named relation with an arity, a kind, and queue attributes.
 

@@ -8,14 +8,14 @@ value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .._record import record
 from typing import Union
 
 #: A domain value.  Strings and ints cover every construction in the paper.
 Value = Union[str, int]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Var:
     """A first-order variable, identified by name."""
 
@@ -29,7 +29,7 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Const:
     """A constant term holding a domain value."""
 

@@ -31,8 +31,8 @@ can always be regenerated.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
 
+from .._record import field, record, replace
 from ..fo.instance import Instance
 from ..spec.channels import (
     ChannelSemantics, FlatSendDiscipline, NestedEmptySend,
@@ -61,7 +61,7 @@ THEOREM_ROWS: dict[str, dict] = {
 _VALUE_POOL = ("a", "b", "c", "d")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GeneratedSpec:
     """One generated scenario: a spec plus the row it claims to sit on."""
 

@@ -35,10 +35,10 @@ and shrunk to a minimized reproducer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .._record import field, record
 from ..runtime import validate_lasso
 from ..verifier import (
     merge_fragments, result_from_merged, shard_fragment,
@@ -52,7 +52,7 @@ from .shrink import shrink
 VerifyHook = Callable[..., object]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OracleViolation:
     """One oracle the spec failed, with a human-readable detail."""
 
@@ -63,7 +63,7 @@ class OracleViolation:
         return f"[{self.oracle}] {self.detail}"
 
 
-@dataclass
+@record
 class CaseOutcome:
     """The oracle verdicts for one generated spec."""
 
@@ -79,7 +79,7 @@ class CaseOutcome:
         return frozenset(v.oracle for v in self.violations)
 
 
-@dataclass
+@record
 class FuzzReport:
     """The aggregate outcome of one ``repro fuzz`` campaign."""
 

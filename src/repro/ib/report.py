@@ -9,15 +9,18 @@ specific Section 3.1 condition violated, and renders through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..analysis.diagnostics import Diagnostic, make
+from .._record import record
+
+if TYPE_CHECKING:
+    from ..analysis.diagnostics import Diagnostic
 
 #: Fallback code for violations constructed without one (old call sites).
 DEFAULT_CODE = "DWV001"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Violation:
     """One reason a formula/peer/composition fails input-boundedness.
 
@@ -38,6 +41,8 @@ class Violation:
 
     def as_diagnostic(self) -> Diagnostic:
         """This violation as a structured analyzer diagnostic."""
+        from ..analysis.diagnostics import make
+
         peer = None
         rule = None
         if self.where.startswith("peer "):

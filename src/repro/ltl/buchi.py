@@ -16,9 +16,9 @@ The module provides the operations verification needs:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
+from .._record import record
 from ..errors import FormulaError, VerificationError
 from .formulas import AP
 
@@ -26,7 +26,7 @@ State = Hashable
 Letter = frozenset
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Guard:
     """A conjunction of AP literals: all of *pos* hold, none of *neg* hold."""
 
@@ -53,7 +53,7 @@ class Guard:
 TRUE_GUARD = Guard()
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Edge:
     """One transition: from *src*, reading a letter satisfying *guard*."""
 
@@ -345,7 +345,7 @@ def _tarjan_sccs(graph: Mapping, nodes: Iterable) -> list[set]:
     return sccs
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class GeneralizedBuchi:
     """A generalized Büchi automaton: several acceptance sets.
 

@@ -16,9 +16,9 @@ derived operators the paper uses as shorthand -- ``G``, ``F`` and ``B``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Iterator, Union
 
+from .._record import record
 from ..errors import FormulaError
 
 AP = Hashable
@@ -29,19 +29,19 @@ LTLFormula = Union[
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class LTrue:
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class LFalse:
     def __str__(self) -> str:
         return "false"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class LAtom:
     """An atomic proposition (any hashable payload)."""
 
@@ -51,7 +51,7 @@ class LAtom:
         return str(self.ap)
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class LNot:
     body: LTLFormula
 
@@ -59,7 +59,7 @@ class LNot:
         return f"~({self.body})"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class LAnd:
     left: LTLFormula
     right: LTLFormula
@@ -68,7 +68,7 @@ class LAnd:
         return f"({self.left} & {self.right})"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class LOr:
     left: LTLFormula
     right: LTLFormula
@@ -77,7 +77,7 @@ class LOr:
         return f"({self.left} | {self.right})"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class LNext:
     body: LTLFormula
 
@@ -85,7 +85,7 @@ class LNext:
         return f"X({self.body})"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class LUntil:
     left: LTLFormula
     right: LTLFormula
@@ -94,7 +94,7 @@ class LUntil:
         return f"({self.left} U {self.right})"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class LRelease:
     """Release, the dual of until: ``phi R psi == ~(~phi U ~psi)``."""
 

@@ -19,8 +19,8 @@ same under every ``PYTHONHASHSEED``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from .._record import record
 from ..errors import FormulaError
 from ..obs import PHASE_TRANSLATE, counter, histogram, phase
 from .buchi import BuchiAutomaton, Edge, GeneralizedBuchi, Guard
@@ -34,7 +34,7 @@ from .formulas import (
 _INIT = 0
 
 
-@dataclass
+@record
 class _Node:
     """A GPVW tableau node under construction.
 

@@ -17,16 +17,16 @@ exactly the sentences with an empty closure-variable tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
+from .._record import record
 from ..errors import FormulaError
 from ..fo import formulas as fo
 from ..fo.terms import Value, Var
 from ..ltl.formulas import LAtom, LTLFormula, lwalk
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class LTLFOSentence:
     """The universal closure ``forall x̄ . body`` of an LTL-FO formula.
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from typing import Mapping
 
+from .._record import record
 from ..errors import FormulaError, SpecificationError
 from ..fo import formulas as fo
 from ..ltl.buchi import BuchiAutomaton, Edge, Guard
@@ -102,7 +102,7 @@ def _propositionalize(formula: LTLFormula) -> LTLFormula:
     raise FormulaError(f"not an LTL formula: {formula!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AgnosticProtocol:
     """A data-agnostic conversation protocol ``(Sigma, B)``.
 
@@ -162,7 +162,7 @@ class AgnosticProtocol:
         return frozenset(events & self.alphabet)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DataAwareProtocol:
     """A data-aware protocol ``(Sigma, B, {phi_sigma})`` (Definition 4.4).
 

@@ -15,16 +15,16 @@ executable reduction gadgets need to size their data domains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
 
+from .._record import record
 from ..errors import SpecificationError
 
 #: The distinguished halting control state.
 HALT = "halt"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Inc:
     """Increment counter ``counter`` (1 or 2) and jump to ``target``."""
 
@@ -36,7 +36,7 @@ class Inc:
             raise SpecificationError("counter must be 1 or 2")
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Test:
     """If the counter is zero jump to ``on_zero``; otherwise decrement it
     and jump to ``on_positive``."""
@@ -56,7 +56,7 @@ Instruction = Union[Inc, Test]
 Test.__test__ = False  # type: ignore[attr-defined]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CounterMachine:
     """A deterministic two-counter machine."""
 
@@ -85,7 +85,7 @@ class CounterMachine:
         return tuple(sorted(self.program)) + (HALT,)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MachineRun:
     """Outcome of running a machine for at most ``budget`` steps."""
 

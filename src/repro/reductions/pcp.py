@@ -9,13 +9,13 @@ used by the frontier demonstrations and their tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .._record import record
 from ..errors import SpecificationError
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PCPInstance:
     """A PCP instance: pairs of words over a finite alphabet."""
 

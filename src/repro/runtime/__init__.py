@@ -9,14 +9,13 @@ from .step import (
     clear_rule_cache, initial_states, input_choices, peer_successors,
     rule_cache_delta, rule_cache_info, successors,
 )
-from .run import (
-    Lasso, iterate_snapshot_views, reachable_states, simulate,
-    validate_lasso,
-)
 
-# loaded on first use: only open compositions step an environment
+# loaded on first use: only open compositions step an environment, and
+# only a counterexample, a simulation or a replay needs runs
 __getattr__ = lazy_exports(__name__, {
     ".environment": ("environment_successors",),
+    ".run": ("Lasso", "iterate_snapshot_views", "reachable_states",
+             "simulate", "validate_lasso"),
 })
 
 __all__ = [

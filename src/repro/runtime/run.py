@@ -9,9 +9,9 @@ run prefixes for testing and exploration.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
+from .._record import record
 from ..errors import SimulationError
 from ..fo.instance import Instance
 from ..fo.terms import Value
@@ -21,7 +21,7 @@ from .state import GlobalState, snapshot_view
 from .step import Domain, _row_key, initial_states, successors
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Lasso:
     """An ultimately periodic run: ``prefix . cycle^omega``.
 

@@ -23,10 +23,10 @@ operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 from weakref import WeakKeyDictionary
 
+from .._record import field, record
 from ..errors import SemanticsError
 from ..fo.instance import FALSE_ROWS, TRUE_ROWS, Instance, Rows
 from ..fo.schema import (
@@ -41,7 +41,7 @@ Message = frozenset
 QueueContents = tuple
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class GlobalState:
     """One snapshot of a composition run.
 
@@ -60,9 +60,10 @@ class GlobalState:
     enqueued: frozenset = frozenset()
     sent: frozenset = frozenset()
     # Memoized hash: sets of snapshots (reachable_states, the reference
-    # engine) hash each one repeatedly, and the generated dataclass hash
-    # re-walks the queue tuples on every call.  (The verifier hashes
-    # slot keys instead, see repro.runtime.slots.)
+    # engine) hash each one repeatedly, and the hash ``record`` would
+    # generate re-walks the queue tuples on every call; it keeps this
+    # one.  (The verifier hashes slot keys instead, see
+    # repro.runtime.slots.)
     _hash: int | None = field(default=None, init=False, repr=False,
                               compare=False)
 

@@ -26,8 +26,8 @@ Every combination the paper's theorems distinguish is expressible as a
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from .._record import record
 from ..errors import SemanticsError
 
 
@@ -45,7 +45,7 @@ class NestedEmptySend(enum.Enum):
     SKIP = "skip"         # convenience mode for application modelling
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ChannelSemantics:
     """A complete choice of communication semantics for a composition."""
 

@@ -23,16 +23,16 @@ is baked in, so each pass applies its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Union
 
+from .._record import field, record
 from ..fo import formulas as fo
 from ..fo.schema import prev_name
 from .composition import Channel, Composition
 from .rules import Rule, RuleKind
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RuleNode:
     """One reaction rule of one peer (``index`` = position in the peer)."""
 
@@ -45,7 +45,7 @@ class RuleNode:
         return f"peer {self.peer}, {self.kind} rule for {self.target}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class QueueNode:
     """One channel (queue) of the composition."""
 
@@ -58,7 +58,7 @@ class QueueNode:
 Node = Union[RuleNode, QueueNode]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class CommEdge:
     """One dependency edge; ``label`` names the carrying relation."""
 
@@ -91,7 +91,7 @@ def formula_polarities(formula: fo.Formula,
     return acc
 
 
-@dataclass
+@record
 class CommGraph:
     """The communication graph; query through the accessors below."""
 

@@ -23,9 +23,9 @@ out-queue symbol denotes the message *last enqueued* (Section 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .._record import record
 from ..errors import SpecificationError
 from ..fo.schema import (
     ENVIRONMENT_NAME, RelationKind, RelationSymbol, Schema,
@@ -37,7 +37,7 @@ from .rules import Rule
 from .validate import validate_composition_channels
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Channel:
     """One message queue: *sender* -> *receiver* (None marks the environment)."""
 

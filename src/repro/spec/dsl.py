@@ -41,8 +41,8 @@ a whole document; :func:`load_databases` extracts the ``database`` blocks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
+from .._record import field, record
 from ..errors import ParseError, SpecificationError
 from ..fo.instance import Instance
 from ..fo.terms import Value, value_sort_key
@@ -294,7 +294,7 @@ def load_properties(text: str) -> dict[str, str]:
 # check structure first and only attempt the full build when it is safe.
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RawDecl:
     """One relation declaration as written: ``kind name/arity``."""
 
@@ -304,7 +304,7 @@ class RawDecl:
     nested: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RawRule:
     """One rule as written: ``kind target(head) <- body``."""
 
@@ -314,7 +314,7 @@ class RawRule:
     body: str
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RawPeer:
     """One ``peer`` block, declarations and rules in document order."""
 
@@ -329,7 +329,7 @@ class RawPeer:
         return None
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RawDocument:
     """The scanned document: peers plus property names (bodies unparsed)."""
 
@@ -538,9 +538,9 @@ def dump_document(composition: Composition,
 def compositions_equal(a: Composition, b: Composition) -> bool:
     """Structural equality of two compositions.
 
-    Peers are frozen dataclasses whose fields (schemas, rules, formula
-    ASTs) all define structural equality, so comparing the peer tuples
-    compares everything down to rule bodies.
+    Peers are frozen records (:mod:`repro._record`) whose fields
+    (schemas, rules, formula ASTs) all define structural equality, so
+    comparing the peer tuples compares everything down to rule bodies.
     """
     return a.peers == b.peers
 

@@ -29,9 +29,9 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
+from .._record import field, record
 from ..errors import SpecificationError
 from ..fo.formulas import Formula, constants as formula_constants
 from ..fo.parser import parse_fo
@@ -44,7 +44,7 @@ from .rules import Rule, RuleKind
 from .validate import validate_rule_vocabulary
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Peer:
     """An immutable peer specification.
 

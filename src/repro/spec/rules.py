@@ -17,8 +17,8 @@ to a peer (see :mod:`repro.spec.validate`).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from .._record import record
 from ..errors import SpecificationError
 from ..fo.formulas import Formula, free_vars
 from ..fo.terms import Var
@@ -32,7 +32,7 @@ class RuleKind(enum.Enum):
     SEND = "send"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Rule:
     """One reaction rule: ``target(head) <- body``."""
 

@@ -23,9 +23,9 @@ structured diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from .._record import record
 from ..errors import SpecificationError
 from ..fo.formulas import relations as formula_relations
 from ..fo.schema import RelationKind, Schema
@@ -71,7 +71,7 @@ def validate_rule_vocabulary(peer_name: str, rule: Rule,
 # -- composition-level channel validation (Definition 2.5) -------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ChannelIssue:
     """One problem with a composition's channel declarations.
 

@@ -38,10 +38,10 @@ valuation under its letter class straight from its binding
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Hashable, Iterable, Mapping
 
+from .._record import record
 from ..errors import FormulaError
 from ..fo.evaluator import decide
 from ..fo.formulas import Formula, free_vars, relations
@@ -52,7 +52,7 @@ from ..spec.composition import Composition
 from ..runtime.state import snapshot_view
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class OccursAtom:
     """AP: the value occurs in the current snapshot (relations or queues)."""
 
@@ -62,7 +62,7 @@ class OccursAtom:
         return f"occurs({self.value!r})"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class PayloadAtom:
     """AP of a template automaton: the sentence's FO payload at *index*
     (in ``LTLFOSentence.fo_payloads()`` order)."""
@@ -73,7 +73,7 @@ class PayloadAtom:
         return f"payload[{self.index}]"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@record(frozen=True, slots=True, eq=False)
 class BoundTemplate:
     """What a valuation's FO AP reads: the FO formula *template* with its
     free variables taking their values from *valuation*.

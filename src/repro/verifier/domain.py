@@ -15,9 +15,9 @@ symmetric under permutation as long as they do not occur in the database).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .._record import record
 from ..fo.instance import Instance
 from ..fo.terms import Value, value_sort_key
 from ..ltlfo.formulas import LTLFOSentence
@@ -27,7 +27,7 @@ from ..spec.composition import Composition
 FRESH_PREFIX = "$v"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VerificationDomain:
     """The finite data domain a verification run ranges over.
 

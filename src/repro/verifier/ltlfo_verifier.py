@@ -59,7 +59,6 @@ from ..obs import (
     PHASE_SWEEP, diff_numeric, merge_registry_snapshot, phase,
     phase_counts, phase_seconds, reset_for_worker,
 )
-from ..runtime.run import Lasso
 from ..runtime.step import rule_cache_delta, rule_cache_info
 from ..spec.channels import ChannelSemantics, DECIDABLE_DEFAULT
 from ..spec.composition import Composition
@@ -364,6 +363,8 @@ def sweep_valuations(valuations: Sequence[Mapping[Var, Value]],
                     product_nodes=search.nodes_visited,
                 ))
             if lasso is not None:
+                from ..runtime.run import Lasso
+
                 stats.decisive_order = order
                 state_of = space.state_of
                 counterexample = Counterexample(

@@ -9,14 +9,14 @@ Büchi states, and :class:`SearchBudget` caps both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
+from .._record import record
 from ..errors import VerificationError
 from ..ltl.buchi import BuchiAutomaton
 
 
-@dataclass
+@record
 class SearchBudget:
     """Caps on the explicit search, to fail fast instead of hanging."""
 

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
+from .._record import field, record
 from ..fo.terms import Value
-from ..runtime.run import Lasso
 from ..spec.composition import Composition
 
+# loaded only where a counterexample is built
+if TYPE_CHECKING:
+    from ..runtime.run import Lasso
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class TaskStats:
     """Timing and node counters of one valuation a shard checked; the
     counters are its letter class's search, whether it ran it or not."""
@@ -22,7 +25,7 @@ class TaskStats:
     product_nodes: int
 
 
-@dataclass
+@record
 class VerifierStats:
     """Aggregate counters across a whole verification call.
 
@@ -136,7 +139,7 @@ class VerifierStats:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Counterexample:
     """A violating run: the valuation of the closure variables plus the
     lasso of snapshots witnessing the negated property."""
@@ -159,7 +162,7 @@ class Counterexample:
         return "\n".join(header) + "\n" + body
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VerificationResult:
     """The outcome of one verification call.
 

@@ -9,15 +9,15 @@ the whole search linear in the product size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from .._record import record
 from ..errors import VerificationError
 from ..obs import PHASE_SEARCH, counter, phase
 from .product import ProductNode, ProductSystem
 
 
-@dataclass
+@record
 class SearchStats:
     """Counters reported by one emptiness search."""
 
@@ -29,7 +29,7 @@ class SearchStats:
         return self.blue_visited + self.red_visited
 
 
-@dataclass
+@record
 class LassoNodes:
     """An accepting lasso in the product: prefix then cycle (non-empty)."""
 

@@ -99,7 +99,7 @@ def test_replay_chain_liveness():
 
 def test_validate_lasso_rejects_corrupted_cycle():
     """Replay catches a lasso whose cycle is not actually closed."""
-    from dataclasses import replace
+    from repro._record import replace
 
     comp = synthetic.relay_chain(1)
     dbs = synthetic.chain_databases(1)

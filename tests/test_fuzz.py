@@ -9,11 +9,11 @@ is just a random-spec pretty-printer.
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 
 import pytest
 
+from repro._record import replace
 from repro.analysis import classify
 from repro.cli import main
 from repro.fuzz import (
@@ -82,7 +82,7 @@ def _flip_seed_verdicts(comp, prop, dbs, **kwargs):
     reports violations as satisfied (dropping the counterexample)."""
     result = verify_seed(comp, prop, dbs, **kwargs)
     if not result.satisfied:
-        return dataclasses.replace(
+        return replace(
             result, satisfied=True, counterexample=None)
     return result
 

@@ -1,10 +1,14 @@
 """What a cold ``repro verify`` loads.
 
 The package ``__init__``s re-export the shard plane, modular
-verification, the protocols, the communication graph and the
-environment step, none of which an in-process LTL-FO verification runs;
-they load on first use (PEP 562).  Each check runs in a fresh
-interpreter, since this one has long loaded everything.
+verification, the protocols, the communication graph, the environment
+step, runs (``repro.runtime.run``: lassos, simulation, replay) and the
+lint diagnostics, none of which an in-process LTL-FO verification of a
+satisfied property runs; they load on first use (PEP 562).  Value
+classes are records (``repro._record``), so ``dataclasses`` and the
+``inspect`` it loads stay out, and ``json`` loads only where JSON is
+written.  Each check runs in a fresh interpreter, since this one has
+long loaded everything.
 """
 
 import os
@@ -21,15 +25,21 @@ DEFERRED = (
     "repro.protocols.base", "repro.protocols.verify",
     "repro.verifier.modular", "repro.verifier.shards",
     "repro.spec.commgraph", "repro.runtime.environment", "hashlib",
+    "repro.runtime.run", "repro.analysis.diagnostics",
+    "repro.analysis.passes", "dataclasses", "inspect", "json",
 )
 
+#: A module the bare interpreter already holds (a site hook may load
+#: ``json`` or ``inspect``) is not charged to ``repro``.
 _VERIFY_PROBE = f"""
 import contextlib, io, sys
+bare = set(sys.modules)
 import repro.cli
-loaded = [m for m in {DEFERRED!r} if m in sys.modules]
+loaded = [m for m in {DEFERRED!r} if m in sys.modules and m not in bare]
 with contextlib.redirect_stdout(io.StringIO()):
     code = repro.cli.main(["verify", {str(ROOT / "examples/specs/auction.dws")!r}])
-loaded += [m for m in {DEFERRED!r} if m in sys.modules and m not in loaded]
+loaded += [m for m in {DEFERRED!r}
+           if m in sys.modules and m not in bare and m not in loaded]
 print(code, *loaded)
 """
 
@@ -44,14 +54,16 @@ for info in pkgutil.walk_packages(repro.__path__, "repro."):
         __import__(info.name)
 """
 
-#: Prints each public name of the five packages that does not resolve to
+#: Prints each public name of the six packages that does not resolve to
 #: the object its defining submodule holds, star imports included.
 _NAMES_PROBE = """
 import importlib, types
 import repro.cli
-import repro, repro.ltl, repro.runtime, repro.spec, repro.verifier
+import repro, repro.analysis, repro.ltl, repro.runtime, repro.spec
+import repro.verifier
 wrong = []
-for pkg in (repro, repro.ltl, repro.runtime, repro.spec, repro.verifier):
+for pkg in (repro, repro.analysis, repro.ltl, repro.runtime, repro.spec,
+            repro.verifier):
     star = {}
     exec(f"from {pkg.__name__} import *", star)
     for name in pkg.__all__:
